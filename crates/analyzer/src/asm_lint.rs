@@ -12,12 +12,14 @@
 //! pointer into a named memory region, or unknown. The stack is
 //! modeled byte-granularly relative to the entry `sp`, so spills and
 //! reloads (including mixed-width `(u32*)` reads of byte arrays)
-//! round-trip precisely. Calls (`jal ra`) are analyzed by inlining:
-//! the callee runs on the caller's abstract state and its joined
-//! return states continue at the call's fall-through, which makes the
-//! single stack coordinate system work across frames. Indirect jumps
-//! other than the `jalr x0, ra, 0` return idiom are outside the
-//! fragment and reported as [`LintError::Unsupported`].
+//! round-trip precisely; the bytes live in copy-on-write pages
+//! ([`Stack`]) that forked states share until one of them writes.
+//! Calls (`jal ra`) are analyzed by inlining: the callee runs on the
+//! caller's abstract state and its joined return states continue at
+//! the call's fall-through, which makes the single stack coordinate
+//! system work across frames. Indirect jumps other than the
+//! `jalr x0, ra, 0` return idiom are outside the fragment and reported
+//! as [`LintError::Unsupported`].
 //!
 //! # The sparse interprocedural fixpoint
 //!
@@ -30,7 +32,7 @@
 //! The dense driver ([`lint_asm_dense`]) recomputes every function
 //! from scratch on every pass, which multiplies the cost of the
 //! biggest firmwares by the pass count. The sparse driver (the
-//! default, [`lint_asm`]/[`lint_asm_threaded`]) instead memoizes each
+//! default, [`lint_asm`]) instead memoizes each
 //! `(function, abstract entry state)` call **across passes**, keyed by
 //! a *dependency footprint*: the set of regions the call observed as
 //! clean, and whether it observed the escape flag unset. A memo entry
@@ -43,7 +45,7 @@
 //! to re-running it, so the sparse driver's findings are byte-identical
 //! to the dense oracle's (proved differentially over the lint corpus).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
 use parfait_cores::InstrClass;
@@ -169,15 +171,171 @@ struct SByte {
     array: bool,
 }
 
+impl SByte {
+    /// This byte joined with a never-written one: same secrecy and
+    /// world, unknown contents.
+    fn degraded(&self) -> SByte {
+        SByte { val: AVal { secret: self.val.secret.clone(), kind: Kind::Top }, array: self.array }
+    }
+}
+
+/// Bytes per [`Stack`] page: the unit of copy-on-write sharing.
+const PAGE: i32 = 64;
+
+/// One page of tracked stack bytes; slot `k` of page `p` is offset
+/// `p * PAGE + k`, and `None` is a byte never written.
+type Page = [Option<SByte>; PAGE as usize];
+
+/// The tracked stack bytes of one state: fixed-size copy-on-write
+/// pages under a page-index map. States forked from one another share
+/// every page neither has written since, so a store copies one page
+/// and a join skips each page both sides still share. No page is ever
+/// empty, so equal contents always have equal page sets.
+#[derive(Clone, Debug, Default)]
+struct Stack {
+    pages: BTreeMap<i32, Rc<Page>>,
+}
+
+impl Stack {
+    /// Page index and slot of offset `o` (floored, so negative offsets
+    /// land in negative pages).
+    fn split(o: i32) -> (i32, usize) {
+        (o.div_euclid(PAGE), o.rem_euclid(PAGE) as usize)
+    }
+
+    fn get(&self, o: i32) -> Option<&SByte> {
+        let (p, k) = Stack::split(o);
+        self.pages.get(&p)?[k].as_ref()
+    }
+
+    /// Store `val` into the `w` bytes at `o`: a multi-byte store
+    /// replicates its value across the covered bytes.
+    fn write(&mut self, o: i32, w: u8, val: &AVal, array: bool) {
+        for o in o..o + w as i32 {
+            let (p, k) = Stack::split(o);
+            let page =
+                self.pages.entry(p).or_insert_with(|| Rc::new(std::array::from_fn(|_| None)));
+            Rc::make_mut(page)[k] = Some(SByte { val: val.clone(), array });
+        }
+    }
+
+    /// Tracked bytes in ascending offset order.
+    fn iter(&self) -> impl Iterator<Item = (i32, &SByte)> {
+        self.pages.iter().flat_map(|(&p, page)| {
+            page.iter()
+                .enumerate()
+                .filter_map(move |(k, b)| Some((p * PAGE + k as i32, b.as_ref()?)))
+        })
+    }
+
+    /// The value `w` bytes at `o` reconstruct: the bytes' common
+    /// lattice value when all are present and agree, else an unknown
+    /// carrying the first secret byte's provenance.
+    fn read(&self, o: i32, w: u8) -> AVal {
+        if let Some(b0) = self.get(o) {
+            if (1..w as i32).all(|k| self.get(o + k).is_some_and(|b| b.val.same_lattice(&b0.val))) {
+                return b0.val.clone();
+            }
+        }
+        let secret =
+            (0..w as i32).filter_map(|k| self.get(o + k)).find_map(|b| b.val.secret.clone());
+        AVal { secret, kind: Kind::Top }
+    }
+
+    /// Provenance of the lowest secret array-world byte: what a read at
+    /// an unknown stack offset observes.
+    fn array_secret(&self) -> Option<Rc<str>> {
+        self.iter().filter(|(_, b)| b.array).find_map(|(_, b)| b.val.secret.clone())
+    }
+
+    /// Drop every byte below offset `s` (the current stack pointer),
+    /// removing the pages this empties: the bytes belong to frames that
+    /// have returned. Real code never reads below `sp`, and keeping the
+    /// stale bytes makes call memoization keys needlessly unique.
+    fn prune_below(&mut self, s: i32) {
+        if self.iter().next().is_none_or(|(lo, _)| lo >= s) {
+            return;
+        }
+        let (p, k) = Stack::split(s);
+        self.pages = self.pages.split_off(&p);
+        if let Some(page) = self.pages.get_mut(&p) {
+            let page = Rc::make_mut(page);
+            page[..k].fill(None);
+            if page.iter().all(Option::is_none) {
+                self.pages.remove(&p);
+            }
+        }
+    }
+
+    /// Join `from` into `self`; true when some byte's lattice shape
+    /// changed. A byte missing on one side was never written there:
+    /// clean, unknown contents — the join keeps the other side's
+    /// secrecy and world but degrades its kind to `Top`.
+    fn join(&mut self, from: &Stack) -> bool {
+        let mut changed = false;
+        for (p, page) in &mut self.pages {
+            let other = from.pages.get(p);
+            if other.is_some_and(|o| Rc::ptr_eq(o, page)) {
+                continue;
+            }
+            let updates = join_slots(Some(page), other.map(|o| &**o));
+            if !updates.is_empty() {
+                let page = Rc::make_mut(page);
+                for (k, b) in updates {
+                    page[k] = Some(b);
+                }
+                changed = true;
+            }
+        }
+        for (&p, other) in &from.pages {
+            if let btree_map::Entry::Vacant(slot) = self.pages.entry(p) {
+                let mut page: Page = std::array::from_fn(|_| None);
+                for (k, b) in join_slots(None, Some(other)) {
+                    page[k] = Some(b);
+                }
+                slot.insert(Rc::new(page));
+                changed = true;
+            }
+        }
+        changed
+    }
+}
+
+/// The slots of `into` that joining `from` changes, with their new
+/// bytes (`None` stands for an absent page).
+fn join_slots(into: Option<&Page>, from: Option<&Page>) -> Vec<(usize, SByte)> {
+    let mut updates = Vec::new();
+    for k in 0..PAGE as usize {
+        let a = into.and_then(|p| p[k].as_ref());
+        let b = from.and_then(|p| p[k].as_ref());
+        match (a, b) {
+            (Some(a), Some(b)) => {
+                let world = a.array || b.array;
+                let merged = a.val.join(&b.val);
+                if a.array != world || !a.val.same_lattice(&merged) {
+                    updates.push((k, SByte { val: merged, array: world }));
+                }
+            }
+            (Some(a), None) => {
+                if a.val.kind != Kind::Top {
+                    updates.push((k, a.degraded()));
+                }
+            }
+            (None, Some(b)) => updates.push((k, b.degraded())),
+            (None, None) => {}
+        }
+    }
+    updates
+}
+
 /// The abstract machine state at one program point.
 #[derive(Clone, Debug)]
 struct MState {
     regs: Vec<AVal>,
     /// Bytes relative to the *entry* `sp` of the linted handler; one
-    /// coordinate system across inlined callees. Shared copy-on-write:
-    /// most instructions don't touch the stack, so cloning a state is
-    /// cheap.
-    stack: Rc<BTreeMap<i32, SByte>>,
+    /// coordinate system across inlined callees. Paged copy-on-write:
+    /// cloning a state clones the page-index map, not the bytes.
+    stack: Stack,
     /// Join of everything stored at an unresolved stack address; reads
     /// at any stack address must also observe it.
     blob: Option<AVal>,
@@ -203,7 +361,7 @@ impl MState {
             self.regs.iter().map(|v| (v.secret.is_some(), v.kind.clone())).collect(),
             self.stack
                 .iter()
-                .map(|(o, b)| (*o, b.array, b.val.secret.is_some(), b.val.kind.clone()))
+                .map(|(o, b)| (o, b.array, b.val.secret.is_some(), b.val.kind.clone()))
                 .collect(),
             self.blob.as_ref().map(|v| (v.secret.is_some(), v.kind.clone())),
         )
@@ -220,55 +378,7 @@ fn join_state(into: &mut MState, from: &MState) -> bool {
             changed = true;
         }
     }
-    // A byte missing on one side was never written there: clean,
-    // unknown contents. The join keeps the other side's secrecy but
-    // degrades the exact-store shape.
-    if !Rc::ptr_eq(&into.stack, &from.stack) {
-        let keys: BTreeSet<i32> = into.stack.keys().chain(from.stack.keys()).copied().collect();
-        let mut updates: Vec<(i32, SByte)> = Vec::new();
-        for o in keys {
-            match (into.stack.get(&o), from.stack.get(&o)) {
-                (Some(a), Some(b)) => {
-                    let world = a.array || b.array;
-                    let merged = a.val.join(&b.val);
-                    if a.array == world && a.val.same_lattice(&merged) {
-                        continue;
-                    }
-                    updates.push((o, SByte { val: merged, array: world }));
-                }
-                (Some(a), None) => {
-                    // Missing on one side: never written there — clean,
-                    // unknown contents.
-                    if a.val.kind != Kind::Top {
-                        updates.push((
-                            o,
-                            SByte {
-                                val: AVal { secret: a.val.secret.clone(), kind: Kind::Top },
-                                array: a.array,
-                            },
-                        ));
-                    }
-                }
-                (None, Some(b)) => {
-                    updates.push((
-                        o,
-                        SByte {
-                            val: AVal { secret: b.val.secret.clone(), kind: Kind::Top },
-                            array: b.array,
-                        },
-                    ));
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        if !updates.is_empty() {
-            let stack = Rc::make_mut(&mut into.stack);
-            for (o, b) in updates {
-                stack.insert(o, b);
-            }
-            changed = true;
-        }
-    }
+    changed |= into.stack.join(&from.stack);
     match (&mut into.blob, &from.blob) {
         (_, None) => {}
         (Some(a), Some(b)) => {
@@ -284,16 +394,6 @@ fn join_state(into: &mut MState, from: &MState) -> bool {
         }
     }
     changed
-}
-
-/// Drop stack bytes below offset `s` (the current stack pointer):
-/// they belong to frames that have returned. Real code never reads
-/// below `sp`, and keeping the stale bytes makes call memoization
-/// keys needlessly unique.
-fn prune_below(st: &mut MState, s: i32) {
-    if st.stack.keys().next().is_some_and(|&lo| lo < s) {
-        Rc::make_mut(&mut st.stack).retain(|&o, _| o >= s);
-    }
 }
 
 /// Where a memory access lands.
@@ -475,7 +575,7 @@ impl<'p> AsmLint<'p> {
             regs[r.0 as usize] =
                 AVal { secret: None, kind: Kind::Mem(self.singletons[rid as usize].clone()) };
         }
-        MState { regs, stack: Rc::new(BTreeMap::new()), blob: None }
+        MState { regs, stack: Stack::default(), blob: None }
     }
 
     fn describe(&self, r: Rid) -> String {
@@ -623,39 +723,15 @@ impl<'p> AsmLint<'p> {
         }
     }
 
-    fn read_stack(&self, st: &MState, o: i32, w: u8) -> AVal {
-        let bytes: Vec<Option<&SByte>> = (0..w as i32).map(|k| st.stack.get(&(o + k))).collect();
-        let agree = bytes.iter().all(|b| match b {
-            Some(b) => b.val.same_lattice(&bytes[0].as_ref().unwrap().val),
-            None => false,
-        });
-        if agree {
-            bytes[0].unwrap().val.clone()
-        } else {
-            let secret = bytes.iter().flatten().find_map(|b| b.val.secret.clone());
-            AVal { secret, kind: Kind::Top }
-        }
-    }
-
-    fn write_stack(&self, st: &mut MState, o: i32, w: u8, val: &AVal, array: bool) {
-        let stack = Rc::make_mut(&mut st.stack);
-        for k in 0..w {
-            stack.insert(o + k as i32, SByte { val: val.clone(), array });
-        }
-    }
-
     /// The abstract value loaded from `target`. Queries of the content
     /// table and the escape flag that come back *clean* are dependency
     /// observations: the answer could change in a later pass, so they
     /// go into every active frame's footprint.
     fn load_value(&mut self, st: &MState, target: &Target, w: u8, addr: u32) -> AVal {
         let mut v = match target {
-            Target::Stack(o) => self.read_stack(st, *o, w),
+            Target::Stack(o) => st.stack.read(*o, w),
             Target::StackAny => {
-                let mut v = AVal::default();
-                for b in st.stack.values().filter(|b| b.array) {
-                    v.secret = v.secret.or_else(|| b.val.secret.clone());
-                }
+                let mut v = AVal { secret: st.stack.array_secret(), kind: Kind::Top };
                 if let Some(blob) = &st.blob {
                     v = v.join(blob);
                 }
@@ -696,7 +772,7 @@ impl<'p> AsmLint<'p> {
 
     fn store_value(&mut self, st: &mut MState, target: Target, w: u8, val: &AVal, array: bool) {
         match target {
-            Target::Stack(o) => self.write_stack(st, o, w, val, array),
+            Target::Stack(o) => st.stack.write(o, w, val, array),
             Target::StackAny => {
                 let joined = match &st.blob {
                     Some(b) => b.join(val),
@@ -952,12 +1028,12 @@ impl<'p> AsmLint<'p> {
                     // returned callees); drop them so the callee's
                     // memo key only covers live memory.
                     if let Kind::Sp(s) = st.reg(Reg::SP).kind {
-                        prune_below(&mut st, s);
+                        st.stack.prune_below(s);
                     }
                     return match self.analyze_function(dest, st)? {
                         Some(mut ret_state) => {
                             if let Kind::Sp(s) = ret_state.reg(Reg::SP).kind {
-                                prune_below(&mut ret_state, s);
+                                ret_state.stack.prune_below(s);
                             }
                             Ok((vec![(next, ret_state)], None))
                         }
@@ -1079,36 +1155,10 @@ fn store_width(op: StoreOp) -> u8 {
     }
 }
 
-/// Pre-decode the text section, fanning per-function slices over the
-/// worker pool. Decoding is pure per word, so the parallel result is
-/// trivially identical to the sequential one; function granularity
-/// keeps slices cache-friendly and matches the analysis's own unit of
-/// work. Small images skip the pool entirely.
-fn predecode(prog: &Program, threads: usize) -> Vec<Result<Instr, String>> {
-    let decode_range =
-        |words: &[u32]| words.iter().map(|&w| decode(w).map_err(|e| format!("{e:?}"))).collect();
-    if threads <= 1 || prog.text.len() < 1024 {
-        return decode_range(&prog.text);
-    }
-    // Function starts (word indices), deduped and sorted; the gaps
-    // between them are the per-function slices.
-    let text_end = prog.text_base + 4 * prog.text.len() as u32;
-    let mut cuts: Vec<usize> = prog
-        .symbols
-        .values()
-        .filter(|&&a| a > prog.text_base && a < text_end && a.is_multiple_of(4))
-        .map(|&a| ((a - prog.text_base) / 4) as usize)
-        .collect();
-    cuts.push(0);
-    cuts.push(prog.text.len());
-    cuts.sort_unstable();
-    cuts.dedup();
-    let ranges: Vec<(usize, usize)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
-    let parts: Vec<Vec<Result<Instr, String>>> =
-        parfait_parallel::parallel_map(threads, ranges, |_w, (s, e)| {
-            decode_range(&prog.text[s..e])
-        });
-    parts.concat()
+/// Pre-decode the text section; decode errors are kept per word and
+/// surface only if control flow reaches them.
+fn predecode(prog: &Program) -> Vec<Result<Instr, String>> {
+    prog.text.iter().map(|&w| decode(w).map_err(|e| format!("{e:?}"))).collect()
 }
 
 /// The shared driver behind the public entry points: the outer
@@ -1117,14 +1167,9 @@ fn predecode(prog: &Program, threads: usize) -> Vec<Result<Instr, String>> {
 /// it terminates). In sparse mode, call summaries persist across
 /// passes and only footprint-invalidated calls re-run; in dense mode
 /// every pass recomputes the world (the differential oracle).
-fn lint_asm_driver(
-    prog: &Program,
-    entry: &str,
-    threads: usize,
-    reuse: bool,
-) -> Result<Vec<Finding>, LintError> {
+fn lint_asm_driver(prog: &Program, entry: &str, reuse: bool) -> Result<Vec<Finding>, LintError> {
     let entry_addr = prog.address_of(entry).ok_or_else(|| LintError::NoEntry(entry.to_string()))?;
-    let code = predecode(prog, threads);
+    let code = predecode(prog);
     let mut lint = AsmLint::new(prog, code, reuse);
     loop {
         let epoch0 = lint.epoch;
@@ -1153,20 +1198,7 @@ fn lint_asm_driver(
 /// Returns the sorted findings; [`LintError`] when control flow cannot
 /// be recovered (indirect jumps, recursion, undecodable words).
 pub fn lint_asm(prog: &Program, entry: &str) -> Result<Vec<Finding>, LintError> {
-    lint_asm_driver(prog, entry, 1, true)
-}
-
-/// [`lint_asm`] with the pure per-function pre-pass fanned over
-/// `threads` workers (0 = [`parfait_parallel::default_threads`]).
-/// Findings are byte-identical to [`lint_asm`] and [`lint_asm_dense`]
-/// at every thread count.
-pub fn lint_asm_threaded(
-    prog: &Program,
-    entry: &str,
-    threads: usize,
-) -> Result<Vec<Finding>, LintError> {
-    let threads = if threads == 0 { parfait_parallel::default_threads() } else { threads };
-    lint_asm_driver(prog, entry, threads, true)
+    lint_asm_driver(prog, entry, true)
 }
 
 /// The dense oracle: every pass of the outer fixpoint recomputes every
@@ -1175,7 +1207,7 @@ pub fn lint_asm_threaded(
 /// differential suite that proves the sparse driver byte-identical;
 /// production callers want [`lint_asm`].
 pub fn lint_asm_dense(prog: &Program, entry: &str) -> Result<Vec<Finding>, LintError> {
-    lint_asm_driver(prog, entry, 1, false)
+    lint_asm_driver(prog, entry, false)
 }
 
 #[cfg(test)]
@@ -1303,21 +1335,6 @@ mod tests {
         assert_eq!(rules(&f), vec![RuleId::SecretBranch]);
     }
 
-    #[test]
-    fn threaded_predecode_matches_sequential_findings() {
-        let src = "const u8 T[4] = {7, 7, 7, 7};
-            void handle(u8* state, u8* cmd, u8* resp) {
-                resp[0] = T[state[0] & 3];
-            }";
-        let program = parfait_littlec::frontend(src).unwrap();
-        let asm = parfait_littlec::compile(&program, OptLevel::O2).unwrap();
-        let prog = parfait_riscv::assemble(&asm).unwrap();
-        let seq = lint_asm(&prog, "handle").unwrap();
-        for threads in [2, 8] {
-            assert_eq!(lint_asm_threaded(&prog, "handle", threads).unwrap(), seq, "{threads}");
-        }
-    }
-
     /// Compile, apply an asm-level patch (the adversary's codegen-fault
     /// shape), assemble, lint.
     fn lint_patched(
@@ -1387,5 +1404,175 @@ mod tests {
         let asm = parfait_littlec::compile(&program, OptLevel::O0).unwrap();
         let prog = parfait_riscv::assemble(&asm).unwrap();
         assert!(matches!(lint_asm(&prog, "handle"), Err(LintError::NoEntry(_))));
+    }
+
+    /// The byte-keyed map the paged [`Stack`] replaced, kept as its
+    /// oracle: one entry per tracked byte, same read, prune and join
+    /// semantics.
+    #[derive(Clone, Default)]
+    struct MapStack(BTreeMap<i32, SByte>);
+
+    impl MapStack {
+        fn read(&self, o: i32, w: u8) -> AVal {
+            let bytes: Vec<Option<&SByte>> = (0..w as i32).map(|k| self.0.get(&(o + k))).collect();
+            let agree = bytes.iter().all(|b| match b {
+                Some(b) => b.val.same_lattice(&bytes[0].as_ref().unwrap().val),
+                None => false,
+            });
+            if agree {
+                bytes[0].unwrap().val.clone()
+            } else {
+                let secret = bytes.iter().flatten().find_map(|b| b.val.secret.clone());
+                AVal { secret, kind: Kind::Top }
+            }
+        }
+
+        fn write(&mut self, o: i32, w: u8, val: &AVal, array: bool) {
+            for k in 0..w as i32 {
+                self.0.insert(o + k, SByte { val: val.clone(), array });
+            }
+        }
+
+        fn array_secret(&self) -> Option<Rc<str>> {
+            let mut secret = None;
+            for b in self.0.values().filter(|b| b.array) {
+                secret = secret.or_else(|| b.val.secret.clone());
+            }
+            secret
+        }
+
+        fn prune_below(&mut self, s: i32) {
+            self.0.retain(|&o, _| o >= s);
+        }
+
+        fn join(&mut self, from: &MapStack) -> bool {
+            let keys: BTreeSet<i32> = self.0.keys().chain(from.0.keys()).copied().collect();
+            let mut updates: Vec<(i32, SByte)> = Vec::new();
+            for o in keys {
+                match (self.0.get(&o), from.0.get(&o)) {
+                    (Some(a), Some(b)) => {
+                        let world = a.array || b.array;
+                        let merged = a.val.join(&b.val);
+                        if a.array == world && a.val.same_lattice(&merged) {
+                            continue;
+                        }
+                        updates.push((o, SByte { val: merged, array: world }));
+                    }
+                    (Some(a), None) => {
+                        if a.val.kind != Kind::Top {
+                            let val = AVal { secret: a.val.secret.clone(), kind: Kind::Top };
+                            updates.push((o, SByte { val, array: a.array }));
+                        }
+                    }
+                    (None, Some(b)) => {
+                        let val = AVal { secret: b.val.secret.clone(), kind: Kind::Top };
+                        updates.push((o, SByte { val, array: b.array }));
+                    }
+                    (None, None) => unreachable!(),
+                }
+            }
+            let changed = !updates.is_empty();
+            self.0.extend(updates);
+            changed
+        }
+    }
+
+    /// Everything observable about a value, provenance text included.
+    fn shape(v: &AVal) -> (Option<String>, Kind) {
+        (v.secret.as_deref().map(String::from), v.kind.clone())
+    }
+
+    type Bytes = Vec<(i32, bool, (Option<String>, Kind))>;
+
+    fn paged_bytes(s: &Stack) -> Bytes {
+        s.iter().map(|(o, b)| (o, b.array, shape(&b.val))).collect()
+    }
+
+    fn model_bytes(m: &MapStack) -> Bytes {
+        m.0.iter().map(|(&o, b)| (o, b.array, shape(&b.val))).collect()
+    }
+
+    /// splitmix64: a seeded, dependency-free generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// An offset within four bytes of a page boundary, in pages -3..=1.
+        fn offset(&mut self) -> i32 {
+            PAGE * (self.below(5) as i32 - 3) + self.below(9) as i32 - 4
+        }
+    }
+
+    #[test]
+    fn paged_stack_matches_the_byte_map_model() {
+        let provs: Vec<Rc<str>> = ["p0", "p1", "p2"].into_iter().map(Rc::from).collect();
+        let sets: Vec<RegionSet> = (0..3).map(|r| Rc::new(BTreeSet::from([r]))).collect();
+        let mut steps_with_bytes = 0;
+        for seed in 0..48 {
+            let mut rng = Rng(seed);
+            let mut paged: Vec<Stack> = vec![Stack::default(); 3];
+            let mut model: Vec<MapStack> = vec![MapStack::default(); 3];
+            for step in 0..300 {
+                let (i, j) = (rng.below(3) as usize, rng.below(3) as usize);
+                let ctx = format!("seed {seed} step {step}");
+                match rng.below(8) {
+                    0..=2 => {
+                        let val = AVal {
+                            secret: match rng.below(4) {
+                                3 => None,
+                                p => Some(provs[p as usize].clone()),
+                            },
+                            kind: match rng.below(5) {
+                                0 => Kind::Top,
+                                1 => Kind::Const(rng.below(3) as u32),
+                                2 => Kind::Sp(rng.below(3) as i32 - 1),
+                                3 => Kind::SpAny,
+                                _ => Kind::Mem(sets[rng.below(3) as usize].clone()),
+                            },
+                        };
+                        let (o, w, array) =
+                            (rng.offset(), [1, 2, 4][rng.below(3) as usize], rng.below(2) == 0);
+                        paged[i].write(o, w, &val, array);
+                        model[i].write(o, w, &val, array);
+                    }
+                    3 => {
+                        let (o, w) = (rng.offset(), [1, 2, 4][rng.below(3) as usize]);
+                        assert_eq!(
+                            shape(&paged[i].read(o, w)),
+                            shape(&model[i].read(o, w)),
+                            "{ctx}"
+                        );
+                        assert_eq!(paged[i].array_secret(), model[i].array_secret(), "{ctx}");
+                    }
+                    4 => {
+                        let s = rng.offset();
+                        paged[i].prune_below(s);
+                        model[i].prune_below(s);
+                    }
+                    5 | 6 => {
+                        let (from_p, from_m) = (paged[j].clone(), model[j].clone());
+                        let changed = paged[i].join(&from_p);
+                        assert_eq!(changed, model[i].join(&from_m), "{ctx}: changed flag");
+                    }
+                    _ => {
+                        paged[i] = paged[j].clone();
+                        model[i] = model[j].clone();
+                    }
+                }
+                for (p, m) in paged.iter().zip(&model) {
+                    assert_eq!(paged_bytes(p), model_bytes(m), "{ctx}");
+                    assert!(p.pages.values().all(|pg| pg.iter().any(Option::is_some)), "{ctx}");
+                    steps_with_bytes += usize::from(!m.0.is_empty());
+                }
+            }
+        }
+        assert!(steps_with_bytes > 10_000, "the walk must exercise populated stacks");
     }
 }

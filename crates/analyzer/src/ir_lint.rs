@@ -16,6 +16,7 @@
 //! terminating outer fixpoint.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::rc::Rc;
 
 use parfait_littlec::diag::{Diagnostic, Span};
 use parfait_littlec::ir::{Inst, IrFunction, IrOp, IrProgram, Operand, Term, VReg};
@@ -53,21 +54,35 @@ impl Region {
     }
 }
 
+/// A points-to set. `Rc`-shared: register reads and joins clone it
+/// far more often than a union grows it.
+type RegionSet = Rc<BTreeSet<Region>>;
+
 /// The abstract value of a virtual register.
 #[derive(Clone, Debug, Default)]
 struct AbsVal {
     /// `Some(provenance)` when the value may be secret-derived.
-    secret: Option<String>,
+    /// Shared: provenance strings are cloned on every read and join.
+    secret: Option<Rc<str>>,
     /// Regions this value may point into (empty: not a pointer).
-    pts: BTreeSet<Region>,
+    pts: RegionSet,
 }
 
 impl AbsVal {
+    /// A clean pointer into exactly `r`.
+    fn points_to(r: Region) -> AbsVal {
+        AbsVal { secret: None, pts: Rc::new(BTreeSet::from([r])) }
+    }
+
     fn join(&self, other: &AbsVal) -> AbsVal {
-        AbsVal {
-            secret: self.secret.clone().or_else(|| other.secret.clone()),
-            pts: self.pts.union(&other.pts).cloned().collect(),
-        }
+        let pts = if other.pts.is_subset(&self.pts) {
+            self.pts.clone()
+        } else if self.pts.is_subset(&other.pts) {
+            other.pts.clone()
+        } else {
+            Rc::new(self.pts.union(&other.pts).cloned().collect())
+        };
+        AbsVal { secret: self.secret.clone().or_else(|| other.secret.clone()), pts }
     }
 
     /// Lattice identity (provenance strings are carried, not compared).
@@ -100,13 +115,13 @@ fn join_maps(into: &mut VMap, from: &VMap) -> bool {
 
 /// Memo key for a call: callee name plus the lattice shape of each
 /// argument and the region-table epoch.
-type CallKey = (String, Vec<(bool, Vec<Region>)>, u64);
+type CallKey = (String, Vec<(bool, RegionSet)>, u64);
 
 struct IrLint<'p> {
     prog: &'p IrProgram,
     /// Region → provenance of its secret content. Absent = clean.
     /// `State` is pinned secret at construction.
-    content: BTreeMap<Region, String>,
+    content: BTreeMap<Region, Rc<str>>,
     /// Bumped whenever `content` grows; memo entries key on it.
     epoch: u64,
     memo: HashMap<CallKey, AbsVal>,
@@ -122,11 +137,11 @@ struct IrLint<'p> {
 }
 
 impl<'p> IrLint<'p> {
-    fn region_taint(&self, r: &Region) -> Option<String> {
+    fn region_taint(&self, r: &Region) -> Option<Rc<str>> {
         self.content.get(r).cloned()
     }
 
-    fn taint_region(&mut self, r: Region, why: String) {
+    fn taint_region(&mut self, r: Region, why: Rc<str>) {
         if let std::collections::btree_map::Entry::Vacant(slot) = self.content.entry(r) {
             slot.insert(why);
             self.epoch += 1;
@@ -162,7 +177,7 @@ impl<'p> IrLint<'p> {
         }
         let key: CallKey = (
             name.to_string(),
-            args.iter().map(|a| (a.secret.is_some(), a.pts.iter().cloned().collect())).collect(),
+            args.iter().map(|a| (a.secret.is_some(), a.pts.clone())).collect(),
             self.epoch,
         );
         if let Some(ret) = self.memo.get(&key) {
@@ -267,7 +282,10 @@ impl<'p> IrLint<'p> {
                                     "secret operand to variable-latency `{op:?}` in `{}`",
                                     f.name
                                 ),
-                                vec![why.clone(), format!("{op:?} operand at {}:{line}", f.name)],
+                                vec![
+                                    why.to_string(),
+                                    format!("{op:?} operand at {}:{line}", f.name),
+                                ],
                             );
                         }
                     }
@@ -283,21 +301,23 @@ impl<'p> IrLint<'p> {
                             i,
                             line,
                             format!("load at secret-dependent address in `{}`", f.name),
-                            vec![why.clone(), format!("load address at {}:{line}", f.name)],
+                            vec![why.to_string(), format!("load address at {}:{line}", f.name)],
                         );
                     }
                     let mut loaded = AbsVal::default();
                     if av.pts.is_empty() {
-                        loaded.secret =
-                            Some(format!("load via untracked pointer at {}:{line}", f.name));
+                        loaded.secret = Some(Rc::from(format!(
+                            "load via untracked pointer at {}:{line}",
+                            f.name
+                        )));
                     } else {
-                        for r in &av.pts {
+                        for r in av.pts.iter() {
                             if let Some(why) = self.region_taint(r) {
-                                loaded.secret = Some(format!(
+                                loaded.secret = Some(Rc::from(format!(
                                     "{why}, loaded from {} at {}:{line}",
                                     r.describe(),
                                     f.name
-                                ));
+                                )));
                                 break;
                             }
                         }
@@ -315,29 +335,25 @@ impl<'p> IrLint<'p> {
                             i,
                             line,
                             format!("store at secret-dependent address in `{}`", f.name),
-                            vec![why.clone(), format!("store address at {}:{line}", f.name)],
+                            vec![why.to_string(), format!("store address at {}:{line}", f.name)],
                         );
                     }
                     if let Some(why) = &sv.secret {
                         if av.pts.is_empty() {
                             self.taint_region(Region::Unknown, why.clone());
                         }
-                        for r in av.pts.iter().cloned().collect::<Vec<_>>() {
-                            if r != Region::State {
-                                self.taint_region(r, why.clone());
+                        for r in av.pts.iter() {
+                            if *r != Region::State {
+                                self.taint_region(r.clone(), why.clone());
                             }
                         }
                     }
                 }
                 Inst::AddrOfGlobal { dst, name } => {
-                    let mut v = AbsVal::default();
-                    v.pts.insert(Region::Global(name.clone()));
-                    st.insert(*dst, v);
+                    st.insert(*dst, AbsVal::points_to(Region::Global(name.clone())));
                 }
                 Inst::AddrOfLocal { dst, slot } => {
-                    let mut v = AbsVal::default();
-                    v.pts.insert(Region::Frame(f.name.clone(), *slot));
-                    st.insert(*dst, v);
+                    st.insert(*dst, AbsVal::points_to(Region::Frame(f.name.clone(), *slot)));
                 }
                 Inst::Call { dst, func, args } => {
                     let argv: Vec<AbsVal> = args.iter().map(|&a| get(st, a)).collect();
@@ -359,7 +375,7 @@ impl<'p> IrLint<'p> {
                     usize::MAX,
                     line,
                     format!("branch on secret-derived value in `{}`", f.name),
-                    vec![why.clone(), format!("branch condition at {}:{line}", f.name)],
+                    vec![why.to_string(), format!("branch condition at {}:{line}", f.name)],
                 );
             }
         }
@@ -378,7 +394,7 @@ pub fn lint_ir(prog: &IrProgram, entry: &str) -> Result<Vec<Finding>, LintError>
         return Err(LintError::NoEntry(entry.to_string()));
     }
     let mut content = BTreeMap::new();
-    content.insert(Region::State, "secret handler state".to_string());
+    content.insert(Region::State, Rc::from("secret handler state"));
     let mut lint = IrLint {
         prog,
         content,
@@ -418,24 +434,14 @@ pub fn lint_ir(prog: &IrProgram, entry: &str) -> Result<Vec<Finding>, LintError>
 /// into the response buffer. Any further parameters are clean.
 fn seed_args(prog: &IrProgram, entry: &str) -> Vec<AbsVal> {
     let nparams = prog.function(entry).map(|f| f.params.len()).unwrap_or(0);
-    let mut seeds = Vec::with_capacity(nparams);
-    for i in 0..nparams {
-        let mut v = AbsVal::default();
-        match i {
-            0 => {
-                v.pts.insert(Region::State);
-            }
-            1 => {
-                v.pts.insert(Region::Cmd);
-            }
-            2 => {
-                v.pts.insert(Region::Resp);
-            }
-            _ => {}
-        }
-        seeds.push(v);
-    }
-    seeds
+    (0..nparams)
+        .map(|i| match i {
+            0 => AbsVal::points_to(Region::State),
+            1 => AbsVal::points_to(Region::Cmd),
+            2 => AbsVal::points_to(Region::Resp),
+            _ => AbsVal::default(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

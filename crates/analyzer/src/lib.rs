@@ -50,7 +50,7 @@ mod bound;
 mod ir_lint;
 mod latency_model;
 
-pub use asm_lint::{lint_asm, lint_asm_dense, lint_asm_threaded};
+pub use asm_lint::{lint_asm, lint_asm_dense};
 pub use bound::{
     bound_asm, BoundError, BoundRegions, BoundReport, BOUND_RULESET_VERSION, HOST_POLL_ITERS,
     SERVER_ROUNDS,

@@ -24,13 +24,11 @@ fn main() {
     let matrix: Vec<(App, OptLevel)> = if quick {
         vec![(App::Hasher, OptLevel::O2)]
     } else {
-        vec![
-            (App::Hasher, OptLevel::O0),
-            (App::Hasher, OptLevel::O2),
-            (App::Totp, OptLevel::O0),
-            (App::Totp, OptLevel::O2),
-            (App::Ecdsa, OptLevel::O2),
-        ]
+        // Every app at every opt level: each must lint clean (DESIGN.md §10).
+        [App::Hasher, App::Totp, App::Ecdsa]
+            .into_iter()
+            .flat_map(|app| [OptLevel::O0, OptLevel::O1, OptLevel::O2].map(move |opt| (app, opt)))
+            .collect()
     };
     let tel = Telemetry::disabled();
     let mut rows = Vec::new();

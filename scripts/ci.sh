@@ -1,10 +1,11 @@
 #!/bin/sh
 # Full local CI gate: formatting, the unsafe-code ban, release build,
 # tier-1 tests, workspace tests, all examples built and the quickstart
-# run end-to-end, the constant-time lint against its findings baseline,
-# the deterministic performance ratchet against perf_baseline.json,
-# the certified-resource-bound ratchet against bound_baseline.json,
-# the differential parallel-checker test under a fixed thread budget,
+# run end-to-end, the constant-time lint at -O0/-O1/-O2 against its
+# findings baseline, the deterministic performance ratchet against
+# perf_baseline.json, the certified-resource-bound ratchet against
+# bound_baseline.json, the differential parallel-checker test under a
+# fixed thread budget,
 # the pipeline cache differential test (now including the ctcheck
 # stage) run twice against one shared PARFAIT_CACHE_DIR (cold pass then
 # warm pass — proving warm-run determinism), the serve-daemon gate (a
@@ -37,8 +38,11 @@ cargo test -q --workspace
 cargo build --release --examples
 cargo run --release --example quickstart
 # Static constant-time lint: any finding not recorded in the baseline
-# ratchet fails the build loudly.
+# ratchet fails the build loudly. All three production firmwares at
+# every opt level (DESIGN.md §10 claims each lints clean).
 cargo run --release -p parfait-bench --bin lint -- --baseline lint_baseline.json
+cargo run --release -p parfait-bench --bin lint -- --baseline lint_baseline.json --opt O0
+cargo run --release -p parfait-bench --bin lint -- --baseline lint_baseline.json --opt O1
 # Deterministic performance ratchet: hot-path counters (analyzer
 # fixpoint iterations and memo hits, FPS cycles, decode-cache hit
 # rate, firmware-build memo hits) must not regress against

@@ -224,12 +224,11 @@ fn case_negative_control_masked_select() {
 }
 
 /// The sparse asm analyzer (cross-pass memoized summaries, the
-/// production default) and its threaded variant must produce findings
-/// byte-identical to the dense oracle that recomputes every function
-/// on every pass — over the whole seeded-violation corpus, clean
-/// controls included.
+/// production default) must produce findings byte-identical to the
+/// dense oracle that recomputes every function on every pass — over
+/// the whole seeded-violation corpus, clean controls included.
 #[test]
-fn sparse_and_threaded_asm_lint_match_dense_oracle_on_corpus() {
+fn sparse_asm_lint_matches_dense_oracle_on_corpus() {
     let corpus: &[&str] = &[
         "void handle(u8* state, u8* cmd, u8* resp) {
             if (state[0]) { resp[0] = 1; } else { resp[0] = 2; }
@@ -266,10 +265,6 @@ fn sparse_and_threaded_asm_lint_match_dense_oracle_on_corpus() {
             let dense = parfait_analyzer::lint_asm_dense(&prog, "handle").unwrap();
             let sparse = lint_asm(&prog, "handle").unwrap();
             assert_eq!(sparse, dense, "case {i} {opt:?}: sparse != dense");
-            for threads in [2, 8] {
-                let par = parfait_analyzer::lint_asm_threaded(&prog, "handle", threads).unwrap();
-                assert_eq!(par, dense, "case {i} {opt:?}: threaded({threads}) != dense");
-            }
         }
     }
 }
@@ -295,8 +290,9 @@ fn production_totp_lints_clean() {
 
 #[test]
 fn production_ecdsa_lints_clean() {
-    // O2 only: the O0 image is large and the abstract interpreter's
-    // per-instruction states make it the slow spot.
+    // O2 only: the -O0 and -O1 images lint clean too, but take tens of
+    // seconds each, so `scripts/ci.sh` gates them through the `lint`
+    // binary instead of the test suite.
     let r = lint(&StdApp::Ecdsa.source(), OptLevel::O2);
     assert!(r.is_clean(), "ecdsa O2: {:#?}", r.findings);
     assert!(r.ir_insts > 0 && r.asm_instrs > 0);

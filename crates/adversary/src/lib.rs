@@ -1,7 +1,7 @@
 //! parfait-adversary — cross-level mutation testing for the proof
 //! pipeline.
 //!
-//! The pipeline's seven stages each claim to catch a family of bugs:
+//! The pipeline's stages each claim to catch a family of bugs:
 //! Starling lockstep catches functional divergence from the spec,
 //! translation validation catches miscompilation, the constant-time
 //! lint catches secret-dependent control flow (and, via CT-ABI,
@@ -37,6 +37,4 @@ pub mod runner;
 
 pub use baseline::{diff, Baseline, Diff, Violation};
 pub use catalog::{catalog, controls, Level, Mutation};
-pub use runner::{
-    reports_to_json, run_catalog, run_mutant, Matrix, MutantReport, MUTANT_FPS_TIMEOUT,
-};
+pub use runner::{reports_to_json, run_catalog, run_mutant, Matrix, MutantReport};

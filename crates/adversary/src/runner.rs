@@ -1,21 +1,17 @@
-//! Drive mutants through the seven-stage pipeline and record which
-//! stage kills each one.
+//! Drive mutants through the proof pipeline and record which stage
+//! kills each one.
 //!
-//! A mutant "run" is the same staged verification a production app
-//! gets — speccheck, lockstep, equivalence, ctcheck, then the core's
-//! contract battery, then the static resource-bound analysis, then
-//! FPS — except
-//! the FPS cycle budget is bounded: a mutation that wedges the firmware
-//! (a lost return address, a clobbered stack pointer) must fail the run
-//! in seconds, not simulate the production 8-billion-cycle budget to a
-//! timeout. The bound matches the repo's integration-test budget and
-//! sits two orders of magnitude above any fixture's honest run, so it
-//! never masks a slow-but-correct mutant.
+//! A mutant run is exactly the verification a production cell gets:
+//! [`Pipeline::verify_cell`] over the stage graph, so the contract
+//! battery and the bound analysis gate FPS, and FPS budgets its cycles
+//! from the mutant's *own* certified WCET (`2 × wcet + 4096`, or
+//! `PARFAIT_TIMEOUT` when set). A mutation that wedges the firmware (a
+//! lost return address, a clobbered stack pointer) is cut off a few
+//! thousand cycles past its proven bound, not at a production-sized
+//! budget.
 //!
-//! Kill attribution parses the `[stage]` prefix that
-//! [`parfait_pipeline::Pipeline`] wraps every stage error in; the
-//! bounded FPS path reproduces the same prefix, so one parser covers
-//! both.
+//! Kill attribution parses the `[stage]` prefix the stage runner wraps
+//! every stage error in.
 
 use std::time::{Duration, Instant};
 
@@ -25,9 +21,6 @@ use parfait_pipeline::{Pipeline, StageKind};
 use parfait_telemetry::json::Json;
 
 use crate::catalog::{Level, Mutation};
-
-/// FPS cycle budget per mutant (see module docs).
-pub const MUTANT_FPS_TIMEOUT: u64 = 5_000_000;
 
 /// The outcome of one mutant run.
 pub struct MutantReport {
@@ -67,29 +60,18 @@ fn parse_kill(err: &str) -> (Option<StageKind>, String) {
     (None, err.to_string())
 }
 
-/// Run one mutant through all seven stages, in the execution order
-/// `verify_cell` uses: the contract battery runs before FPS, so a core
-/// whose observables break its declared contract dies there with a
-/// named instruction class instead of as an opaque FPS divergence, and
-/// the static bound analysis runs before FPS so a firmware whose
-/// resource envelope is unprovable never reaches the simulator.
-/// `threads` is the FPS segment-worker budget for this mutant.
+/// Run one mutant through every stage of its cell, in the stage
+/// graph's order: a core whose observables break its declared contract
+/// dies at the contract battery with a named instruction class instead
+/// of as an opaque FPS divergence, and a firmware whose resource
+/// envelope is unprovable never reaches the simulator. `threads` is the
+/// FPS segment-worker budget for this mutant.
 pub fn run_mutant(pipeline: &Pipeline, m: &Mutation, threads: usize) -> MutantReport {
     let t0 = Instant::now();
     let app = (m.build)();
     let obs = FpsObserver { telemetry: pipeline.tel.clone(), heartbeat_cycles: 0, cell: 0 };
-    let outcome = pipeline
-        .software_stages(&app, m.opt)
-        .and_then(|_| pipeline.contract_stage(&app, m.cpu).map(|_| ()))
-        .and_then(|_| pipeline.bound_stage(&app, m.cpu, m.opt).map(|_| ()))
-        .and_then(|_| {
-            pipeline
-                .run_fps(&app, m.cpu, m.opt, &obs, threads, MUTANT_FPS_TIMEOUT)
-                .map(|_| ())
-                .map_err(|e| format!("[fps] {e}"))
-        });
-    let (killed_by, detail) = match outcome {
-        Ok(()) => (None, String::new()),
+    let (killed_by, detail) = match pipeline.verify_cell(&app, m.cpu, m.opt, &obs, threads) {
+        Ok(_) => (None, String::new()),
         Err(e) => parse_kill(&e),
     };
     MutantReport {
@@ -115,23 +97,21 @@ pub fn run_catalog(pipeline: &Pipeline, muts: &[Mutation], threads: usize) -> Ve
 /// The `(level × stage)` detection matrix: how many mutants of each
 /// level each stage killed (plus a survivor column).
 pub struct Matrix {
-    /// One row per level present in the run, in stack order.
-    pub rows: Vec<(Level, [usize; 7], usize)>,
+    /// One row per level present in the run, in stack order: kills per
+    /// stage (in [`StageKind::ALL`] order), then survivors.
+    pub rows: Vec<(Level, [usize; StageKind::ALL.len()], usize)>,
 }
 
 impl Matrix {
     /// Tally reports into a matrix.
     pub fn tally(reports: &[MutantReport]) -> Matrix {
-        let mut rows: Vec<(Level, [usize; 7], usize)> = Vec::new();
+        let mut rows = Vec::new();
         for level in Level::ALL {
-            let mut cells = [0usize; 7];
+            let mut cells = [0usize; StageKind::ALL.len()];
             let mut survived = 0usize;
             for r in reports.iter().filter(|r| r.level == level) {
                 match r.killed_by {
-                    Some(stage) => {
-                        let col = StageKind::ALL.iter().position(|k| *k == stage).unwrap();
-                        cells[col] += 1;
-                    }
+                    Some(stage) => cells[stage.index()] += 1,
                     None => survived += 1,
                 }
             }
@@ -142,23 +122,18 @@ impl Matrix {
         Matrix { rows }
     }
 
-    /// Render as an aligned text table.
+    /// Render as an aligned text table: one column per stage, as wide
+    /// as the stage's name, then the survivors.
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "level     speccheck  lockstep  equivalence  ctcheck  bound  fps  contract  survived\n",
-        );
+        let names: Vec<&str> =
+            StageKind::ALL.iter().map(|k| k.as_str()).chain(["survived"]).collect();
+        let line = |first: &str, cols: Vec<String>| format!("{first:<9} {}\n", cols.join("  "));
+        let mut out = line("level", names.iter().map(|n| n.to_string()).collect());
         for (level, cells, survived) in &self.rows {
-            out.push_str(&format!(
-                "{:<9} {:>9}  {:>8}  {:>11}  {:>7}  {:>5}  {:>3}  {:>8}  {:>8}\n",
+            let counts = cells.iter().chain([survived]).zip(&names);
+            out.push_str(&line(
                 level.as_str(),
-                cells[0],
-                cells[1],
-                cells[2],
-                cells[3],
-                cells[4],
-                cells[5],
-                cells[6],
-                survived
+                counts.map(|(n, name)| format!("{n:>w$}", w = name.len())).collect(),
             ));
         }
         out
@@ -228,44 +203,61 @@ mod tests {
         assert_eq!(parse_kill("compile error: ...").0, None);
     }
 
+    /// The tally, table and JSON matrix of a report set touching every
+    /// column, pinned to what the hand-written seven-column format printed.
     #[test]
     fn matrix_tallies_by_level_and_stage() {
-        let reports = vec![
-            MutantReport {
-                class: "a".into(),
-                level: Level::Crypto,
-                killed_by: Some(StageKind::Lockstep),
-                detail: String::new(),
-                wall: Duration::ZERO,
-            },
-            MutantReport {
-                class: "b".into(),
-                level: Level::Crypto,
-                killed_by: None,
-                detail: String::new(),
-                wall: Duration::ZERO,
-            },
-            MutantReport {
-                class: "c".into(),
-                level: Level::Soc,
-                killed_by: Some(StageKind::Fps),
-                detail: String::new(),
-                wall: Duration::ZERO,
-            },
+        use StageKind::*;
+        let kills = [
+            (Level::Crypto, Some(Lockstep)),
+            (Level::Crypto, None),
+            (Level::Codegen, Some(Equivalence)),
+            (Level::Codegen, Some(CtCheck)),
+            (Level::Codegen, Some(Bound)),
+            (Level::Isa, Some(Fps)),
+            (Level::Core, Some(Contract)),
+            (Level::Core, Some(Contract)),
+            (Level::Soc, Some(Fps)),
+            (Level::Soc, Some(SpecCheck)),
+            (Level::Emulator, Some(Fps)),
+            (Level::Emulator, None),
         ];
+        let reports: Vec<MutantReport> = kills
+            .into_iter()
+            .map(|(level, killed_by)| MutantReport {
+                class: "m".into(),
+                level,
+                killed_by,
+                detail: String::new(),
+                wall: Duration::ZERO,
+            })
+            .collect();
         let m = Matrix::tally(&reports);
-        assert_eq!(m.rows.len(), 2);
         assert_eq!(m.rows[0], (Level::Crypto, [0, 1, 0, 0, 0, 0, 0], 1));
-        assert_eq!(m.rows[1], (Level::Soc, [0, 0, 0, 0, 0, 1, 0], 0));
-        let json = reports_to_json(&reports, 2);
-        assert_eq!(json.get("survivors").and_then(Json::as_i64), Some(1));
         assert_eq!(
-            json.get("matrix")
-                .and_then(|m| m.get("crypto"))
-                .and_then(|r| r.get("lockstep"))
-                .and_then(Json::as_i64),
-            Some(1)
+            m.render(),
+            "\
+level     speccheck  lockstep  equivalence  ctcheck  bound  fps  contract  survived
+crypto            0         1            0        0      0    0         0         1
+codegen           0         0            1        1      1    0         0         0
+isa               0         0            0        0      0    1         0         0
+core              0         0            0        0      0    0         2         0
+soc               1         0            0        0      0    1         0         0
+emulator          0         0            0        0      0    1         0         1
+"
         );
-        assert!(m.render().contains("crypto"));
+        let json = reports_to_json(&reports, 2);
+        assert_eq!(json.get("survivors").and_then(Json::as_i64), Some(2));
+        let want = concat!(
+            "{",
+            r#""crypto":{"speccheck":0,"lockstep":1,"equivalence":0,"ctcheck":0,"bound":0,"fps":0,"contract":0,"survived":1},"#,
+            r#""codegen":{"speccheck":0,"lockstep":0,"equivalence":1,"ctcheck":1,"bound":1,"fps":0,"contract":0,"survived":0},"#,
+            r#""isa":{"speccheck":0,"lockstep":0,"equivalence":0,"ctcheck":0,"bound":0,"fps":1,"contract":0,"survived":0},"#,
+            r#""core":{"speccheck":0,"lockstep":0,"equivalence":0,"ctcheck":0,"bound":0,"fps":0,"contract":2,"survived":0},"#,
+            r#""soc":{"speccheck":1,"lockstep":0,"equivalence":0,"ctcheck":0,"bound":0,"fps":1,"contract":0,"survived":0},"#,
+            r#""emulator":{"speccheck":0,"lockstep":0,"equivalence":0,"ctcheck":0,"bound":0,"fps":1,"contract":0,"survived":1}"#,
+            "}"
+        );
+        assert_eq!(json.get("matrix").expect("matrix").to_string(), want);
     }
 }

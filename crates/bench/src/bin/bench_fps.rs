@@ -57,7 +57,7 @@ fn main() {
     let t_seq = Instant::now();
     for &(cpu, app) in &matrix {
         let t0 = Instant::now();
-        let report = pipeline
+        let (report, _) = pipeline
             .run_fps(&app.pipeline(), cpu, OptLevel::O2, obs, 1, timeout)
             .expect("verification passes");
         seq.push((report, t0.elapsed()));
@@ -68,7 +68,7 @@ fn main() {
     let t_par = Instant::now();
     let par = parallel_map(cases.min(threads), matrix.clone(), move |_, (cpu, app)| {
         let t0 = Instant::now();
-        let report = pipeline
+        let (report, _) = pipeline
             .run_fps(&app.pipeline(), cpu, OptLevel::O2, obs, threads_per_case, timeout)
             .expect("verification passes");
         (report, t0.elapsed())

@@ -1,7 +1,7 @@
 //! `bench_mutatest` — time-to-detection for the adversary catalog.
 //!
 //! Runs every mutation in the `parfait-adversary` catalog (DESIGN.md
-//! §12) through the seven-stage pipeline and measures the wall time from
+//! §12) through the staged pipeline and measures the wall time from
 //! "mutant built" to "stage rejects it" — the latency a developer pays
 //! for each class of seeded bug. Aggregates per killing stage: faults
 //! caught by the software stages die in milliseconds, faults that only

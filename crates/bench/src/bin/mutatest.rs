@@ -1,8 +1,8 @@
 //! `mutatest` — the cross-level mutation-testing driver.
 //!
 //! Runs the `parfait-adversary` catalog (DESIGN.md §12): seeded faults
-//! at every implementation level, each driven through the full
-//! seven-stage pipeline, recording which stage kills it. Exits nonzero
+//! at every implementation level, each driven through every stage of
+//! its cell, recording which stage kills it. Exits nonzero
 //! on any survivor, on any kill that moved to a different stage than
 //! the ratcheted baseline records, or on a catalog class the baseline
 //! has never seen.

@@ -1,18 +1,18 @@
 //! `perfstat` — the deterministic performance ratchet driver.
 //!
-//! Runs three fixed workloads with the certificate cache disabled:
+//! Runs two fixed workloads with the certificate cache disabled:
 //!
 //! 1. **lint**: the full static constant-time analysis of the hasher
 //!    at `-O2` (IR taint + sparse assembly fixpoint).
-//! 2. **fps**: the hasher's FPS hardware check on both platforms at
-//!    two checker threads (exercising the producer/verifier split, the
-//!    pre-decoded instruction cache, and the firmware-build memo —
-//!    the second platform must reuse the first platform's build). Each
-//!    check first runs the static bound analysis that prices its cycle
-//!    budget, so the `bound_` coverage counters are gated here too.
-//! 3. **contract**: the per-instruction-class stimulus battery that
-//!    holds both cores to their declared leakage contracts (stimulus
-//!    coverage is gated higher-is-better, wall under a ceiling).
+//! 2. **hardware**: the hasher's hardware stages on both platforms,
+//!    one cell at a time: the contract battery that holds each core to
+//!    its declared leakage contract (stimulus coverage is gated
+//!    higher-is-better), the static bound analysis (its `bound_`
+//!    coverage counters are gated too) and the FPS check at two
+//!    checker threads (exercising the producer/verifier split, the
+//!    pre-decoded instruction cache, and the firmware-build memo — the
+//!    second platform must reuse the first platform's build). Each
+//!    stage's wall time is `<stage>_s`, under a ceiling.
 //!
 //! It then reads the counter *deltas* off the global metrics registry
 //! and gates them against `perf_baseline.json` (see
@@ -33,9 +33,9 @@ use parfait_bench::{emit_manifest, render_table, write_json, App};
 use parfait_hsms::platform::Cpu;
 use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
-use parfait_pipeline::{CertCache, Pipeline};
+use parfait_pipeline::{run_cells, Cell, CertCache, Pipeline, StageSet};
 use parfait_telemetry::json::Json;
-use parfait_telemetry::metrics::Metrics;
+use parfait_telemetry::metrics::{MetricKey, Metrics, MetricsSnapshot};
 use parfait_telemetry::Telemetry;
 
 /// FPS checker threads for the fixed workload. Two: the smallest
@@ -47,9 +47,21 @@ fn usage() -> u8 {
     1
 }
 
-/// Counter value by (name, labels) from the global registry.
-fn counter(name: &str, labels: &[(&str, &str)]) -> u64 {
-    Metrics::global().counter_with(name, labels).get()
+/// Growth of counter `name` between two snapshots, summed over its
+/// label sets that contain every pair in `with`.
+fn grew(
+    before: &MetricsSnapshot,
+    after: &MetricsSnapshot,
+    name: &str,
+    with: &[(&str, &str)],
+) -> u64 {
+    let total = |s: &MetricsSnapshot| -> u64 {
+        let labeled = |k: &MetricKey| {
+            with.iter().all(|&(a, b)| k.labels.iter().any(|(x, y)| x == a && y == b))
+        };
+        s.counters.iter().filter(|(k, _)| k.name == name && labeled(k)).map(|(_, v)| v).sum()
+    };
+    total(after) - total(before)
 }
 
 fn run_workloads() -> Result<Measurement, String> {
@@ -59,12 +71,11 @@ fn run_workloads() -> Result<Measurement, String> {
     std::env::set_var("PARFAIT_DECODE_CACHE", "1");
     let mut m = Measurement::default();
     let tel = Telemetry::disabled();
+    let snapshot = || Metrics::global().snapshot();
 
     // -- workload 1: static lint of the hasher at -O2
-    let asm_iters0 = counter("analyzer_fixpoint_iterations_total", &[("layer", "asm")]);
-    let ir_iters0 = counter("analyzer_fixpoint_iterations_total", &[("layer", "ir")]);
-    let memo0 = counter("analyzer_memo_hits_total", &[("layer", "asm")]);
     eprintln!("perfstat: linting {} at -O2...", App::Hasher.slug());
+    let before = snapshot();
     let t0 = Instant::now();
     let report = parfait_analyzer::lint_source(&App::Hasher.source(), OptLevel::O2, &tel)
         .map_err(|e| format!("lint workload: {e}"))?;
@@ -72,78 +83,57 @@ fn run_workloads() -> Result<Measurement, String> {
     if !report.is_clean() {
         return Err("lint workload: hasher unexpectedly has findings".into());
     }
-    m.counters.insert(
-        "lint_asm_fixpoint_iters".into(),
-        counter("analyzer_fixpoint_iterations_total", &[("layer", "asm")]) - asm_iters0,
-    );
-    m.counters.insert(
-        "lint_ir_fixpoint_iters".into(),
-        counter("analyzer_fixpoint_iterations_total", &[("layer", "ir")]) - ir_iters0,
-    );
-    m.counters.insert(
-        "lint_asm_memo_hits".into(),
-        counter("analyzer_memo_hits_total", &[("layer", "asm")]) - memo0,
-    );
+    let after = snapshot();
+    for (key, name, layer) in [
+        ("lint_asm_fixpoint_iters", "analyzer_fixpoint_iterations_total", "asm"),
+        ("lint_ir_fixpoint_iters", "analyzer_fixpoint_iterations_total", "ir"),
+        ("lint_asm_memo_hits", "analyzer_memo_hits_total", "asm"),
+    ] {
+        m.counters.insert(key.into(), grew(&before, &after, name, &[("layer", layer)]));
+    }
 
-    // -- workload 2: FPS hardware checks, both platforms, cache off
-    let cycles0 = counter("fps_cycles_total", &[]);
-    let prepass0 = counter("fps_prepass_cycles_total", &[]);
-    let hit0 = counter("decode_cache_hit", &[]);
-    let miss0 = counter("decode_cache_miss", &[]);
-    let builds_hit0 = counter("pipeline_firmware_builds_total", &[("outcome", "hit")]);
-    let builds_miss0 = counter("pipeline_firmware_builds_total", &[("outcome", "miss")]);
+    // -- workload 2: hardware stages, both platforms, one cell at a
+    // time, cache off
     let pipeline = Pipeline::new(CertCache::disabled(), tel);
     let app = App::Hasher.pipeline();
-    // The bound stage runs (uncached) inside each fps_stage call; its
-    // coverage counters are labeled per cell, so sum both platforms.
-    let bound_sum = |name: &str| {
-        ["Ibex", "PicoRV32"]
-            .iter()
-            .map(|cpu| counter(name, &[("app", app.slug.as_str()), ("cpu", cpu), ("opt", "-O2")]))
-            .sum::<u64>()
-    };
-    let bound_fns0 = bound_sum("bound_functions_total");
-    let bound_loops0 = bound_sum("bound_loops_total");
-    let t0 = Instant::now();
-    for cpu in [Cpu::Ibex, Cpu::Pico] {
-        eprintln!("perfstat: fps {}/{cpu} at -O2, {FPS_THREADS} threads...", app.name);
-        pipeline
-            .fps_stage(&app, cpu, OptLevel::O2, &FpsObserver::default(), FPS_THREADS)
-            .map_err(|e| format!("fps workload ({cpu}): {e}"))?;
+    let cells: Vec<Cell<'_>> = [Cpu::Ibex, Cpu::Pico]
+        .into_iter()
+        .map(|cpu| Cell {
+            pipeline: &pipeline,
+            app: &app,
+            cpu,
+            opt: OptLevel::O2,
+            stages: StageSet::hardware(),
+            obs: FpsObserver::default(),
+            threads: FPS_THREADS,
+        })
+        .collect();
+    eprintln!("perfstat: hardware stages of {} at -O2, {FPS_THREADS} FPS threads...", app.name);
+    let before = snapshot();
+    for (cell, report) in cells.iter().zip(run_cells(1, &cells)) {
+        let report = report.map_err(|e| format!("hardware workload ({}): {e}", cell.cpu))?;
+        for s in &report.stages {
+            let wall = m.walls.entry(format!("{}_s", s.certificate.stage)).or_default();
+            *wall += s.wall.as_secs_f64();
+        }
     }
-    m.walls.insert("fps_s".into(), t0.elapsed().as_secs_f64());
-    m.counters.insert("fps_cycles".into(), counter("fps_cycles_total", &[]) - cycles0);
-    m.counters
-        .insert("fps_producer_cycles".into(), counter("fps_prepass_cycles_total", &[]) - prepass0);
-    let hits = counter("decode_cache_hit", &[]) - hit0;
-    let misses = counter("decode_cache_miss", &[]) - miss0;
+    let after = snapshot();
+    let grew = |name, with| grew(&before, &after, name, with);
+    for (key, name, with) in [
+        ("fps_cycles", "fps_cycles_total", &[][..]),
+        ("fps_producer_cycles", "fps_prepass_cycles_total", &[]),
+        ("firmware_build_hits", "pipeline_firmware_builds_total", &[("outcome", "hit")]),
+        ("firmware_build_misses", "pipeline_firmware_builds_total", &[("outcome", "miss")]),
+        // Labeled per cell or core: summed over both platforms.
+        ("bound_functions", "bound_functions_total", &[]),
+        ("bound_loops", "bound_loops_total", &[]),
+        ("contract_stimuli_total", "contract_stimuli_total", &[]),
+    ] {
+        m.counters.insert(key.into(), grew(name, with));
+    }
+    let (hits, misses) = (grew("decode_cache_hit", &[]), grew("decode_cache_miss", &[]));
     let rate_ppm = (hits * 1_000_000).checked_div(hits + misses).unwrap_or(0);
     m.counters.insert("decode_cache_hit_rate_ppm".into(), rate_ppm);
-    m.counters.insert(
-        "firmware_build_hits".into(),
-        counter("pipeline_firmware_builds_total", &[("outcome", "hit")]) - builds_hit0,
-    );
-    m.counters.insert(
-        "firmware_build_misses".into(),
-        counter("pipeline_firmware_builds_total", &[("outcome", "miss")]) - builds_miss0,
-    );
-    m.counters.insert("bound_functions".into(), bound_sum("bound_functions_total") - bound_fns0);
-    m.counters.insert("bound_loops".into(), bound_sum("bound_loops_total") - bound_loops0);
-
-    // -- workload 3: contract batteries, both cores
-    let stim0 = counter("contract_stimuli_total", &[("cpu", "Ibex")])
-        + counter("contract_stimuli_total", &[("cpu", "PicoRV32")]);
-    let t0 = Instant::now();
-    for cpu in [Cpu::Ibex, Cpu::Pico] {
-        eprintln!("perfstat: contract battery on {cpu}...");
-        pipeline
-            .contract_stage(&app, cpu)
-            .map_err(|e| format!("contract workload ({cpu}): {e}"))?;
-    }
-    m.walls.insert("contract_s".into(), t0.elapsed().as_secs_f64());
-    let stim = counter("contract_stimuli_total", &[("cpu", "Ibex")])
-        + counter("contract_stimuli_total", &[("cpu", "PicoRV32")]);
-    m.counters.insert("contract_stimuli_total".into(), stim - stim0);
     Ok(m)
 }
 

@@ -1,14 +1,16 @@
 //! Table 3: software (Starling) verification effort — proof size and
-//! machine-verification runtime for both apps, produced by the unified
-//! proof pipeline (speccheck → lockstep → equivalence). With
-//! `PARFAIT_CACHE_DIR` set, a re-run is a cache hit and the table says
-//! so.
+//! machine-verification runtime for both apps, produced by the proof
+//! pipeline's software stages (the stages not keyed on the platform).
+//! With `PARFAIT_CACHE_DIR` set, a re-run is a cache hit and the table
+//! says so.
 
 use std::time::Instant;
 
 use parfait_bench::{json_output_path, loc, render_table, write_json, App};
+use parfait_hsms::platform::Cpu;
+use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
-use parfait_pipeline::{Pipeline, StageOutcome};
+use parfait_pipeline::{Pipeline, StageOutcome, StageSet};
 use parfait_telemetry::json::Json;
 
 /// "Proof LoC": the codec (the lockstep proof's encode/decode artifacts)
@@ -33,6 +35,7 @@ fn stat(stages: &[StageOutcome], key: &str) -> i64 {
 
 fn main() {
     let pipeline = Pipeline::from_env(parfait_telemetry::Telemetry::disabled());
+    let (software, obs) = (StageSet::software(), FpsObserver::default());
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
 
@@ -51,7 +54,9 @@ fn main() {
     for (app, proof, dev_time) in specs {
         let p = app.pipeline();
         let t0 = Instant::now();
-        let stages = pipeline.software_stages(&p, OptLevel::O2).expect("software stages verify");
+        // The software stages ignore the platform.
+        let report = pipeline.verify_stages(&p, Cpu::Ibex, OptLevel::O2, software, &obs, 1);
+        let stages = report.expect("software stages verify").stages;
         let wall = t0.elapsed();
         let cached = stages.iter().all(|s| s.cache_hit);
         let obligations = stat(&stages, "lockstep_cases")

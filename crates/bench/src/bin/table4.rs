@@ -1,7 +1,8 @@
 //! Table 4: hardware (Knox2) verification effort — wall-clock time and
 //! symbolic-circuit-simulation speed for each platform × app, run
-//! through the proof pipeline's FPS stage (so with `PARFAIT_CACHE_DIR`
-//! set, already-verified cells are near-instant cache hits).
+//! through the proof pipeline's hardware stages (contract battery,
+//! bound analysis, FPS; with `PARFAIT_CACHE_DIR` set, already-verified
+//! cells are near-instant cache hits).
 //!
 //! The platform × app matrix fans out across the thread budget
 //! (`--threads <n>`, or `PARFAIT_THREADS`, default: available
@@ -11,14 +12,13 @@
 //! `--quick` verifies only the password hasher (the ECDSA runs take
 //! minutes, like the paper's 80-100 core-hour runs took hours).
 
-use std::time::Instant;
+use std::time::Duration;
 
 use parfait_bench::{json_output_path, loc, render_table, threads_arg, write_json, App};
 use parfait_hsms::platform::Cpu;
 use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
-use parfait_parallel::parallel_map;
-use parfait_pipeline::Pipeline;
+use parfait_pipeline::{run_cells, Cell, Pipeline, StageSet};
 use parfait_telemetry::json::Json;
 
 fn main() {
@@ -31,40 +31,42 @@ fn main() {
     let mapping_loc = 10; // fig. 10: register/pointer/next-instr mapping
 
     let apps: &[App] = if quick { &[App::Hasher] } else { &[App::Ecdsa, App::Hasher] };
-    let matrix: Vec<(Cpu, App)> = [Cpu::Ibex, Cpu::Pico]
-        .into_iter()
-        .flat_map(|cpu| apps.iter().map(move |&app| (cpu, app)))
-        .collect();
-    let cases = matrix.len();
+    let apps: Vec<_> = apps.iter().map(|app| app.pipeline()).collect();
+    let cases = 2 * apps.len();
     let threads_per_case = (threads / cases).max(1);
     let pipeline = Pipeline::from_env(parfait_telemetry::Telemetry::disabled());
-    let pipeline = &pipeline;
-    let obs = FpsObserver::default();
-    let obs = &obs;
-    let outcomes = parallel_map(cases.min(threads), matrix, move |_, (cpu, app)| {
-        let t0 = Instant::now();
-        let outcome = pipeline
-            .fps_stage(&app.pipeline(), cpu, OptLevel::O2, obs, threads_per_case)
-            .expect("verification passes");
-        (cpu, app, outcome, t0.elapsed())
-    });
+    let cells: Vec<Cell<'_>> = [Cpu::Ibex, Cpu::Pico]
+        .into_iter()
+        .flat_map(|cpu| apps.iter().map(move |app| (cpu, app)))
+        .map(|(cpu, app)| Cell {
+            pipeline: &pipeline,
+            app,
+            cpu,
+            opt: OptLevel::O2,
+            stages: StageSet::hardware(),
+            obs: FpsObserver::default(),
+            threads: threads_per_case,
+        })
+        .collect();
+    let reports = run_cells(cases.min(threads), &cells);
 
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    for (cpu, app, outcome, wall) in outcomes {
-        let stat = |key: &str| {
-            outcome.certificate.stats.iter().find(|(k, _)| k == key).map(|(_, v)| *v).unwrap_or(0)
-        };
-        let rate = outcome.fps.as_ref().map(|r| r.cycles_per_second());
+    for (cell, report) in cells.iter().zip(reports) {
+        let (app, cpu) = (&cell.app.name, cell.cpu);
+        let report = report.expect("verification passes");
+        let wall: Duration = report.stages.iter().map(|s| s.wall).sum();
+        let stat =
+            |key: &str| report.stages.iter().find_map(|s| s.certificate.stat(key)).unwrap_or(0);
+        let fps = report.stages.iter().find_map(|s| s.fps.as_ref());
+        let cached = report.fully_cached();
+        let rate = fps.map(|r| r.cycles_per_second());
         json_rows.push(Json::obj([
             ("platform", Json::str(cpu.to_string())),
-            ("app", Json::str(app.to_string())),
+            ("app", Json::str(app)),
             ("verify_seconds", Json::Num(wall.as_secs_f64())),
-            ("cached", Json::Bool(outcome.cache_hit)),
-            (
-                "cpu_seconds",
-                outcome.fps.as_ref().map_or(Json::Null, |r| Json::Num(r.cpu.as_secs_f64())),
-            ),
+            ("cached", Json::Bool(cached)),
+            ("cpu_seconds", fps.map_or(Json::Null, |r| Json::Num(r.cpu.as_secs_f64()))),
             ("cycles", Json::Int(stat("cycles"))),
             ("cycles_per_second", rate.map_or(Json::Null, Json::Num)),
             ("commands", Json::Int(stat("commands"))),
@@ -75,8 +77,8 @@ fn main() {
             emulator_loc.to_string(),
             proof_loc.to_string(),
             mapping_loc.to_string(),
-            app.to_string(),
-            if outcome.cache_hit {
+            app.clone(),
+            if cached {
                 format!("{:.2}s [cached]", wall.as_secs_f64())
             } else {
                 format!("{:.1}s", wall.as_secs_f64())

@@ -3,17 +3,17 @@
 //! (§8.1: "the only requirement is to run Knox2 on the new
 //! software/hardware combination").
 //!
-//! Runs the unified proof pipeline: `speccheck → lockstep →
-//! equivalence → ctcheck → contract → fps`, composing the per-stage
-//! certificates into one end-to-end IPR claim per platform (the
-//! contract battery executes before FPS but its certificate is a
-//! self-loop at the SoC level, so it composes after). With `PARFAIT_CACHE_DIR` set,
-//! stages whose inputs are unchanged are near-instant cache hits, so
+//! Runs the proof pipeline's stage graph (`parfait_pipeline::STAGES`)
+//! over one cell per platform, composing each cell's certificates into
+//! one end-to-end IPR claim. `--software-only` keeps the stages not
+//! keyed on the platform, `--hardware-only` the ones that are; stages
+//! the platforms share run once. With `PARFAIT_CACHE_DIR` set, stages
+//! whose inputs are unchanged are near-instant cache hits, so
 //! re-verifying an unchanged app costs milliseconds.
 //!
 //! When stderr is a terminal, a live matrix view shows one lane per
-//! verification cell (current stage, cache fast-forwards, cycles/s fed
-//! by FPS heartbeats). `--metrics <path>` writes a
+//! verification cell (status, cache hits, cycles/s fed by FPS
+//! heartbeats). `--metrics <path>` writes a
 //! [`parfait_telemetry::manifest::RunManifest`] — build id, env knobs,
 //! thread count, exit status, and the full metrics snapshot.
 //!
@@ -23,14 +23,14 @@
 //! cargo run -p parfait-bench --release --bin verify -- --app totp   --platform both --metrics m.json
 //! ```
 
+use std::collections::HashSet;
 use std::process::ExitCode;
 
 use parfait_bench::{emit_manifest, metrics_path_from, threads_from, write_json};
 use parfait_hsms::platform::Cpu;
 use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
-use parfait_parallel::parallel_map;
-use parfait_pipeline::{compose, Pipeline, StageCertificate, StageOutcome, StdApp};
+use parfait_pipeline::{run_cells, Cell, Pipeline, StageOutcome, StageSet, StdApp};
 use parfait_telemetry::json::Json;
 use parfait_telemetry::progress::MatrixView;
 use parfait_telemetry::sinks::{Fanout, LogSink};
@@ -43,6 +43,19 @@ fn usage() -> u8 {
          [--metrics <path>] [--trace]"
     );
     1
+}
+
+/// The stages the `--software-only`/`--hardware-only` flags select:
+/// each flag drops the other side, so both together select nothing.
+fn selected_stages(software_only: bool, hardware_only: bool) -> StageSet {
+    let mut stages = StageSet::default();
+    if !hardware_only {
+        stages = stages.union(StageSet::software());
+    }
+    if !software_only {
+        stages = stages.union(StageSet::hardware());
+    }
+    stages
 }
 
 /// One stage outcome as a table/JSON row: name, stats, cache flag.
@@ -84,8 +97,8 @@ fn run(threads_used: &mut usize) -> u8 {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut app_name = None;
     let mut platform = "ibex".to_string();
-    let mut software = true;
-    let mut hardware = true;
+    let mut software_only = false;
+    let mut hardware_only = false;
     let mut json_path: Option<String> = None;
     let mut trace = std::env::var_os("PARFAIT_TRACE").is_some();
     let mut it = args.iter();
@@ -93,8 +106,8 @@ fn run(threads_used: &mut usize) -> u8 {
         match a.as_str() {
             "--app" => app_name = it.next().cloned(),
             "--platform" => platform = it.next().cloned().unwrap_or_default(),
-            "--software-only" => hardware = false,
-            "--hardware-only" => software = false,
+            "--software-only" => software_only = true,
+            "--hardware-only" => hardware_only = true,
             "--json" => match it.next() {
                 Some(p) => json_path = Some(p.clone()),
                 None => return usage(),
@@ -109,6 +122,11 @@ fn run(threads_used: &mut usize) -> u8 {
             }
             _ => return usage(),
         }
+    }
+    let stages = selected_stages(software_only, hardware_only);
+    if stages.is_empty() {
+        eprintln!("error: --software-only and --hardware-only together select no stage");
+        return usage();
     }
     let threads = match threads_from(args.iter().cloned()) {
         Ok(Some(n)) => n,
@@ -158,26 +176,6 @@ fn run(threads_used: &mut usize) -> u8 {
     let pipeline = Pipeline::from_env(tel.clone());
     let a = app.pipeline();
 
-    // Lane ids double as the `cell` value FPS heartbeats carry, and as
-    // the `cell` label on the `fps_cycles_per_second` gauge — so the
-    // display and the metrics snapshot agree by construction. Without a
-    // view the ids are still allocated, keeping the gauge labels
-    // distinct per platform.
-    let mut next_cell = 0u64;
-    let mut lane = |label: &str| match &view {
-        Some(v) => v.add_lane(label),
-        None => {
-            let c = next_cell;
-            next_cell += 1;
-            c
-        }
-    };
-    let sw_cell = if software { Some(lane(&format!("{}/starling/{opt}", a.name))) } else { None };
-    let hw_cells: Vec<(Cpu, u64)> = if hardware {
-        cpus.iter().map(|&cpu| (cpu, lane(&format!("{}/{cpu}/{opt}", a.name)))).collect()
-    } else {
-        Vec::new()
-    };
     let finish = |code: u8| {
         tel.finish();
         if let Some(v) = &view {
@@ -186,135 +184,90 @@ fn run(threads_used: &mut usize) -> u8 {
         code
     };
 
-    let mut json_results: Vec<Json> = Vec::new();
-    let mut hits = 0usize;
-    let mut total = 0usize;
     println!(
         "verifying {} ... (cache: {})",
         a.name,
         pipeline.cache.dir().map_or("per-process memo".into(), |d| d.display().to_string())
     );
-    let mut software_certs: Vec<StageCertificate> = Vec::new();
-    if software {
-        let cell = sw_cell.expect("allocated above");
-        if let Some(v) = &view {
-            v.set_stage(cell, "speccheck", false);
-        }
-        match pipeline.software_stages(&a, opt) {
-            Ok(stages) => {
-                for s in &stages {
-                    if let Some(v) = &view {
-                        v.set_stage(cell, s.certificate.stage.as_str(), s.cache_hit);
-                    }
-                    let (line, json) = describe(s, None);
-                    println!("{line}");
-                    json_results.push(json);
-                    hits += s.cache_hit as usize;
-                    total += 1;
-                }
-                software_certs = stages.into_iter().map(|s| s.certificate).collect();
-                if let Some(v) = &view {
-                    v.finish_lane(cell, true);
-                }
+    // The matrix level of the parallel pipeline: independent platform
+    // cells fan out across the thread budget, and each cell splits its
+    // share across FPS segment workers.
+    let threads_per_cell = (threads / cpus.len()).max(1);
+    let cells: Vec<Cell<'_>> = cpus
+        .iter()
+        .enumerate()
+        .map(|(i, &cpu)| {
+            // Lane ids double as the `cell` value FPS heartbeats carry,
+            // and as the `cell` label on the `fps_cycles_per_second`
+            // gauge — so the display and the metrics snapshot agree by
+            // construction. Without a view, the cell's index.
+            let cell = view.as_ref().map_or(i as u64, |v| {
+                let lane = v.add_lane(&format!("{}/{cpu}/{opt}", a.name));
+                v.set_stage(lane, "running", false);
+                lane
+            });
+            Cell {
+                pipeline: &pipeline,
+                app: &a,
+                cpu,
+                opt,
+                stages,
+                obs: FpsObserver { telemetry: tel.clone(), heartbeat_cycles, cell },
+                threads: threads_per_cell,
             }
+        })
+        .collect();
+    let reports = run_cells(cells.len().min(threads), &cells);
+
+    let mut json_results: Vec<Json> = Vec::new();
+    let mut hits = 0usize;
+    let mut total = 0usize;
+    // Stages not keyed on the platform are one shared node: print once.
+    let mut printed = HashSet::new();
+    for (cell, report) in cells.iter().zip(reports) {
+        let (cpu, lane) = (cell.cpu, cell.obs.cell);
+        let report = match report {
+            Ok(report) => report,
             Err(e) => {
                 if let Some(v) = &view {
-                    v.finish_lane(cell, false);
+                    v.finish_lane(lane, false);
                 }
-                println!("  [starling] FAILED: {e}");
+                println!("  [{cpu}] FAILED: {e}");
                 return finish(1);
             }
+        };
+        if let Some(v) = &view {
+            v.set_stage(lane, "composed", report.fully_cached());
+            v.finish_lane(lane, true);
         }
-    }
-    if hardware {
-        // The matrix level of the parallel pipeline: independent
-        // platform checks fan out across the thread budget, and each
-        // check splits its share across FPS segment workers.
-        let cases = hw_cells.len();
-        let threads_per_case = (threads / cases).max(1);
-        let (a, pipeline, tel, view) = (&a, &pipeline, &tel, &view);
-        let outcomes = parallel_map(cases.min(threads), hw_cells, move |_, (cpu, cell)| {
-            // Execution order mirrors `verify_cell`: the cheap contract
-            // battery holds the core to its declared leakage contract,
-            // then the static bound analysis certifies the resource
-            // envelope (and prices the FPS budget), before the
-            // expensive FPS check spins up.
-            if let Some(v) = view {
-                v.set_stage(cell, "contract", false);
-            }
-            let outcome = pipeline.contract_stage(a, cpu).and_then(|contract| {
-                if let Some(v) = view {
-                    v.set_stage(cell, "bound", false);
-                }
-                let bound = pipeline.bound_stage(a, cpu, opt)?;
-                if let Some(v) = view {
-                    v.set_stage(cell, "fps", false);
-                }
-                let obs = FpsObserver { telemetry: tel.clone(), heartbeat_cycles, cell };
-                pipeline
-                    .fps_stage_bounded(a, cpu, opt, &obs, threads_per_case, &bound)
-                    .map(|fps| (contract, bound, fps))
-            });
-            (cpu, cell, outcome)
-        });
-        for (cpu, cell, outcome) in outcomes {
-            match outcome {
-                Ok((contract, bound, s)) => {
-                    if let Some(v) = view {
-                        v.set_stage(cell, "fps", s.cache_hit);
-                        v.finish_lane(cell, true);
-                    }
-                    for o in [&contract, &bound, &s] {
-                        let (line, json) = describe(o, Some(cpu));
-                        println!("{line}");
-                        json_results.push(json);
-                        hits += o.cache_hit as usize;
-                        total += 1;
-                    }
-                    if software {
-                        // Chain the cell's seven certificates into the
-                        // end-to-end claim (the transitivity theorem);
-                        // the bound cert is a self-loop at the asm
-                        // level and the contract cert a self-loop at
-                        // the SoC level, so they compose around FPS.
-                        let mut certs = software_certs.clone();
-                        certs.push(bound.certificate);
-                        certs.push(s.certificate);
-                        certs.push(contract.certificate);
-                        match compose(&certs) {
-                            Ok(c) => {
-                                println!(
-                                    "  [composed/{cpu}] {} ≈IPR {} ({} stages, inputs {})",
-                                    c.claim.0,
-                                    c.claim.1,
-                                    c.stages.len(),
-                                    c.inputs.short()
-                                );
-                                json_results.push(Json::obj([
-                                    ("stage", Json::str("composed")),
-                                    ("platform", Json::str(cpu.to_string())),
-                                    ("claim_from", Json::str(&c.claim.0)),
-                                    ("claim_to", Json::str(&c.claim.1)),
-                                    ("inputs", Json::str(c.inputs.to_string())),
-                                    ("stages", Json::Int(c.stages.len() as i64)),
-                                ]));
-                            }
-                            Err(e) => {
-                                println!("  [composed/{cpu}] FAILED: {e}");
-                                return finish(1);
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    if let Some(v) = view {
-                        v.finish_lane(cell, false);
-                    }
-                    println!("  [knox2/{cpu}] FAILED: {e}");
-                    return finish(1);
-                }
+        for s in &report.stages {
+            let platform = StageSet::hardware().contains(s.certificate.stage).then_some(cpu);
+            if printed.insert((s.certificate.stage, platform)) {
+                let (line, json) = describe(s, platform);
+                println!("{line}");
+                json_results.push(json);
+                hits += s.cache_hit as usize;
+                total += 1;
             }
         }
+        // The cell's certificates chained into one claim (the
+        // transitivity theorem).
+        let c = &report.composed;
+        println!(
+            "  [composed/{cpu}] {} ≈IPR {} ({} stages, inputs {})",
+            c.claim.0,
+            c.claim.1,
+            c.stages.len(),
+            c.inputs.short()
+        );
+        json_results.push(Json::obj([
+            ("stage", Json::str("composed")),
+            ("platform", Json::str(cpu.to_string())),
+            ("claim_from", Json::str(&c.claim.0)),
+            ("claim_to", Json::str(&c.claim.1)),
+            ("inputs", Json::str(c.inputs.to_string())),
+            ("stages", Json::Int(c.stages.len() as i64)),
+        ]));
     }
     if let Some(path) = json_path {
         let doc = Json::obj([
@@ -335,4 +288,17 @@ fn run(threads_used: &mut usize) -> u8 {
         a.name
     );
     finish(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flags_map_to_stage_sets() {
+        assert_eq!(selected_stages(false, false), StageSet::all());
+        assert_eq!(selected_stages(true, false), StageSet::software());
+        assert_eq!(selected_stages(false, true), StageSet::hardware());
+        assert!(selected_stages(true, true).is_empty(), "both flags verify nothing");
+    }
 }

@@ -1,6 +1,6 @@
 //! Application descriptions the pipeline can verify.
 //!
-//! An [`AppPipeline`] bundles everything the seven stages consume: the
+//! An [`AppPipeline`] bundles everything the proof stages consume: the
 //! littlec source, buffer sizes, encoded sample states/commands, a
 //! probe that observes the specification's behavior (for
 //! content-addressing the spec without hashing Rust code), and a

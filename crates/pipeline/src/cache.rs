@@ -19,7 +19,7 @@
 //! The cache is built to be hammered by many threads at once — the
 //! `parfait-serve` daemon points every connection at one shared store:
 //!
-//! - **Sharding.** State is split per stage kind (seven shards), so
+//! - **Sharding.** State is split per stage kind (one shard each), so
 //!   FPS lookups never contend with speccheck lookups. Each shard's
 //!   memo is behind an [`RwLock`]: the hot read path takes a shared
 //!   lock only, and writers of one shard never block readers of

@@ -4,19 +4,22 @@
 //! (§3): the end-to-end statement "the SoC leaks nothing beyond the
 //! application specification" decomposes into independent per-level
 //! obligations. This crate makes that decomposition operational. The
-//! whole proof is modeled as five typed stages
+//! whole proof is modeled as seven typed stages, declared once in the
+//! [`graph`] stage table in compose-chain order
 //!
 //! ```text
-//! SpecCheck → Lockstep (Starling) → Equivalence (littlec) → FPS (Knox2)
+//! SpecCheck → Lockstep (Starling) → Equivalence (littlec) → CtCheck (lint)
+//!   → Bound (WCET/stack) → FPS (Knox2) → Contract (core battery)
 //! ```
 //!
 //! each of which hashes its complete input set into a content address
 //! ([`artifact`]), consults an on-disk certificate cache ([`cache`],
 //! rooted at `PARFAIT_CACHE_DIR`), and on a miss runs the underlying
 //! checker and emits a serializable [`certificate::StageCertificate`].
-//! The four certificates of an (app × cpu × opt) cell chain — via the
+//! The seven certificates of an (app × cpu × opt) cell chain — via the
 //! same adjacency condition as `parfait::transitive` — into one
-//! [`certificate::ComposedCertificate`] for the cell.
+//! [`certificate::ComposedCertificate`] for the cell. Every caller runs
+//! cells through one planner and scheduler ([`graph::run_cells`]).
 //!
 //! The payoff is incrementality: re-verifying an unchanged app is a
 //! near-instant cache hit, and a one-line change to an app's littlec
@@ -30,6 +33,7 @@ pub mod apps;
 pub mod artifact;
 pub mod cache;
 pub mod certificate;
+pub mod graph;
 pub mod pipeline;
 pub mod serve;
 
@@ -39,5 +43,6 @@ pub use cache::CertCache;
 pub use certificate::{
     compose, ComposeError, ComposedCertificate, StageCertificate, StageKind, SCHEMA,
 };
+pub use graph::{run_cells, Cell, StageSet};
 pub use pipeline::{CellReport, Pipeline, StageOutcome};
 pub use serve::ServeCore;

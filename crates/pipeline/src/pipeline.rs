@@ -1,16 +1,17 @@
 //! The staged proof pipeline.
 //!
-//! Seven typed stages — `SpecCheck → Lockstep → Equivalence → CtCheck
-//! → Contract → Bound → FPS` in execution order — each hash their
+//! Seven typed stages — speccheck, lockstep, equivalence, ctcheck,
+//! bound, FPS and contract, in compose-chain order — each hash their
 //! complete input set ([`crate::artifact`]), consult the certificate
 //! cache ([`crate::cache`]), and on a miss run the underlying checker
 //! (speccheck census, Starling, littlec translation validation, the
-//! `parfait-analyzer` constant-time lint, the leakage-contract
-//! stimulus battery, the whole-firmware resource-bound analysis,
-//! Knox2) and mint a [`StageCertificate`]. A verified (app × cpu ×
-//! opt) cell composes its seven certificates into one end-to-end
-//! claim via [`crate::certificate::compose`] — the executable form of
-//! the paper's transitivity theorem.
+//! `parfait-analyzer` constant-time lint, the whole-firmware
+//! resource-bound analysis, Knox2, the leakage-contract stimulus
+//! battery) and mint a [`StageCertificate`]. The order they execute in
+//! is declared once, in the [`crate::graph`] stage table; a verified
+//! (app × cpu × opt) cell composes its stage certificates into one
+//! end-to-end claim via [`crate::certificate::compose`] — the
+//! executable form of the paper's transitivity theorem.
 //!
 //! This module is the **single** home of the firmware/spec/SoC build
 //! plumbing the bench binaries used to duplicate: [`Pipeline::run_fps`]
@@ -34,7 +35,8 @@ use parfait_telemetry::Telemetry;
 use crate::apps::AppPipeline;
 use crate::artifact::{ArtifactHasher, ArtifactId};
 use crate::cache::{CertCache, Claim};
-use crate::certificate::{compose, ComposedCertificate, StageCertificate, StageKind, SCHEMA};
+use crate::certificate::{ComposedCertificate, StageCertificate, StageKind, SCHEMA};
+use crate::graph::{run_cells, Cell, StageSet};
 
 /// The result of running (or short-circuiting) one stage.
 #[derive(Clone, Debug)]
@@ -57,10 +59,10 @@ pub struct CellReport {
     pub cpu: Cpu,
     /// The optimization level verified.
     pub opt: OptLevel,
-    /// All stage outcomes, in compose-chain order
+    /// The outcomes of the stages run, in compose-chain order
     /// ([`StageKind::ALL`]).
     pub stages: Vec<StageOutcome>,
-    /// The composed end-to-end certificate.
+    /// The stages' certificates, composed.
     pub composed: ComposedCertificate,
 }
 
@@ -107,7 +109,9 @@ impl Pipeline {
         out
     }
 
-    /// Cache-check-run-store skeleton shared by all seven stages.
+    /// Cache-check-run-store skeleton shared by every stage. Errors are
+    /// the checker's own; the stage runner ([`crate::graph`]) prefixes
+    /// them with `[stage]`.
     fn run_stage(
         &self,
         stage: StageKind,
@@ -141,8 +145,7 @@ impl Pipeline {
                 cpu_us.record_duration(wall);
                 return Ok(StageOutcome { certificate, wall, cache_hit: true, fps: None });
             }
-            // The flight this claim joined failed; its error is already
-            // `[stage]`-prefixed by the leader — propagate verbatim.
+            // The flight this claim joined failed: its leader's error.
             Claim::Failed(e) => return Err(e),
             Claim::Leader(flight) => flight,
         };
@@ -150,7 +153,6 @@ impl Pipeline {
         let (stats, fps) = match run() {
             Ok(out) => out,
             Err(e) => {
-                let e = format!("[{stage}] {e}");
                 flight.fail(&e);
                 return Err(e);
             }
@@ -167,7 +169,7 @@ impl Pipeline {
         Ok(StageOutcome { certificate, wall, cache_hit: false, fps })
     }
 
-    /// Stage 1 — spec-level non-leakage census (`parfait::speccheck`).
+    /// `speccheck` — spec-level non-leakage census (`parfait::speccheck`).
     ///
     /// Keyed by the spec's *observed behavior* (the encoded trace over
     /// the sample grid), not by any source text: editing the littlec
@@ -195,7 +197,7 @@ impl Pipeline {
         })
     }
 
-    /// Stage 2 — IPR by lockstep: the full Starling software
+    /// `lockstep` — IPR by lockstep: the full Starling software
     /// verification (codec inversion, lockstep simulation, translation
     /// validation, world equivalence).
     pub fn lockstep_stage(&self, app: &AppPipeline) -> Result<StageOutcome, String> {
@@ -241,7 +243,7 @@ impl Pipeline {
         cases
     }
 
-    /// Stage 3 — compiler equivalence: translation validation of
+    /// `equivalence` — compiler equivalence: translation validation of
     /// `handle` across all four levels (interp, IR, asm) at every
     /// opt level the app's verification covers (plus the target
     /// level), over the deterministic case grid.
@@ -298,7 +300,7 @@ impl Pipeline {
         })
     }
 
-    /// Stage 4 — static constant-time lint: secret-taint analysis over
+    /// `ctcheck` — static constant-time lint: secret-taint analysis over
     /// the littlec IR and abstract interpretation over the assembled
     /// firmware (`parfait-analyzer`), gating the pipeline on zero
     /// findings. The claim is a self-loop at the asm level: the lint
@@ -458,7 +460,7 @@ impl Pipeline {
         Ok(asm)
     }
 
-    /// Stage 5 — resource bounds: whole-firmware static analysis over
+    /// `bound` — resource bounds: whole-firmware static analysis over
     /// the linked text (`parfait_analyzer::bound_asm`). Recovers the
     /// call graph (rejecting recursion and unresolvable indirect
     /// calls), proves a worst-case stack depth that stays inside the
@@ -538,7 +540,7 @@ impl Pipeline {
         Ok(outcome)
     }
 
-    /// Stage 5 — contract check: drive the platform's core through the
+    /// `contract` — contract check: drive the platform's core through the
     /// per-instruction-class stimulus battery and hold its measured
     /// cycle counts, leak events, and data-bus trace to the clauses of
     /// its exported [`parfait_cores::LeakageContract`]. A core whose
@@ -595,33 +597,19 @@ impl Pipeline {
         })
     }
 
-    /// Stage 6 — FPS: wire-level functional-physical simulation on a
-    /// real platform (cached per (app × cpu × opt) cell).
+    /// `fps` — wire-level functional-physical simulation on a
+    /// real platform (cached per (app × cpu × opt) cell), against the
+    /// cell's verified bound certificate.
     ///
-    /// Runs the bound stage first: the FPS cycle budget is *derived*
-    /// from the certified WCET ([`FpsConfig::resolve_timeout`]), so a
-    /// firmware that would wedge past its proven bound is cut off in
-    /// proportion to its own certificate instead of the last-resort
-    /// constant (`PARFAIT_TIMEOUT` stays an explicit override).
+    /// The FPS cycle budget is *derived* from the certified WCET
+    /// ([`FpsConfig::resolve_timeout`]), so a firmware that would wedge
+    /// past its proven bound is cut off in proportion to its own
+    /// certificate instead of the last-resort constant
+    /// (`PARFAIT_TIMEOUT` stays an explicit override).
     ///
     /// Keyed (among the build inputs) on the core's contract text: the
     /// dual-world comparison interprets cycle counts and leak events
     /// through the declared model, so a contract edit re-runs it.
-    pub fn fps_stage(
-        &self,
-        app: &AppPipeline,
-        cpu: Cpu,
-        opt: OptLevel,
-        obs: &FpsObserver,
-        threads: usize,
-    ) -> Result<StageOutcome, String> {
-        let bound = self.bound_stage(app, cpu, opt)?;
-        self.fps_stage_bounded(app, cpu, opt, obs, threads, &bound)
-    }
-
-    /// [`fps_stage`](Self::fps_stage) against an already-verified
-    /// bound certificate (the seam `verify_cell` uses, so the bound
-    /// stage runs exactly once per cell).
     pub fn fps_stage_bounded(
         &self,
         app: &AppPipeline,
@@ -640,8 +628,7 @@ impl Pipeline {
         let cpu_label = cpu.to_string();
         let claim = (Level::Asm.label(Some(&opt_label)), Level::Soc.label(Some(&cpu_label)));
         let outcome = self.run_stage(StageKind::Fps, &app.slug, claim, inputs, || {
-            let (report, stack_min) =
-                self.run_fps_watermarked(app, cpu, opt, obs, threads, timeout)?;
+            let (report, stack_min) = self.run_fps(app, cpu, opt, obs, threads, timeout)?;
             let mut stats = vec![
                 ("cycles".into(), report.cycles as i64),
                 ("commands".into(), report.commands as i64),
@@ -726,25 +713,12 @@ impl Pipeline {
 
     /// Run the hardware check itself, bypassing the cache — the single
     /// place real/ideal SoCs are built and driven (used by
-    /// [`Pipeline::fps_stage`] and, uncached, by the FPS scaling
-    /// benchmark).
-    pub fn run_fps(
-        &self,
-        app: &AppPipeline,
-        cpu: Cpu,
-        opt: OptLevel,
-        obs: &FpsObserver,
-        threads: usize,
-        timeout: u64,
-    ) -> Result<FpsReport, String> {
-        self.run_fps_watermarked(app, cpu, opt, obs, threads, timeout).map(|(r, _)| r)
-    }
-
-    /// [`run_fps`](Self::run_fps), also returning the lowest stack
-    /// address the real SoC stored to (its whole-run high-water mark).
-    /// Deterministic: the parallel checker's pre-pass drives the real
+    /// [`Pipeline::fps_stage_bounded`] and, uncached, by the FPS
+    /// scaling benchmark). Also returns the lowest stack address the
+    /// real SoC stored to (its whole-run high-water mark), which is
+    /// deterministic: the parallel checker's pre-pass drives the real
     /// SoC alone through the entire script.
-    fn run_fps_watermarked(
+    pub fn run_fps(
         &self,
         app: &AppPipeline,
         cpu: Cpu,
@@ -802,32 +776,8 @@ impl Pipeline {
         Ok((report, real.stack_high_water()))
     }
 
-    /// The four software stages (speccheck, lockstep, equivalence and
-    /// ctcheck at `opt`), in order. Fails fast on the first failing
-    /// stage.
-    pub fn software_stages(
-        &self,
-        app: &AppPipeline,
-        opt: OptLevel,
-    ) -> Result<Vec<StageOutcome>, String> {
-        Ok(vec![
-            self.speccheck_stage(app)?,
-            self.lockstep_stage(app)?,
-            self.equivalence_stage(app, opt)?,
-            self.ctcheck_stage(app, opt)?,
-        ])
-    }
-
-    /// Verify one full (app × cpu × opt) cell: all seven stages plus
-    /// the composed end-to-end certificate.
-    ///
-    /// The contract battery *executes* before FPS — it is cheap and
-    /// attributes a violation to a named instruction class, so a
-    /// leaky core never reaches the expensive dual-world simulation —
-    /// but its certificate sits after FPS in the compose chain (a
-    /// self-loop at the SoC level FPS just reached). The bound stage
-    /// runs between them: static, cheap, and its certified WCET
-    /// becomes the FPS cycle budget.
+    /// Verify one full (app × cpu × opt) cell: every stage plus the
+    /// composed end-to-end certificate.
     pub fn verify_cell(
         &self,
         app: &AppPipeline,
@@ -836,21 +786,30 @@ impl Pipeline {
         obs: &FpsObserver,
         threads: usize,
     ) -> Result<CellReport, String> {
-        let mut stages = self.software_stages(app, opt)?;
-        let contract = self.contract_stage(app, cpu)?;
-        let bound = self.bound_stage(app, cpu, opt)?;
-        let fps = self.fps_stage_bounded(app, cpu, opt, obs, threads, &bound)?;
-        stages.push(bound);
-        stages.push(fps);
-        stages.push(contract);
-        let certs: Vec<StageCertificate> = stages.iter().map(|s| s.certificate.clone()).collect();
-        let composed = compose(&certs).map_err(|e| e.to_string())?;
-        Ok(CellReport { cpu, opt, stages, composed })
+        self.verify_stages(app, cpu, opt, StageSet::all(), obs, threads)
+    }
+
+    /// Verify `stages` of one cell (plus the stages they read), one
+    /// node at a time in the stage graph's order, composing their
+    /// certificates. `threads` is the FPS segment-worker budget.
+    pub fn verify_stages(
+        &self,
+        app: &AppPipeline,
+        cpu: Cpu,
+        opt: OptLevel,
+        stages: StageSet,
+        obs: &FpsObserver,
+        threads: usize,
+    ) -> Result<CellReport, String> {
+        let cell = Cell { pipeline: self, app, cpu, opt, stages, obs: obs.clone(), threads };
+        run_cells(1, std::slice::from_ref(&cell)).pop().expect("one result per cell")
     }
 
     /// Verify an app across a platform matrix, fanning the independent
     /// cells out over the thread budget (each cell then splits its
-    /// share across FPS segment workers).
+    /// share across FPS segment workers). Each cell runs its own
+    /// graph; the cache's single-flight makes the stages they share
+    /// run once.
     pub fn verify_matrix(
         &self,
         app: &AppPipeline,

@@ -5,27 +5,16 @@
 //! jobs can hammer concurrently. The pieces:
 //!
 //! - [`protocol`] — the JSONL request/frame grammar (DESIGN.md §17).
-//! - [`sched`] — the stage-level DAG scheduler: a batch of cells
-//!   decomposes into unique (tenant, app, cpu, opt)-scoped stage nodes
-//!   with fail-fast dependency edges, so a speccheck shared by every
-//!   cell of an app runs once and unblocks all of them.
+//! - [`sched`] — the DAG scheduler every caller of the stage graph
+//!   ([`crate::graph`]) runs on: a batch of cells decomposes into
+//!   unique (tenant, app, cpu, opt)-scoped stage nodes with fail-fast
+//!   dependency edges, so a speccheck shared by every cell of an app
+//!   runs once and unblocks all of them.
 //! - [`server`] — the session loop (stdin/stdout or a Unix socket at
 //!   `PARFAIT_SOCKET`), with per-line size caps and graceful drain.
 //! - [`ServeCore`] — the shared state: one concurrent [`CertCache`]
 //!   (single-flight, per-tenant namespaces), an app registry, and the
 //!   thread budget.
-//!
-//! The stage *dependency* edges mirror the batch runner's fail-fast
-//! execution order, not the compose-chain order: the four software
-//! stages chain, the contract battery gates the hardware stages (a
-//! leaky core fails fast with a named instruction class), the bound
-//! stage gates FPS (which prices its cycle budget from the certified
-//! WCET):
-//!
-//! ```text
-//! speccheck → lockstep → equivalence → ctcheck → bound → fps
-//! speccheck → contract ─────────────────────────↗
-//! ```
 //!
 //! Result certificates are byte-identical to the batch runner's — the
 //! stress harness (`tests/serve_stress.rs`) holds an 8-client
@@ -35,44 +24,19 @@ pub mod protocol;
 pub mod sched;
 pub mod server;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use parfait_hsms::platform::Cpu;
 use parfait_knox2::FpsObserver;
-use parfait_littlec::codegen::OptLevel;
 use parfait_telemetry::json::Json;
 use parfait_telemetry::metrics::Metrics;
 use parfait_telemetry::Telemetry;
 
 use crate::apps::{AppPipeline, StdApp};
 use crate::cache::CertCache;
-use crate::certificate::compose;
-use crate::pipeline::{Pipeline, StageOutcome};
-use protocol::{error_frame, Mode, VerifyRequest};
-use sched::DagNode;
-
-/// One unique unit of schedulable work in a batch. The key's shape *is*
-/// the sharing story: two requests whose keys collide (same tenant,
-/// same app, and — where the stage cares — same cpu/opt) share the
-/// node, so the stage runs once for both.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum NodeKey {
-    /// Spec-level census — shared by every cell of (tenant, app).
-    Spec(String, String),
-    /// Lockstep — shared like [`NodeKey::Spec`].
-    Lockstep(String, String),
-    /// Translation validation — per opt level.
-    Equivalence(String, String, OptLevel),
-    /// Constant-time lint — per opt level.
-    CtCheck(String, String, OptLevel),
-    /// Contract battery — per cpu, shared across opt levels.
-    Contract(String, String, Cpu),
-    /// Resource bounds — per (cpu, opt) cell.
-    Bound(String, String, Cpu, OptLevel),
-    /// Functional-physical simulation — per (cpu, opt) cell.
-    Fps(String, String, Cpu, OptLevel),
-}
+use crate::graph::{run_cells, Cell};
+use crate::pipeline::Pipeline;
+use protocol::{error_frame, VerifyRequest};
 
 /// The daemon's shared state: cache, telemetry, app registry, budget.
 pub struct ServeCore {
@@ -126,41 +90,6 @@ impl ServeCore {
         slugs
     }
 
-    /// The stage node keys a single request needs, in compose-chain
-    /// order (the order its certificates chain into the composed one).
-    fn request_nodes(req: &VerifyRequest) -> Vec<NodeKey> {
-        let t = req.tenant.clone();
-        let a = req.app.clone();
-        let mut keys = vec![
-            NodeKey::Spec(t.clone(), a.clone()),
-            NodeKey::Lockstep(t.clone(), a.clone()),
-            NodeKey::Equivalence(t.clone(), a.clone(), req.opt),
-            NodeKey::CtCheck(t.clone(), a.clone(), req.opt),
-        ];
-        if req.mode == Mode::Cell {
-            keys.push(NodeKey::Bound(t.clone(), a.clone(), req.cpu, req.opt));
-            keys.push(NodeKey::Fps(t.clone(), a.clone(), req.cpu, req.opt));
-            keys.push(NodeKey::Contract(t, a, req.cpu));
-        }
-        keys
-    }
-
-    /// A node's dependency edges (fail-fast order; see module docs).
-    fn node_deps(key: &NodeKey) -> Vec<NodeKey> {
-        match key {
-            NodeKey::Spec(..) => vec![],
-            NodeKey::Lockstep(t, a) => vec![NodeKey::Spec(t.clone(), a.clone())],
-            NodeKey::Equivalence(t, a, _) => vec![NodeKey::Lockstep(t.clone(), a.clone())],
-            NodeKey::CtCheck(t, a, o) => vec![NodeKey::Equivalence(t.clone(), a.clone(), *o)],
-            NodeKey::Contract(t, a, _) => vec![NodeKey::Spec(t.clone(), a.clone())],
-            NodeKey::Bound(t, a, c, o) => vec![
-                NodeKey::CtCheck(t.clone(), a.clone(), *o),
-                NodeKey::Contract(t.clone(), a.clone(), *c),
-            ],
-            NodeKey::Fps(t, a, c, o) => vec![NodeKey::Bound(t.clone(), a.clone(), *c, *o)],
-        }
-    }
-
     /// Execute a batch of verify requests and return one frame per
     /// request, in request order: a `result` frame with the composed
     /// certificate, or an `error` frame carrying the failing stage's
@@ -195,54 +124,30 @@ impl ServeCore {
             }
         }
 
-        // The deduplicated node set across every accepted request.
-        let mut keys: Vec<NodeKey> = Vec::new();
-        let mut seen: HashSet<NodeKey> = HashSet::new();
-        for (i, req) in reqs.iter().enumerate() {
-            if rejected.contains_key(&i) {
-                continue;
-            }
-            for key in Self::request_nodes(req) {
-                for dep in Self::node_deps(&key) {
-                    if seen.insert(dep.clone()) {
-                        keys.push(dep);
-                    }
-                }
-                if seen.insert(key.clone()) {
-                    keys.push(key);
-                }
-            }
-        }
-
-        // Distinct heartbeat lanes for the FPS nodes, so the live
-        // matrix view can route concurrent cells to their own rows.
-        let mut fps_lane: HashMap<NodeKey, u64> = HashMap::new();
-        for key in &keys {
-            if matches!(key, NodeKey::Fps(..)) {
-                fps_lane.insert(key.clone(), fps_lane.len() as u64 + 1);
-            }
-        }
-
-        let nodes: Vec<DagNode<'_, NodeKey, StageOutcome>> = keys
-            .into_iter()
-            .map(|key| {
-                let deps = Self::node_deps(&key);
-                let run = self.node_runner(&pipelines, &fps_lane, key.clone());
-                DagNode { key, deps, run }
+        // One cell per accepted request, planned into one graph: cells
+        // sharing a (tenant, app) share its nodes. FPS heartbeats carry
+        // the request's 1-based position as their lane, and each FPS
+        // node gets one thread: on the serve path the parallelism
+        // budget is spent *across* nodes.
+        let cells: Vec<Cell<'_>> = reqs
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !rejected.contains_key(i))
+            .map(|(i, req)| Cell {
+                pipeline: &pipelines[&req.tenant],
+                app: &self.apps[&req.app],
+                cpu: req.cpu,
+                opt: req.opt,
+                stages: req.mode.stages(),
+                obs: FpsObserver {
+                    telemetry: self.tel.clone(),
+                    heartbeat_cycles: self.heartbeat,
+                    cell: i as u64 + 1,
+                },
+                threads: 1,
             })
             .collect();
-
-        let results = match sched::execute(self.threads, self.metrics(), nodes) {
-            Ok(results) => results,
-            // Structural scheduler errors cannot arise from the fixed
-            // edge shape above; fail the whole batch loudly if one does.
-            Err(e) => {
-                return reqs
-                    .iter()
-                    .map(|r| error_frame(Some(&r.id), &format!("scheduler error: {e}")))
-                    .collect();
-            }
-        };
+        let mut results = run_cells(self.threads, &cells).into_iter();
 
         reqs.iter()
             .enumerate()
@@ -251,23 +156,11 @@ impl ServeCore {
                     requests_total("rejected");
                     return error_frame(Some(&req.id), e);
                 }
-                let outcomes: Vec<&StageOutcome> = match Self::request_nodes(req)
-                    .iter()
-                    .map(|k| results[k].as_ref())
-                    .collect::<Result<_, _>>()
-                {
-                    Ok(v) => v,
+                let report = match results.next().expect("one result per accepted request") {
+                    Ok(report) => report,
                     Err(e) => {
                         requests_total("failed");
-                        return error_frame(Some(&req.id), e);
-                    }
-                };
-                let certs: Vec<_> = outcomes.iter().map(|o| o.certificate.clone()).collect();
-                let composed = match compose(&certs) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        requests_total("failed");
-                        return error_frame(Some(&req.id), &e.to_string());
+                        return error_frame(Some(&req.id), &e);
                     }
                 };
                 requests_total("ok");
@@ -279,11 +172,12 @@ impl ServeCore {
                     ("cpu", Json::str(req.cpu.to_string())),
                     ("opt", Json::str(req.opt.to_string())),
                     ("mode", Json::str(req.mode.as_str())),
-                    ("cached", Json::Bool(outcomes.iter().all(|o| o.cache_hit))),
+                    ("cached", Json::Bool(report.fully_cached())),
                     (
                         "stages",
                         Json::Arr(
-                            outcomes
+                            report
+                                .stages
                                 .iter()
                                 .map(|o| {
                                     Json::obj([
@@ -294,69 +188,9 @@ impl ServeCore {
                                 .collect(),
                         ),
                     ),
-                    ("composed", composed.to_json()),
+                    ("composed", report.composed.to_json()),
                 ])
             })
             .collect()
-    }
-
-    /// The closure that executes one node: the tenant's pipeline, the
-    /// registry's app, the stage picked by the key. Errors are
-    /// guaranteed `[stage]`-prefixed (the pipeline prefixes run
-    /// failures; input-derivation failures are prefixed here).
-    fn node_runner<'a>(
-        &'a self,
-        pipelines: &'a HashMap<String, Pipeline>,
-        fps_lane: &HashMap<NodeKey, u64>,
-        key: NodeKey,
-    ) -> sched::NodeFn<'a, NodeKey, StageOutcome> {
-        let (tenant, slug) = match &key {
-            NodeKey::Spec(t, a)
-            | NodeKey::Lockstep(t, a)
-            | NodeKey::Equivalence(t, a, _)
-            | NodeKey::CtCheck(t, a, _)
-            | NodeKey::Contract(t, a, _)
-            | NodeKey::Bound(t, a, _, _)
-            | NodeKey::Fps(t, a, _, _) => (t.clone(), a.clone()),
-        };
-        let pipeline = &pipelines[&tenant];
-        let app = Arc::clone(&self.apps[&slug]);
-        let lane = fps_lane.get(&key).copied().unwrap_or(0);
-        let tel = self.tel.clone();
-        let heartbeat = self.heartbeat;
-        Box::new(move |deps| {
-            let stage = match &key {
-                NodeKey::Spec(..) => "speccheck",
-                NodeKey::Lockstep(..) => "lockstep",
-                NodeKey::Equivalence(..) => "equivalence",
-                NodeKey::CtCheck(..) => "ctcheck",
-                NodeKey::Contract(..) => "contract",
-                NodeKey::Bound(..) => "bound",
-                NodeKey::Fps(..) => "fps",
-            };
-            let out = match &key {
-                NodeKey::Spec(..) => pipeline.speccheck_stage(&app),
-                NodeKey::Lockstep(..) => pipeline.lockstep_stage(&app),
-                NodeKey::Equivalence(_, _, opt) => pipeline.equivalence_stage(&app, *opt),
-                NodeKey::CtCheck(_, _, opt) => pipeline.ctcheck_stage(&app, *opt),
-                NodeKey::Contract(_, _, cpu) => pipeline.contract_stage(&app, *cpu),
-                NodeKey::Bound(_, _, cpu, opt) => pipeline.bound_stage(&app, *cpu, *opt),
-                NodeKey::Fps(t, a, cpu, opt) => {
-                    let bound_key = NodeKey::Bound(t.clone(), a.clone(), *cpu, *opt);
-                    let bound = deps.get(&bound_key).expect("fps depends on bound");
-                    let obs = FpsObserver {
-                        telemetry: tel.clone(),
-                        heartbeat_cycles: heartbeat,
-                        cell: lane,
-                    };
-                    // One thread per FPS node: on the serve path the
-                    // parallelism budget is spent *across* nodes.
-                    pipeline.fps_stage_bounded(&app, *cpu, *opt, &obs, 1, bound)
-                }
-            };
-            // `run_stage` failures arrive `[stage]`-prefixed; failures
-            // upstream of it (input derivation, compile errors) do not.
-            out.map_err(|e| if e.starts_with('[') { e } else { format!("[{stage}] {e}") })
-        })
     }
 }

@@ -28,6 +28,7 @@ use parfait_littlec::codegen::OptLevel;
 use parfait_telemetry::json::{parse as parse_json, Json};
 
 use crate::cache::valid_tenant;
+use crate::graph::StageSet;
 
 /// Upper bound on one request line, in bytes. A line longer than this
 /// is answered with an error frame and discarded — a defense against a
@@ -38,13 +39,21 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 /// How much of a cell one verify request asks for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
-    /// All seven stages plus the composed certificate.
+    /// Every stage plus the composed certificate.
     Cell,
-    /// The four software stages only (no contract/bound/FPS).
+    /// The stages not keyed on the platform only.
     Software,
 }
 
 impl Mode {
+    /// The stages this mode runs.
+    pub fn stages(self) -> StageSet {
+        match self {
+            Mode::Cell => StageSet::all(),
+            Mode::Software => StageSet::software(),
+        }
+    }
+
     /// Stable wire name.
     pub fn as_str(self) -> &'static str {
         match self {

@@ -1,8 +1,8 @@
 //! The stage-level DAG scheduler under `parfait-serve`.
 //!
-//! A batch of verify requests decomposes into *nodes* — one per unique
-//! (tenant, app, cpu, opt)-scoped stage — with dependency edges that
-//! mirror the pipeline's fail-fast order. Two cells that share a node
+//! A batch of cells decomposes into *nodes* — one per unique
+//! (tenant, app, cpu, opt)-scoped stage — with the stage table's
+//! fail-fast edges ([`crate::graph`]). Two cells that share a node
 //! (every cell of an app shares its speccheck; every opt level of a
 //! platform shares its contract battery) contribute the node **once**:
 //! it runs once and unblocks every dependent, which is the scheduler's

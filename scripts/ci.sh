@@ -65,11 +65,12 @@ PIPELINE_CACHE_DIR="${PARFAIT_CACHE_DIR:-target/ci-pipeline-cache}"
 rm -rf "$PIPELINE_CACHE_DIR"
 PARFAIT_CACHE_DIR="$PIPELINE_CACHE_DIR" cargo test -q --release --test pipeline_cache
 PARFAIT_CACHE_DIR="$PIPELINE_CACHE_DIR" cargo test -q --release --test pipeline_cache
-# Adversarial mutation smoke gate: one seeded fault per level must die
-# at exactly the stage the ratcheted baseline records (DESIGN.md §12).
-# The full catalog runs in the nightly path (drop --quick).
+# Adversarial mutation gate: every seeded fault of the full catalog must
+# die at exactly the stage the ratcheted baseline records, and every
+# clean control must survive (DESIGN.md §12). The whole catalog takes
+# about a second.
 cargo run --release -p parfait-bench --bin mutatest -- \
-    --quick --baseline mutation_baseline.json
+    --baseline mutation_baseline.json
 # Observability gate: a cold instrumented verify must emit a metrics
 # snapshot containing the pipeline, cache-ledger, worker-pool,
 # contract-battery, and bound-analysis families, with every pipeline

@@ -139,7 +139,7 @@ impl Codec for TokenCodec {
     }
 }
 
-/// A token-HSM [`parfait_pipeline::AppPipeline`]: the whole seven-stage
+/// A token-HSM [`parfait_pipeline::AppPipeline`]: the whole staged
 /// proof pipeline over the tiny fixture, so pipeline- and serve-level
 /// tests run in seconds. `slug` names the cache entries; `source` is
 /// the littlec implementation (default [`TOKEN_LC`]; any

@@ -25,7 +25,7 @@ use common::{cmd, token_spec, TokenCodec, CMD, RESP, STATE, TOKEN_LC};
 use parfait_hsms::platform::{AppSizes, Cpu};
 use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
-use parfait_pipeline::{app_from_codec, AppPipeline, CertCache, Pipeline};
+use parfait_pipeline::{app_from_codec, AppPipeline, CertCache, Pipeline, StageKind, StageSet};
 use parfait_starling::StarlingConfig;
 use parfait_telemetry::manifest::RunManifest;
 use parfait_telemetry::metrics::{Metrics, MetricsSnapshot};
@@ -137,9 +137,11 @@ fn matrix_view_renders_a_real_verification_without_a_tty() {
     // Heartbeat every 1000 cycles: a thousands-of-cycles token run
     // emits several, each carrying this lane's cell id.
     let obs = FpsObserver { telemetry: tel.clone(), heartbeat_cycles: 1_000, cell };
-    let outcome =
-        pipeline.fps_stage(&app, Cpu::Ibex, OptLevel::O2, &obs, 1).expect("token app verifies");
-    view.set_stage(cell, "fps", outcome.cache_hit);
+    let fps = StageSet::of(&[StageKind::Fps]);
+    let report = pipeline
+        .verify_stages(&app, Cpu::Ibex, OptLevel::O2, fps, &obs, 1)
+        .expect("token app verifies");
+    view.set_stage(cell, "fps", report.fully_cached());
     view.finish_lane(cell, true);
     tel.finish();
 

@@ -278,7 +278,7 @@ fn contract_edit_invalidates_exactly_the_dependent_stages() {
     assert_ne!(miss.certificate.inputs, hit.certificate.inputs);
 
     // Nothing else was disturbed: the full cell against the exported
-    // contract is still a six-stage cache hit.
+    // contract is still fully cached.
     let cell = verify(&warm, &a);
     assert!(
         cell.fully_cached(),

@@ -4,7 +4,10 @@
 //! `PARFAIT_CACHE_DIR`: once cold (every stage runs) and once warm
 //! through a brand-new pipeline handle (every stage must be an on-disk
 //! cache hit). Asserts the warm run is fully cached and that the
-//! composed certificates are byte-identical, then reports the speedup.
+//! composed certificates are byte-identical, then reports the speedup
+//! and the cold run's per-stage walls (`stage_seconds`). Independent
+//! stages overlap on the `--threads`-wide stage graph, so those walls
+//! can sum to more than `cold_seconds`.
 //!
 //! ```sh
 //! cargo run -p parfait-bench --release --bin bench_pipeline -- --quick --json BENCH_pipeline.json
@@ -88,6 +91,15 @@ fn main() {
             ("stages", Json::Int(cold.stages.len() as i64)),
             ("cold_seconds", Json::Num(cold_wall.as_secs_f64())),
             ("warm_seconds", Json::Num(warm_wall.as_secs_f64())),
+            (
+                "stage_seconds",
+                Json::Obj(
+                    cold.stages
+                        .iter()
+                        .map(|s| (s.certificate.stage.to_string(), Json::Num(s.wall.as_secs_f64())))
+                        .collect(),
+                ),
+            ),
             ("speedup", Json::Num(speedup)),
             ("warm_fully_cached", Json::Bool(warm.fully_cached())),
             ("claim_from", Json::str(&cold.composed.claim.0)),

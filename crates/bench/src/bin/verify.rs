@@ -189,9 +189,10 @@ fn run(threads_used: &mut usize) -> u8 {
         a.name,
         pipeline.cache.dir().map_or("per-process memo".into(), |d| d.display().to_string())
     );
-    // The matrix level of the parallel pipeline: independent platform
-    // cells fan out across the thread budget, and each cell splits its
-    // share across FPS segment workers.
+    // Every platform's cell in one stage graph, run at the whole thread
+    // budget: independent stages overlap within and across cells, and
+    // each cell splits its share of the budget across FPS segment
+    // workers.
     let threads_per_cell = (threads / cpus.len()).max(1);
     let cells: Vec<Cell<'_>> = cpus
         .iter()
@@ -217,7 +218,7 @@ fn run(threads_used: &mut usize) -> u8 {
             }
         })
         .collect();
-    let reports = run_cells(cells.len().min(threads), &cells);
+    let reports = run_cells(threads, &cells);
 
     let mut json_results: Vec<Json> = Vec::new();
     let mut hits = 0usize;

@@ -10,9 +10,12 @@
 //! pipeline goes through it. A cell's result is its certificates
 //! composed in chain order, or the error of the first failed or skipped
 //! node in chain order — for the table's edges, the first failure the
-//! stages' sequential execution order would have hit.
+//! stages' sequential execution order would have hit. A node several
+//! cells share reports as run in the first cell that plans it and as a
+//! zero-wall cache hit in the others.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::time::Duration;
 
 use parfait_hsms::platform::Cpu;
 use parfait_knox2::FpsObserver;
@@ -66,21 +69,25 @@ const fn row(
 }
 
 /// The stage graph, one row per [`StageKind`] in compose-chain order.
-/// The cheap contract battery gates the bound analysis, so a leaky core
-/// fails with a named instruction class before anything simulates, and
-/// FPS reads the bound certificate's WCET as its cycle budget.
+/// The software proof's levels are independent (IPR is transitive), so
+/// lockstep, equivalence and ctcheck are siblings after speccheck. The
+/// hardware proof waits for all of them: the cheap contract battery
+/// and the whole software proof gate the bound analysis, so a leaky
+/// core fails with a named instruction class before anything
+/// simulates, and FPS reads the bound certificate's WCET as its cycle
+/// budget.
 #[rustfmt::skip]
 pub(crate) static STAGES: [StageRow; StageKind::ALL.len()] = [
-    //  stage        keyed on  after                 reads
-    row(SpecCheck,   NONE,     &[],                  &[],      |c, _| c.pipeline.speccheck_stage(c.app)),
-    row(Lockstep,    NONE,     &[SpecCheck],         &[],      |c, _| c.pipeline.lockstep_stage(c.app)),
-    row(Equivalence, OPT,      &[Lockstep],          &[],      |c, _| c.pipeline.equivalence_stage(c.app, c.opt)),
-    row(CtCheck,     OPT,      &[Equivalence],       &[],      |c, _| c.pipeline.ctcheck_stage(c.app, c.opt)),
-    row(Bound,       CPU_OPT,  &[CtCheck, Contract], &[],      |c, _| c.pipeline.bound_stage(c.app, c.cpu, c.opt)),
-    row(Fps,         CPU_OPT,  &[],                  &[Bound], |c, d| {
+    //  stage        keyed on  after                                        reads
+    row(SpecCheck,   NONE,     &[],                                         &[],      |c, _| c.pipeline.speccheck_stage(c.app)),
+    row(Lockstep,    NONE,     &[SpecCheck],                                &[],      |c, _| c.pipeline.lockstep_stage(c.app)),
+    row(Equivalence, OPT,      &[SpecCheck],                                &[],      |c, _| c.pipeline.equivalence_stage(c.app, c.opt)),
+    row(CtCheck,     OPT,      &[SpecCheck],                                &[],      |c, _| c.pipeline.ctcheck_stage(c.app, c.opt)),
+    row(Bound,       CPU_OPT,  &[Lockstep, Equivalence, CtCheck, Contract], &[],      |c, _| c.pipeline.bound_stage(c.app, c.cpu, c.opt)),
+    row(Fps,         CPU_OPT,  &[],                                         &[Bound], |c, d| {
         c.pipeline.fps_stage_bounded(c.app, c.cpu, c.opt, &c.obs, c.threads, read(c, d, Bound))
     }),
-    row(Contract,    CPU,      &[SpecCheck],         &[],      |c, _| c.pipeline.contract_stage(c.app, c.cpu)),
+    row(Contract,    CPU,      &[SpecCheck],                                &[],      |c, _| c.pipeline.contract_stage(c.app, c.cpu)),
 ];
 
 /// A set of stages, iterated in compose-chain order.
@@ -242,12 +249,25 @@ fn run_with<'a>(
         // (unit-tested below); fail every cell loudly if that breaks.
         Err(e) => return cells.iter().map(|_| Err(format!("scheduler error: {e}"))).collect(),
     };
+    // A shared node ran in the first cell that plans it; the others
+    // see what a single-flight waiter sees, a hit with zero wall, so
+    // summing the cells' stage walls counts each run once.
+    let mut reported = HashSet::new();
     cells
         .iter()
         .zip(chains)
         .map(|(cell, chain)| {
-            let stages: Vec<StageOutcome> =
-                chain.iter().map(|k| results[k].clone()).collect::<Result<_, _>>()?;
+            let stages: Vec<StageOutcome> = chain
+                .iter()
+                .map(|k| {
+                    let outcome = results[k].clone()?;
+                    Ok(if reported.insert(*k) {
+                        outcome
+                    } else {
+                        StageOutcome { wall: Duration::ZERO, cache_hit: true, fps: None, ..outcome }
+                    })
+                })
+                .collect::<Result<_, String>>()?;
             let certs: Vec<_> = stages.iter().map(|s| s.certificate.clone()).collect();
             let composed = compose(&certs).map_err(|e| e.to_string())?;
             Ok(CellReport { cpu: cell.cpu, opt: cell.opt, stages, composed })
@@ -257,8 +277,8 @@ fn run_with<'a>(
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Mutex;
-    use std::time::Duration;
+    use std::sync::{Condvar, Mutex};
+    use std::time::{Duration, Instant};
 
     use super::*;
     use crate::artifact::ArtifactHasher;
@@ -286,20 +306,23 @@ mod tests {
             if fails.contains(row.kind) {
                 return Err("boom".into());
             }
-            let certificate = StageCertificate {
-                schema: SCHEMA,
-                stage: row.kind,
-                app: "synthetic".into(),
-                claim: ("x".into(), "x".into()),
-                inputs: ArtifactHasher::new("synthetic")
-                    .field_str("stage", row.kind.as_str())
-                    .finish(),
-                stats: Vec::new(),
-            };
-            Ok(StageOutcome { certificate, wall: Duration::ZERO, cache_hit: false, fps: None })
+            Ok(synthetic(row.kind))
         };
         let result = run_with(2, &cells, run).pop().expect("one result per cell");
         (result, started.into_inner().unwrap())
+    }
+
+    /// A fresh synthetic outcome of `kind`.
+    fn synthetic(kind: StageKind) -> StageOutcome {
+        let certificate = StageCertificate {
+            schema: SCHEMA,
+            stage: kind,
+            app: "synthetic".into(),
+            claim: ("x".into(), "x".into()),
+            inputs: ArtifactHasher::new("synthetic").field_str("stage", kind.as_str()).finish(),
+            stats: Vec::new(),
+        };
+        StageOutcome { certificate, wall: Duration::ZERO, cache_hit: false, fps: None }
     }
 
     #[test]
@@ -352,5 +375,58 @@ mod tests {
         assert_eq!(planned(StageSet::hardware()), [Contract, Bound, Fps]);
         // FPS reads bound's WCET, so `{fps}` plans bound too.
         assert_eq!(planned(StageSet::of(&[Fps])), [Bound, Fps]);
+    }
+
+    #[test]
+    fn software_siblings_overlap_and_bound_waits_for_them_and_the_contract() {
+        const SIBLINGS: [StageKind; 3] = [Lockstep, Equivalence, CtCheck];
+        let pipeline = Pipeline::new(CertCache::disabled(), Default::default());
+        let app = crate::apps::StdApp::Hasher.pipeline();
+        let (cpu, opt, obs) = (Cpu::Ibex, OptLevel::O2, FpsObserver::default());
+        let stages = StageSet::all();
+        let cells = [Cell { pipeline: &pipeline, app: &app, cpu, opt, stages, obs, threads: 1 }];
+        // Each of bound's predecessors in turn stays in its runner a
+        // while, so a missing edge lets bound start while it runs.
+        for held in [Lockstep, Equivalence, CtCheck, Contract] {
+            // (stage, started) in the order stages started and succeeded.
+            let events = Mutex::new(Vec::new());
+            // Siblings inside their runners, whether two ever were at
+            // once, and whether bound has started. Every wait ends at a
+            // timeout, so a wrong schedule fails an assertion below
+            // instead of hanging the test.
+            let state = (Mutex::new((0usize, false, false)), Condvar::new());
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let run: &Runner<'_> = &|row, _, _| {
+                events.lock().unwrap().push((row.kind, true));
+                let (lock, cv) = &state;
+                let mut st = lock.lock().unwrap();
+                let sibling = SIBLINGS.contains(&row.kind);
+                st.0 += usize::from(sibling);
+                st.1 |= st.0 >= 2;
+                st.2 |= row.kind == Bound;
+                cv.notify_all();
+                if sibling {
+                    let wait = deadline.saturating_duration_since(Instant::now());
+                    st = cv.wait_timeout_while(st, wait, |s| !s.1).unwrap().0;
+                    st.0 -= 1;
+                }
+                if row.kind == held {
+                    let hold = Duration::from_millis(100);
+                    st = cv.wait_timeout_while(st, hold, |s| !s.2).unwrap().0;
+                }
+                drop(st);
+                events.lock().unwrap().push((row.kind, false));
+                Ok(synthetic(row.kind))
+            };
+            let report = run_with(2, &cells, run).pop().expect("one result per cell");
+            assert_eq!(report.expect("nothing fails").stages.len(), STAGES.len());
+            assert!(state.0.lock().unwrap().1, "no two software siblings ran at once");
+            let events = events.into_inner().unwrap();
+            let at = |kind, started| events.iter().position(|&e| e == (kind, started)).unwrap();
+            for pred in [Lockstep, Equivalence, CtCheck, Contract] {
+                let (done, bound) = (at(pred, false), at(Bound, true));
+                assert!(done < bound, "{held} held: bound started before {pred} succeeded");
+            }
+        }
     }
 }

@@ -19,7 +19,10 @@
 //! The seven certificates of an (app × cpu × opt) cell chain — via the
 //! same adjacency condition as `parfait::transitive` — into one
 //! [`certificate::ComposedCertificate`] for the cell. Every caller runs
-//! cells through one planner and scheduler ([`graph::run_cells`]).
+//! cells through one planner and scheduler ([`graph::run_cells`]),
+//! which executes the independent software obligations (lockstep,
+//! equivalence, ctcheck) side by side and the hardware proof after all
+//! of them.
 //!
 //! The payoff is incrementality: re-verifying an unchanged app is a
 //! near-instant cache hit, and a one-line change to an app's littlec

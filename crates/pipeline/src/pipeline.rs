@@ -27,7 +27,6 @@ use parfait_hsms::syssw;
 use parfait_knox2::{check_fps_parallel, CircuitEmulator, FpsConfig, FpsObserver, FpsReport};
 use parfait_littlec::codegen::OptLevel;
 use parfait_littlec::validate::{asm_machine, validate_handle_patched};
-use parfait_parallel::parallel_map;
 use parfait_riscv::model::AsmStateMachine;
 use parfait_soc::{Firmware, Soc};
 use parfait_telemetry::Telemetry;
@@ -789,9 +788,9 @@ impl Pipeline {
         self.verify_stages(app, cpu, opt, StageSet::all(), obs, threads)
     }
 
-    /// Verify `stages` of one cell (plus the stages they read), one
-    /// node at a time in the stage graph's order, composing their
-    /// certificates. `threads` is the FPS segment-worker budget.
+    /// Verify `stages` of one cell (plus the stages they read) on a
+    /// `threads`-wide stage graph, composing their certificates.
+    /// `threads` is also the FPS segment-worker budget.
     pub fn verify_stages(
         &self,
         app: &AppPipeline,
@@ -802,14 +801,13 @@ impl Pipeline {
         threads: usize,
     ) -> Result<CellReport, String> {
         let cell = Cell { pipeline: self, app, cpu, opt, stages, obs: obs.clone(), threads };
-        run_cells(1, std::slice::from_ref(&cell)).pop().expect("one result per cell")
+        run_cells(threads, std::slice::from_ref(&cell)).pop().expect("one result per cell")
     }
 
-    /// Verify an app across a platform matrix, fanning the independent
-    /// cells out over the thread budget (each cell then splits its
-    /// share across FPS segment workers). Each cell runs its own
-    /// graph; the cache's single-flight makes the stages they share
-    /// run once.
+    /// Verify an app across a platform matrix: one stage graph of every
+    /// platform's cell, `threads` wide, in which the stages the cells
+    /// share run once (and report as run in the first cell). Each cell
+    /// gets `threads / cpus` FPS segment workers.
     pub fn verify_matrix(
         &self,
         app: &AppPipeline,
@@ -818,11 +816,20 @@ impl Pipeline {
         obs: &FpsObserver,
         threads: usize,
     ) -> Vec<(Cpu, Result<CellReport, String>)> {
-        let cases = cpus.len().max(1);
-        let threads_per_case = (threads / cases).max(1);
-        parallel_map(cases.min(threads.max(1)), cpus.to_vec(), move |_, cpu| {
-            (cpu, self.verify_cell(app, cpu, opt, obs, threads_per_case))
-        })
+        let threads_per_cell = (threads / cpus.len().max(1)).max(1);
+        let cells: Vec<Cell<'_>> = cpus
+            .iter()
+            .map(|&cpu| Cell {
+                pipeline: self,
+                app,
+                cpu,
+                opt,
+                stages: StageSet::all(),
+                obs: obs.clone(),
+                threads: threads_per_cell,
+            })
+            .collect();
+        cpus.iter().copied().zip(run_cells(threads, &cells)).collect()
     }
 }
 

@@ -23,7 +23,11 @@
 //! string, verbatim (the pipeline has already `[stage]`-prefixed it),
 //! while unrelated subgraphs run to completion.
 //!
-//! Exported gauges: `serve_queue_depth` (ready, unsubmitted nodes) and
+//! Ready nodes start in the order they became ready (a graph planned in
+//! chain order starts its siblings in chain order), whichever worker
+//! picks them up.
+//!
+//! Exported gauges: `serve_queue_depth` (ready nodes not yet started) and
 //! `serve_inflight` (nodes executing); counter:
 //! `serve_nodes_total{outcome=ok|failed|skipped}`.
 
@@ -64,8 +68,12 @@ struct ExecState<V> {
     results: Vec<Option<Result<V, String>>>,
     /// Unresolved-dependency counts; a node enters `ready` at zero.
     indegree: Vec<usize>,
-    /// Unblocked nodes the coordinator has not yet submitted.
+    /// Unblocked nodes not yet started, in the order they unblocked.
     ready: VecDeque<usize>,
+    /// Pool jobs submitted but not yet started: each starts the oldest
+    /// ready node, so nodes start in `ready` order whatever order the
+    /// pool picks its jobs in.
+    submitted: usize,
     /// Nodes currently executing on the pool.
     running: usize,
     /// Nodes resolved (ran, failed, or skipped).
@@ -142,6 +150,7 @@ where
         results: (0..n).map(|_| None).collect(),
         indegree,
         ready,
+        submitted: 0,
         running: 0,
         done: 0,
     });
@@ -150,10 +159,8 @@ where
     parfait_parallel::scope_with(threads, metrics, |pool| {
         let mut st = state.lock().unwrap();
         loop {
-            while let Some(i) = st.ready.pop_front() {
-                st.running += 1;
-                queue_depth.set(st.ready.len() as f64);
-                inflight.set(st.running as f64);
+            while st.submitted < st.ready.len() {
+                st.submitted += 1;
                 drop(st);
                 let state = &state;
                 let cv = &cv;
@@ -164,24 +171,29 @@ where
                 let inflight = &inflight;
                 let outcome_counter = &outcome_counter;
                 pool.spawn(move |_w| {
-                    // Dependencies are all Ok by construction (a failed
-                    // dep skips this node instead of readying it).
-                    let dep_vals = {
-                        let st = state.lock().unwrap();
-                        Deps(
-                            nodes[i]
-                                .deps
-                                .iter()
-                                .map(|k| {
-                                    let v = st.results[index[k]]
-                                        .as_ref()
-                                        .expect("dep resolved before dependent ran")
-                                        .as_ref()
-                                        .expect("dep ok before dependent ran");
-                                    (k.clone(), v.clone())
-                                })
-                                .collect(),
-                        )
+                    // Start the oldest ready node. Its dependencies are
+                    // all Ok by construction (a failed dep skips this
+                    // node instead of readying it).
+                    let (i, dep_vals) = {
+                        let mut st = state.lock().unwrap();
+                        st.submitted -= 1;
+                        let i = st.ready.pop_front().expect("one job per ready node");
+                        st.running += 1;
+                        queue_depth.set(st.ready.len() as f64);
+                        inflight.set(st.running as f64);
+                        let deps = nodes[i]
+                            .deps
+                            .iter()
+                            .map(|k| {
+                                let v = st.results[index[k]]
+                                    .as_ref()
+                                    .expect("dep resolved before dependent ran")
+                                    .as_ref()
+                                    .expect("dep ok before dependent ran");
+                                (k.clone(), v.clone())
+                            })
+                            .collect();
+                        (i, Deps(deps))
                     };
                     let result = (nodes[i].run)(&dep_vals);
                     outcome_counter(if result.is_ok() { "ok" } else { "failed" }).inc();

@@ -3,7 +3,7 @@
 //!
 //! A [`RunManifest`] answers "what produced this number?" for any bench
 //! row or CI artifact: which bin, which build, which env knobs, how
-//! many threads, whether the run succeeded — plus the full
+//! many threads on how many cores, whether the run succeeded — plus the full
 //! [`MetricsSnapshot`] of everything the process counted. It is plain
 //! canonical JSON (schema-versioned), parsed back by
 //! [`RunManifest::from_json`] so tooling like `cachestat
@@ -34,6 +34,9 @@ pub struct RunManifest {
     pub build_id: String,
     /// Worker threads the run used.
     pub threads: usize,
+    /// The machine's available parallelism at capture time (`None` when
+    /// unknown, and in manifests written before it was recorded).
+    pub available_parallelism: Option<usize>,
     /// Process exit status the run is about to report.
     pub exit_code: i32,
     /// Every [`crate::env::KNOBS`] entry and its value at capture time
@@ -55,6 +58,7 @@ impl RunManifest {
             bin: bin.to_string(),
             build_id: build_id(),
             threads,
+            available_parallelism: std::thread::available_parallelism().ok().map(|n| n.get()),
             exit_code,
             env,
             metrics: metrics.snapshot(),
@@ -68,6 +72,10 @@ impl RunManifest {
             ("bin", Json::str(&self.bin)),
             ("build_id", Json::str(&self.build_id)),
             ("threads", Json::Int(self.threads as i64)),
+            (
+                "available_parallelism",
+                self.available_parallelism.map_or(Json::Null, |n| Json::Int(n as i64)),
+            ),
             ("exit_code", Json::Int(self.exit_code as i64)),
             (
                 "env",
@@ -118,6 +126,13 @@ impl RunManifest {
             bin: field_str("bin")?,
             build_id: field_str("build_id")?,
             threads: field_int("threads")? as usize,
+            available_parallelism: match j.get("available_parallelism") {
+                None | Some(Json::Null) => None,
+                Some(v) => {
+                    Some(v.as_i64().ok_or("run manifest: non-integer available_parallelism")?
+                        as usize)
+                }
+            },
             exit_code: field_int("exit_code")? as i32,
             env,
             metrics,
@@ -164,8 +179,25 @@ mod tests {
         assert_eq!(back, manifest);
         assert_eq!(back.bin, "verify");
         assert_eq!(back.threads, 8);
+        let cores = std::thread::available_parallelism().ok().map(|n| n.get());
+        assert_eq!(back.available_parallelism, cores);
         assert!(back.env.iter().any(|(k, _)| k == "PARFAIT_CACHE_DIR"));
         assert_eq!(back.metrics.counter_total("certcache_disk_hit"), 4);
+    }
+
+    #[test]
+    fn manifests_without_a_core_count_still_parse() {
+        let manifest = RunManifest::capture("bench_fps", 2, 0, &Metrics::new());
+        let Json::Obj(fields) = manifest.to_json() else { panic!("a manifest is an object") };
+        let with_core_count = |value: Option<Json>| {
+            let mut fields = fields.clone();
+            fields.retain(|(k, _)| k != "available_parallelism");
+            fields.extend(value.map(|v| ("available_parallelism".to_string(), v)));
+            RunManifest::from_json(&Json::Obj(fields))
+        };
+        let back = with_core_count(None).expect("a manifest written before the field parses");
+        assert_eq!(back, RunManifest { available_parallelism: None, ..manifest });
+        assert!(with_core_count(Some(Json::str("two"))).is_err(), "a malformed count is loud");
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!    second app sharing the cache directory stays fully cached
 //!    throughout;
 //! 4. cached certificates are byte-identical to what a cache-disabled
-//!    pipeline computes from scratch.
+//!    pipeline computes from scratch;
+//! 5. a platform matrix verified as one stage graph runs each shared
+//!    stage once and reports it as run in one cell only.
 //!
 //! The fixture is the tiny token HSM (see `tests/common`), whose FPS
 //! runs take only thousands of cycles, parameterized by its `prove`
@@ -32,6 +34,7 @@ use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
 use parfait_pipeline::{app_from_codec, AppPipeline, CertCache, Pipeline, StageKind, StdApp};
 use parfait_starling::StarlingConfig;
+use parfait_telemetry::metrics::{Metrics, MetricsSnapshot};
 
 /// The token spec as a real struct (not `FnMachine`, whose step is a
 /// plain fn pointer) so the `prove` multiplier can be a parameter.
@@ -438,4 +441,56 @@ fn std_app_slugs_are_distinct() {
     unique.sort();
     unique.dedup();
     assert_eq!(unique.len(), slugs.len());
+}
+
+/// `verify_matrix` plans both cores' cells into one stage graph: the
+/// software stages they share run once and report as run in exactly
+/// one cell (a zero-wall cache hit in the other), the cache-miss ledger
+/// is the edit loop's, and the certificates equal single-cell runs.
+#[test]
+fn verify_matrix_runs_and_reports_each_shared_stage_once() {
+    let app = StdApp::Hasher.pipeline();
+    let (cpus, opt, obs) = ([Cpu::Ibex, Cpu::Pico], OptLevel::O2, FpsObserver::default());
+    let metrics = Metrics::new();
+    let pipeline = Pipeline::new(CertCache::disabled_with(metrics.clone()), Default::default());
+    let before = metrics.snapshot();
+    let cells = pipeline.verify_matrix(&app, &cpus, opt, &obs, 2);
+    let after = metrics.snapshot();
+    let reports: Vec<_> =
+        cells.iter().map(|(cpu, r)| r.as_ref().unwrap_or_else(|e| panic!("{cpu}: {e}"))).collect();
+
+    use StageKind::*;
+    for stage in [SpecCheck, Lockstep, Equivalence, CtCheck] {
+        let outcomes: Vec<_> = reports
+            .iter()
+            .map(|r| r.stages.iter().find(|s| s.certificate.stage == stage).expect("planned"))
+            .collect();
+        let ran: Vec<_> = outcomes.iter().filter(|s| !s.cache_hit).collect();
+        assert_eq!(ran.len(), 1, "{stage} reports as run in exactly one cell");
+        for waiter in outcomes.iter().filter(|s| s.cache_hit) {
+            assert_eq!(waiter.wall, std::time::Duration::ZERO, "{stage}");
+            assert_eq!(waiter.certificate, ran[0].certificate, "{stage}");
+        }
+    }
+    let ledger = [
+        (SpecCheck, 1),
+        (Lockstep, 1),
+        (Equivalence, 1),
+        (CtCheck, 1),
+        (Contract, 2),
+        (Bound, 2),
+        (Fps, 2),
+    ];
+    for (stage, want) in ledger {
+        let label = [("stage", stage.as_str())];
+        let misses = |s: &MetricsSnapshot| s.counter("certcache_miss", &label).unwrap_or(0);
+        assert_eq!(misses(&after) - misses(&before), want, "{stage} cache misses");
+    }
+
+    for ((cpu, _), report) in cells.iter().zip(reports) {
+        let alone = Pipeline::new(CertCache::disabled(), Default::default())
+            .verify_cell(&app, *cpu, opt, &obs, 1)
+            .expect("a single cell verifies");
+        assert_eq!(report.composed.canonical(), alone.composed.canonical(), "{cpu}");
+    }
 }

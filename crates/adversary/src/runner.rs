@@ -65,7 +65,7 @@ fn parse_kill(err: &str) -> (Option<StageKind>, String) {
 /// dies at the contract battery with a named instruction class instead
 /// of as an opaque FPS divergence, and a firmware whose resource
 /// envelope is unprovable never reaches the simulator. `threads` is the
-/// FPS segment-worker budget for this mutant.
+/// width of the mutant's stage graph.
 pub fn run_mutant(pipeline: &Pipeline, m: &Mutation, threads: usize) -> MutantReport {
     let t0 = Instant::now();
     let app = (m.build)();
@@ -85,7 +85,7 @@ pub fn run_mutant(pipeline: &Pipeline, m: &Mutation, threads: usize) -> MutantRe
 
 /// Run a set of mutations, fanning mutants out over the thread budget.
 ///
-/// Each mutant runs its FPS single-segment (mutants die in a few
+/// Each mutant runs its stage graph one wide (mutants die in a few
 /// thousand cycles; the parallelism that pays is across mutants, not
 /// within one). The shared certificate cache is consulted per stage, so
 /// tamper-only mutants reuse the clean software certificates.

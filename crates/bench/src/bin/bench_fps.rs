@@ -1,20 +1,18 @@
-//! `bench_fps` — FPS checking throughput, sequential vs. parallel.
+//! `bench_fps` — FPS checking throughput, one case at a time vs. the
+//! matrix fanned out.
 //!
 //! Runs the Table 4 verification matrix ({ECDSA, hasher} × {Ibex,
-//! PicoRV32}) twice: once sequentially (the oracle) and once through
-//! the matrix-parallel pipeline (cases fan out across the thread
-//! budget; each case's FPS check uses the snapshot-fork segment
-//! checker with its share). Reports per-case cycles, wall time, and
-//! simulation rate, plus the aggregate wall-clock speedup.
+//! PicoRV32}) twice: once one case at a time, and once with the cases
+//! fanned out across the thread budget. Reports per-case cycles, wall
+//! time, and simulation rate, plus the aggregate wall-clock speedup.
 //!
 //! ```sh
 //! cargo run -p parfait-bench --release --bin bench_fps -- --quick --json BENCH_fps.json
 //! ```
 //!
-//! Note the speedup ceiling: within one script the two world-chains
-//! (real pre-pass, emulator replay) are inherently sequential, so
-//! segment parallelism alone saturates near 2x; the matrix level is
-//! what scales further — given physical cores to run on.
+//! Note the speedup ceiling: one case's check is one lock-step chain
+//! on one thread, so the fan-out across cases is the only parallelism
+//! — bounded by the number of cases and of physical cores.
 
 use std::time::{Duration, Instant};
 
@@ -42,7 +40,6 @@ fn main() {
         .flat_map(|cpu| apps.iter().map(move |&app| (cpu, app)))
         .collect();
     let cases = matrix.len();
-    let threads_per_case = (threads / cases).max(1);
     // This benchmark measures *checking* throughput, so it deliberately
     // bypasses the certificate cache (run_fps): a cache hit would
     // measure a file read, not the checker.
@@ -52,24 +49,24 @@ fn main() {
     let obs = FpsObserver::default();
     let obs = &obs;
 
-    // Baseline: the sequential oracle, one case at a time.
+    // Baseline: one case at a time.
     let mut seq = Vec::new();
     let t_seq = Instant::now();
     for &(cpu, app) in &matrix {
         let t0 = Instant::now();
         let (report, _) = pipeline
-            .run_fps(&app.pipeline(), cpu, OptLevel::O2, obs, 1, timeout)
+            .run_fps(&app.pipeline(), cpu, OptLevel::O2, obs, timeout)
             .expect("verification passes");
         seq.push((report, t0.elapsed()));
     }
     let seq_total = t_seq.elapsed();
 
-    // The parallel pipeline: matrix fan-out × segment workers.
+    // The matrix fanned out across the thread budget.
     let t_par = Instant::now();
     let par = parallel_map(cases.min(threads), matrix.clone(), move |_, (cpu, app)| {
         let t0 = Instant::now();
         let (report, _) = pipeline
-            .run_fps(&app.pipeline(), cpu, OptLevel::O2, obs, threads_per_case, timeout)
+            .run_fps(&app.pipeline(), cpu, OptLevel::O2, obs, timeout)
             .expect("verification passes");
         (report, t0.elapsed())
     });
@@ -87,7 +84,7 @@ fn main() {
     for c in &cases_out {
         let (seq_report, seq_wall) = &c.seq;
         let (par_report, par_wall) = &c.par;
-        assert_eq!(seq_report.cycles, par_report.cycles, "checkers must agree");
+        assert_eq!(seq_report.cycles, par_report.cycles, "both legs run the same check");
         let speedup = seq_wall.as_secs_f64() / par_wall.as_secs_f64().max(1e-9);
         rows.push(vec![
             c.cpu.to_string(),
@@ -107,7 +104,6 @@ fn main() {
             ("par_seconds", Json::Num(par_wall.as_secs_f64())),
             ("seq_cycles_per_second", Json::Num(seq_report.cycles_per_second())),
             ("par_cycles_per_second", Json::Num(par_report.cycles_per_second())),
-            ("par_cpu_seconds", Json::Num(par_report.cpu.as_secs_f64())),
             ("speedup", Json::Num(speedup)),
         ]));
     }
@@ -115,7 +111,7 @@ fn main() {
     println!(
         "{}",
         render_table(
-            "FPS checking throughput: sequential vs. parallel",
+            "FPS checking throughput: one case at a time vs. fanned out",
             &[
                 "Platform",
                 "App",
@@ -131,19 +127,17 @@ fn main() {
     );
     println!(
         "aggregate: {:.2}s sequential vs {:.2}s parallel = {:.2}x across {} case(s), \
-         {} thread(s) ({} per case)",
+         {} thread(s)",
         seq_total.as_secs_f64(),
         par_total.as_secs_f64(),
         aggregate,
         cases,
         threads,
-        threads_per_case
     );
     if let Some(path) = json_output_path() {
         let doc = Json::obj([
             ("artifact", Json::str("bench_fps")),
             ("threads", Json::Int(threads as i64)),
-            ("threads_per_case", Json::Int(threads_per_case as i64)),
             ("seq_total_seconds", Json::Num(seq_total.as_secs_f64())),
             ("par_total_seconds", Json::Num(par_total.as_secs_f64())),
             ("aggregate_speedup", Json::Num(aggregate)),

@@ -8,10 +8,9 @@
 //!    one cell at a time: the contract battery that holds each core to
 //!    its declared leakage contract (stimulus coverage is gated
 //!    higher-is-better), the static bound analysis (its `bound_`
-//!    coverage counters are gated too) and the FPS check at two
-//!    checker threads (exercising the producer/verifier split, the
-//!    pre-decoded instruction cache, and the firmware-build memo — the
-//!    second platform must reuse the first platform's build). Each
+//!    coverage counters are gated too) and the FPS check (exercising
+//!    the pre-decoded instruction cache and the firmware-build memo —
+//!    the second platform must reuse the first platform's build). Each
 //!    stage's wall time is `<stage>_s`, under a ceiling.
 //!
 //! It then reads the counter *deltas* off the global metrics registry
@@ -37,10 +36,6 @@ use parfait_pipeline::{run_cells, Cell, CertCache, Pipeline, StageSet};
 use parfait_telemetry::json::Json;
 use parfait_telemetry::metrics::{MetricKey, Metrics, MetricsSnapshot};
 use parfait_telemetry::Telemetry;
-
-/// FPS checker threads for the fixed workload. Two: the smallest
-/// count that exercises the producer/verifier pipeline.
-const FPS_THREADS: usize = 2;
 
 fn usage() -> u8 {
     eprintln!("usage: perfstat --baseline <path> [--update] [--json <path>] [--metrics <path>]");
@@ -105,10 +100,9 @@ fn run_workloads() -> Result<Measurement, String> {
             opt: OptLevel::O2,
             stages: StageSet::hardware(),
             obs: FpsObserver::default(),
-            threads: FPS_THREADS,
         })
         .collect();
-    eprintln!("perfstat: hardware stages of {} at -O2, {FPS_THREADS} FPS threads...", app.name);
+    eprintln!("perfstat: hardware stages of {} at -O2...", app.name);
     let before = snapshot();
     for (cell, report) in cells.iter().zip(run_cells(1, &cells)) {
         let report = report.map_err(|e| format!("hardware workload ({}): {e}", cell.cpu))?;
@@ -121,7 +115,6 @@ fn run_workloads() -> Result<Measurement, String> {
     let grew = |name, with| grew(&before, &after, name, with);
     for (key, name, with) in [
         ("fps_cycles", "fps_cycles_total", &[][..]),
-        ("fps_producer_cycles", "fps_prepass_cycles_total", &[]),
         ("firmware_build_hits", "pipeline_firmware_builds_total", &[("outcome", "hit")]),
         ("firmware_build_misses", "pipeline_firmware_builds_total", &[("outcome", "miss")]),
         // Labeled per cell or core: summed over both platforms.
@@ -139,7 +132,7 @@ fn run_workloads() -> Result<Measurement, String> {
 
 fn main() -> ExitCode {
     let code = run();
-    emit_manifest("perfstat", FPS_THREADS, i32::from(code));
+    emit_manifest("perfstat", 1, i32::from(code));
     ExitCode::from(code)
 }
 

@@ -4,10 +4,9 @@
 //! bound analysis, FPS; with `PARFAIT_CACHE_DIR` set, already-verified
 //! cells are near-instant cache hits).
 //!
-//! The platform × app matrix fans out across the thread budget
-//! (`--threads <n>`, or `PARFAIT_THREADS`, default: available
-//! parallelism), and each case's FPS check runs with its share of the
-//! budget via the snapshot-fork parallel checker.
+//! The platform × app matrix runs as one stage graph, `--threads <n>`
+//! wide (or `PARFAIT_THREADS`, default: available parallelism): the
+//! cases run side by side, each FPS check on one thread.
 //!
 //! `--quick` verifies only the password hasher (the ECDSA runs take
 //! minutes, like the paper's 80-100 core-hour runs took hours).
@@ -33,7 +32,6 @@ fn main() {
     let apps: &[App] = if quick { &[App::Hasher] } else { &[App::Ecdsa, App::Hasher] };
     let apps: Vec<_> = apps.iter().map(|app| app.pipeline()).collect();
     let cases = 2 * apps.len();
-    let threads_per_case = (threads / cases).max(1);
     let pipeline = Pipeline::from_env(parfait_telemetry::Telemetry::disabled());
     let cells: Vec<Cell<'_>> = [Cpu::Ibex, Cpu::Pico]
         .into_iter()
@@ -45,10 +43,9 @@ fn main() {
             opt: OptLevel::O2,
             stages: StageSet::hardware(),
             obs: FpsObserver::default(),
-            threads: threads_per_case,
         })
         .collect();
-    let reports = run_cells(cases.min(threads), &cells);
+    let reports = run_cells(threads, &cells);
 
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
@@ -104,10 +101,7 @@ fn main() {
             &rows
         )
     );
-    println!(
-        "({} case(s) across {} thread(s), {} FPS thread(s) per case)",
-        cases, threads, threads_per_case
-    );
+    println!("({cases} case(s) across {threads} thread(s))");
     println!("Paper shape to check: ECDSA >> hasher verification time; the PicoRV32");
     println!("needs more total cycles (multi-cycle core) while simulating each cycle");
     println!("faster than the pipelined Ibex; porting = only the 10-line mapping.");

@@ -190,10 +190,7 @@ fn run(threads_used: &mut usize) -> u8 {
         pipeline.cache.dir().map_or("per-process memo".into(), |d| d.display().to_string())
     );
     // Every platform's cell in one stage graph, run at the whole thread
-    // budget: independent stages overlap within and across cells, and
-    // each cell splits its share of the budget across FPS segment
-    // workers.
-    let threads_per_cell = (threads / cpus.len()).max(1);
+    // budget: independent stages overlap within and across cells.
     let cells: Vec<Cell<'_>> = cpus
         .iter()
         .enumerate()
@@ -214,7 +211,6 @@ fn run(threads_used: &mut usize) -> u8 {
                 opt,
                 stages,
                 obs: FpsObserver { telemetry: tel.clone(), heartbeat_cycles, cell },
-                threads: threads_per_cell,
             }
         })
         .collect();

@@ -1,8 +1,8 @@
 //! The CI performance ratchet (`perfstat`).
 //!
 //! The hot paths this repo optimizes — the tick loop's pre-decoded
-//! instruction cache, the producer/verifier parallel FPS split, the
-//! sparse analyzer fixpoint, the firmware-build memo — are all
+//! instruction cache, the sparse analyzer fixpoint, the firmware-build
+//! memo — are all
 //! *deterministic*: the same workload executes the same number of
 //! simulated cycles, worklist pops, memo hits, and cache probes on
 //! every run. Wall-clock benchmarks flake with machine load, but these
@@ -80,7 +80,6 @@ pub const GATES: &[(&str, Direction)] = &[
     ("lint_asm_memo_hits", Direction::HigherIsBetter),
     // Full FPS checks (hasher, ibex + pico, -O2): simulated work.
     ("fps_cycles", Direction::LowerIsBetter),
-    ("fps_producer_cycles", Direction::LowerIsBetter),
     // Pre-decoded instruction cache efficiency across those checks,
     // in parts per million of fetches served from the cache.
     ("decode_cache_hit_rate_ppm", Direction::HigherIsBetter),

@@ -63,10 +63,9 @@ pub enum Fault {
 
 /// The cycle-steppable CPU interface the SoC and Knox2 use.
 ///
-/// Cores are plain data (`Send`) and cheaply snapshottable via
-/// [`Core::clone_box`], so the parallel FPS checker can fork a SoC at a
-/// quiescent point and verify segments on worker threads.
-pub trait Core: Send {
+/// Cores are plain data and cheaply snapshottable via
+/// [`Core::clone_box`], which is what makes the SoC `Clone`.
+pub trait Core {
     /// Advance one clock cycle.
     fn step(&mut self, mem: &mut dyn MemIf);
     /// Snapshot this core (the object-safe `Clone`).

@@ -25,19 +25,12 @@ use parfait_soc::Soc;
 use crate::fps::ByteSpec;
 
 /// Saved injection context between `handle` entry and the commit point.
-#[derive(Clone)]
 struct Pending {
     resp_addr: u32,
     resp: Vec<u8>,
 }
 
 /// The emulator: a dummy-state SoC plus the injection state machine.
-///
-/// `Clone` snapshots the whole ideal world (circuit instance, spec
-/// state, injection state machine); the specification itself is shared
-/// by reference. The parallel FPS checker forks these snapshots onto
-/// worker threads.
-#[derive(Clone)]
 pub struct CircuitEmulator<'s> {
     /// The emulator's own circuit instance (dummy persistent state).
     pub soc: Soc,

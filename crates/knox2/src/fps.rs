@@ -29,10 +29,7 @@ use crate::emulator::CircuitEmulator;
 /// A whole-command byte-level specification machine — the assembly
 /// level of abstraction, which serves as the spec for hardware
 /// verification (§5.3).
-///
-/// Specs are `Sync`: the parallel checker shares one spec by reference
-/// across emulator snapshots on worker threads.
-pub trait ByteSpec: Sync {
+pub trait ByteSpec {
     /// One whole-command step.
     fn step(&self, state: &[u8], cmd: &[u8]) -> (Vec<u8>, Vec<u8>);
 
@@ -137,9 +134,6 @@ impl FpsConfig {
 }
 
 /// Where the two worlds diverged, or another failure.
-///
-/// `PartialEq` supports the differential tests that prove the parallel
-/// checker reports byte-identical errors to the sequential oracle.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FpsError {
     /// Wire outputs differed at a cycle.
@@ -237,9 +231,8 @@ pub struct FpsReport {
     pub cycles: u64,
     /// Wall-clock time of the check.
     pub wall: Duration,
-    /// Aggregate busy time across all workers. Equal to `wall` for the
-    /// sequential checker; for the parallel checker `cpu / wall` is the
-    /// realized parallel efficiency.
+    /// Busy time of the check. One check runs on one thread, so this
+    /// always equals `wall`.
     pub cpu: Duration,
     /// Commands verified.
     pub commands: usize,
@@ -297,39 +290,33 @@ impl std::error::Error for FpsFailure {
     }
 }
 
-/// The lock-stepped pair of circuits. `pub(crate)` so the parallel
-/// checker can run the exact same per-op machinery over forked
-/// snapshots — observational identity with the oracle is by shared
-/// code, not by re-implementation.
-pub(crate) struct Dual<'a, 's> {
-    pub(crate) real: &'a mut Soc,
-    pub(crate) emu: &'a mut CircuitEmulator<'s>,
-    /// Absolute cycle index; segment workers start from their base.
-    pub(crate) cycle: u64,
-    pub(crate) divergence: Option<Divergence>,
-    /// Absolute completed-command count (base included).
-    pub(crate) commands: usize,
-    pub(crate) op_index: usize,
-    pub(crate) tel: Telemetry,
-    pub(crate) heartbeat_cycles: u64,
-    pub(crate) next_heartbeat: u64,
-    pub(crate) start: Instant,
-    /// Which checker thread this pair runs on (0 = sequential/producer;
-    /// heartbeats carry it so trace lanes separate per worker).
-    pub(crate) worker: u64,
+/// The lock-stepped pair of circuits. Every cycle's comparison needs
+/// both worlds' state after the previous cycle, so one check is one
+/// sequential chain.
+struct Dual<'a, 's> {
+    real: &'a mut Soc,
+    emu: &'a mut CircuitEmulator<'s>,
+    cycle: u64,
+    divergence: Option<Divergence>,
+    commands: usize,
+    op_index: usize,
+    tel: Telemetry,
+    heartbeat_cycles: u64,
+    next_heartbeat: u64,
+    start: Instant,
     /// Matrix-cell id from [`FpsObserver::cell`], carried on heartbeats.
-    pub(crate) cell: u64,
+    cell: u64,
     /// `fps_cycles_per_second{cell}` — updated at heartbeat cadence
     /// only, so the metrics registry and the progress view agree on one
     /// number without touching the per-cycle hot path.
-    pub(crate) cps_gauge: parfait_telemetry::metrics::Gauge,
+    cps_gauge: parfait_telemetry::metrics::Gauge,
     /// Observable wires of both worlds over a sliding window
     /// (`PARFAIT_VCD_WINDOW` cycles), recorded only when a VCD dump was
     /// requested via `PARFAIT_VCD_DIR`.
-    pub(crate) vcd: Option<(RingTrace, RingTrace)>,
+    vcd: Option<(RingTrace, RingTrace)>,
 }
 
-pub(crate) struct Divergence {
+struct Divergence {
     cycle: u64,
     real: (bool, bool, u8),
     ideal: (bool, bool, u8),
@@ -341,42 +328,37 @@ pub(crate) struct Divergence {
 /// (default 2^16) are retained, so capture on multi-day runs holds a
 /// bounded buffer instead of the whole execution. A malformed value is
 /// a hard error (via [`parfait_telemetry::env`]).
-pub(crate) fn vcd_window() -> usize {
+fn vcd_window() -> usize {
     parfait_telemetry::env::vcd_window_loud()
 }
 
 impl<'a, 's> Dual<'a, 's> {
-    /// A fresh pair over the given worlds, counting from the given
-    /// bases (all zero for a whole-script sequential run).
-    pub(crate) fn new(
+    /// A fresh pair over the given worlds, counting from zero.
+    fn new(
         real: &'a mut Soc,
         emu: &'a mut CircuitEmulator<'s>,
         obs: &FpsObserver,
-        cycle_base: u64,
-        commands_base: usize,
-        worker: u64,
         capture_vcd: bool,
     ) -> Self {
         let tel = obs.telemetry.clone();
         let next_heartbeat = if obs.heartbeat_cycles == 0 || !tel.enabled() {
             u64::MAX
         } else {
-            cycle_base.saturating_add(obs.heartbeat_cycles)
+            obs.heartbeat_cycles
         };
         let cps_gauge = parfait_telemetry::metrics::Metrics::global()
             .gauge_with("fps_cycles_per_second", &[("cell", &obs.cell.to_string())]);
         Dual {
             real,
             emu,
-            cycle: cycle_base,
+            cycle: 0,
             divergence: None,
-            commands: commands_base,
+            commands: 0,
             op_index: 0,
             tel,
             heartbeat_cycles: obs.heartbeat_cycles,
             next_heartbeat,
             start: Instant::now(),
-            worker,
             cell: obs.cell,
             cps_gauge,
             vcd: capture_vcd.then(|| {
@@ -431,7 +413,6 @@ impl Circuit for Dual<'_, '_> {
                     ("cycles_per_s", rate),
                     ("commands", self.commands as f64),
                     ("op_index", self.op_index as f64),
-                    ("worker", self.worker as f64),
                     ("cell", self.cell as f64),
                     ("real_pc", self.real.core.pc() as f64),
                     ("ideal_pc", self.emu.soc.core.pc() as f64),
@@ -483,17 +464,18 @@ pub fn check_fps_traced(
     let tel = obs.telemetry.clone();
     let run_span = tel.span("fps.run");
     let vcd_dir = std::env::var_os("PARFAIT_VCD_DIR");
-    let mut dual = Dual::new(real, emu, obs, 0, 0, 0, vcd_dir.is_some());
+    let mut dual = Dual::new(real, emu, obs, vcd_dir.is_some());
     dual.start = start;
     let mut wire_responses: Vec<Vec<u8>> = Vec::new();
-    let outcome = run_ops(&mut dual, cfg, project, script, 0, &mut wire_responses)
+    let outcome = run_ops(&mut dual, cfg, project, script, &mut wire_responses)
         .and_then(|()| end_of_script_checks(dual.real, &dual.emu.spec_responses, &wire_responses));
     // The statistics are computed the same way on success and failure,
     // so an aborted run still reports how far it got.
+    let wall = start.elapsed();
     let report = FpsReport {
         cycles: dual.cycle,
-        wall: start.elapsed(),
-        cpu: start.elapsed(),
+        wall,
+        cpu: wall,
         commands: dual.commands,
         spec_queries: dual.emu.queries,
     };
@@ -525,10 +507,9 @@ pub fn check_fps_traced(
 }
 
 /// Drain both worlds' decode-cache hit/miss counters into the metrics
-/// registry. Only the caller's worlds are flushed (never throwaway
-/// forks), so the counts are deterministic for a given run and the
-/// perf ratchet can key on them.
-pub(crate) fn flush_decode_stats(real: &mut Soc, ideal: &mut Soc) {
+/// registry. The counts are deterministic for a given run, so the perf
+/// ratchet can key on them.
+fn flush_decode_stats(real: &mut Soc, ideal: &mut Soc) {
     let (rh, rm) = real.take_decode_stats();
     let (ih, im) = ideal.take_decode_stats();
     let metrics = parfait_telemetry::metrics::Metrics::global();
@@ -538,21 +519,16 @@ pub(crate) fn flush_decode_stats(real: &mut Soc, ideal: &mut Soc) {
 
 /// Drain the spec's whole-command memo counters into the metrics
 /// registry (`spec_step_memo_total{outcome}`).
-pub(crate) fn flush_spec_memo_stats(emu: &CircuitEmulator<'_>) {
+fn flush_spec_memo_stats(emu: &CircuitEmulator<'_>) {
     let (hits, misses) = emu.take_spec_memo_stats();
     let metrics = parfait_telemetry::metrics::Metrics::global();
     metrics.counter_with("spec_step_memo_total", &[("outcome", "hit")]).add(hits);
     metrics.counter_with("spec_step_memo_total", &[("outcome", "miss")]).add(misses);
 }
 
-/// Failure-path telemetry, shared by the sequential checker and the
-/// parallel segment workers: the divergence progress event, the VCD
+/// Failure-path telemetry: the divergence progress event, the VCD
 /// window dump into `PARFAIT_VCD_DIR`, and the failure counter.
-pub(crate) fn report_failure(
-    tel: &Telemetry,
-    error: &FpsError,
-    vcd: Option<(RingTrace, RingTrace)>,
-) {
+fn report_failure(tel: &Telemetry, error: &FpsError, vcd: Option<(RingTrace, RingTrace)>) {
     if let FpsError::TraceDivergence { cycle, op_index, real_pc, ideal_pc, .. } = error {
         tel.progress(
             "fps.divergence",
@@ -593,12 +569,9 @@ pub(crate) fn report_failure(
 /// the framing position across ops; completed responses are appended to
 /// `wire_responses`.
 ///
-/// This is the single source of truth for the I/O schedule: the
-/// sequential checker drives the lock-stepped [`Dual`] with it, and the
-/// parallel checker's pre-pass drives the real SoC alone with it —
-/// which yields the identical schedule, because every host decision
-/// depends only on the real world's output wires.
-pub(crate) fn drive_op(
+/// Every host decision depends only on the real world's output wires
+/// (the [`Dual`]'s `get_output`), so both worlds see one schedule.
+fn drive_op(
     c: &mut dyn Circuit,
     op: &HostOp,
     cfg: &FpsConfig,
@@ -625,26 +598,20 @@ pub(crate) fn drive_op(
     }
 }
 
-/// Drive a slice of script ops against the lock-stepped pair, returning
-/// the first failure. `op_base` is the absolute index of `ops[0]` in the
-/// whole script, so errors from a parallel segment report the same
-/// indices as the sequential oracle. The slice must start at a quiescent
-/// point (framing-aligned, `pending_bytes == 0`), which every segment
-/// boundary is by construction.
-pub(crate) fn run_ops(
+/// Drive the script's ops against the lock-stepped pair, returning the
+/// first failure.
+fn run_ops(
     dual: &mut Dual<'_, '_>,
     cfg: &FpsConfig,
     project: &dyn Fn(&Soc) -> Vec<u8>,
     ops: &[HostOp],
-    op_base: usize,
     wire_responses: &mut Vec<Vec<u8>>,
 ) -> Result<(), FpsError> {
     // The device consumes input in fixed-size commands and answers every
     // completed one; track framing so adversarial partial traffic keeps
     // the script aligned (responses are always drained).
     let mut pending_bytes = 0usize;
-    for (i, op) in ops.iter().enumerate() {
-        let op_index = op_base + i;
+    for (op_index, op) in ops.iter().enumerate() {
         dual.op_index = op_index;
         let _op_span = dual.tel.span(match op {
             HostOp::Command(_) => "fps.command",
@@ -694,7 +661,7 @@ pub(crate) fn run_ops(
 /// The whole-script checks that run only after every op passed:
 /// functional binding of the wire responses to the spec's responses, and
 /// taint silence of the real core.
-pub(crate) fn end_of_script_checks(
+fn end_of_script_checks(
     real: &Soc,
     spec_responses: &[Vec<u8>],
     wire_responses: &[Vec<u8>],

@@ -17,11 +17,9 @@
 //!   the output wires. Since the emulator never sees the real secrets,
 //!   equality implies both correctness and non-leakage (including
 //!   timing). The checker also validates the fig. 9 refinement relation
-//!   at quiescent points and reports any taint flow into control state;
-//! * [`parallel`] — the parallel checker: a cheap pre-pass over the
-//!   real SoC alone cuts the script into snapshot-delimited segments,
-//!   and worker threads re-run the full dual-world check per segment,
-//!   reporting errors byte-identical to the sequential checker's;
+//!   at quiescent points and reports any taint flow into control state.
+//!   One check is one lock-step chain on one thread: each cycle's
+//!   comparison needs both worlds' state after the previous cycle;
 //! * [`sync`] — assembly-circuit synchronization (§5.4): steps the
 //!   Riscette ISA machine instruction-by-instruction against the
 //!   cycle-level core, checking the developer-supplied state
@@ -36,7 +34,6 @@
 pub mod driver;
 pub mod emulator;
 pub mod fps;
-pub mod parallel;
 pub mod script;
 pub mod sync;
 
@@ -46,7 +43,6 @@ pub use fps::{
     check_fps, check_fps_traced, ByteSpec, FpsConfig, FpsError, FpsFailure, FpsObserver, FpsReport,
     HostOp,
 };
-pub use parallel::check_fps_parallel;
 pub use script::{adversarial_script, smoke_script};
 pub use sync::{
     sync_handle_execution, sync_handle_execution_traced, SyncError, SyncPolicy, SyncStats, SyncWhen,

@@ -4,12 +4,12 @@
 //! The workspace rule is "no external dependencies", so this is built
 //! entirely on `std`: [`scope`] creates a pool of worker threads inside
 //! a [`std::thread::scope`], which lets jobs borrow from the caller's
-//! stack (snapshots, scripts, configuration) without `'static` bounds or
+//! stack (pipelines, apps, configuration) without `'static` bounds or
 //! reference counting. Each worker owns a deque; [`Pool::spawn`] pushes
 //! to the least recently used deque, a worker pops its own deque LIFO
 //! (cache-warm), and an idle worker steals FIFO from a victim (oldest
 //! job first, the classic stealing discipline). Jobs here are coarse —
-//! whole verification segments or whole case studies, milliseconds to
+//! whole stage-graph nodes, mutants or case studies, milliseconds to
 //! minutes each — so the queues share one mutex; the stealing structure
 //! is about load balance, not about shaving nanoseconds off `push`.
 //!

@@ -85,7 +85,7 @@ pub(crate) static STAGES: [StageRow; StageKind::ALL.len()] = [
     row(CtCheck,     OPT,      &[SpecCheck],                                &[],      |c, _| c.pipeline.ctcheck_stage(c.app, c.opt)),
     row(Bound,       CPU_OPT,  &[Lockstep, Equivalence, CtCheck, Contract], &[],      |c, _| c.pipeline.bound_stage(c.app, c.cpu, c.opt)),
     row(Fps,         CPU_OPT,  &[],                                         &[Bound], |c, d| {
-        c.pipeline.fps_stage_bounded(c.app, c.cpu, c.opt, &c.obs, c.threads, read(c, d, Bound))
+        c.pipeline.fps_stage_bounded(c.app, c.cpu, c.opt, &c.obs, 1, read(c, d, Bound))
     }),
     row(Contract,    CPU,      &[SpecCheck],                                &[],      |c, _| c.pipeline.contract_stage(c.app, c.cpu)),
 ];
@@ -161,8 +161,6 @@ pub struct Cell<'a> {
     /// FPS heartbeat observer (of the first cell, where cells share
     /// an FPS node).
     pub obs: FpsObserver,
-    /// FPS segment-worker budget.
-    pub threads: usize,
 }
 
 /// A planned node: one stage of one (pipeline, app) pair, at the
@@ -299,7 +297,7 @@ mod tests {
         let pipeline = Pipeline::new(CertCache::disabled(), Default::default());
         let app = crate::apps::StdApp::Hasher.pipeline();
         let (cpu, opt, obs) = (Cpu::Ibex, OptLevel::O2, FpsObserver::default());
-        let cells = [Cell { pipeline: &pipeline, app: &app, cpu, opt, stages, obs, threads: 1 }];
+        let cells = [Cell { pipeline: &pipeline, app: &app, cpu, opt, stages, obs }];
         let started = Mutex::new(Vec::new());
         let run: &Runner<'_> = &|row, _, _| {
             started.lock().unwrap().push(row.kind);
@@ -384,7 +382,7 @@ mod tests {
         let app = crate::apps::StdApp::Hasher.pipeline();
         let (cpu, opt, obs) = (Cpu::Ibex, OptLevel::O2, FpsObserver::default());
         let stages = StageSet::all();
-        let cells = [Cell { pipeline: &pipeline, app: &app, cpu, opt, stages, obs, threads: 1 }];
+        let cells = [Cell { pipeline: &pipeline, app: &app, cpu, opt, stages, obs }];
         // Each of bound's predecessors in turn stays in its runner a
         // while, so a missing edge lets bound start while it runs.
         for held in [Lockstep, Equivalence, CtCheck, Contract] {

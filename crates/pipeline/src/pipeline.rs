@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use parfait::levels::Level;
 use parfait_hsms::platform::{build_firmware_parts, make_soc_with, Cpu};
 use parfait_hsms::syssw;
-use parfait_knox2::{check_fps_parallel, CircuitEmulator, FpsConfig, FpsObserver, FpsReport};
+use parfait_knox2::{check_fps_traced, CircuitEmulator, FpsConfig, FpsObserver, FpsReport};
 use parfait_littlec::codegen::OptLevel;
 use parfait_littlec::validate::{asm_machine, validate_handle_patched};
 use parfait_riscv::model::AsmStateMachine;
@@ -162,9 +162,9 @@ impl Pipeline {
         flight.complete(&certificate);
         let wall = t0.elapsed();
         wall_us.record_duration(wall);
-        // CPU time: the parallel FPS checker reports aggregate worker
-        // busy time; single-threaded stages are their own wall time.
-        cpu_us.record_duration(fps.as_ref().map(|r| r.cpu).unwrap_or(wall));
+        // Every stage runs on the thread that claimed it, so its CPU
+        // time is its wall time.
+        cpu_us.record_duration(wall);
         Ok(StageOutcome { certificate, wall, cache_hit: false, fps })
     }
 
@@ -609,13 +609,16 @@ impl Pipeline {
     /// Keyed (among the build inputs) on the core's contract text: the
     /// dual-world comparison interprets cycle counts and leak events
     /// through the declared model, so a contract edit re-runs it.
+    ///
+    /// `threads` is ignored: one cell's check is one lock-step chain on
+    /// one thread. Cells run side by side in the stage graph instead.
     pub fn fps_stage_bounded(
         &self,
         app: &AppPipeline,
         cpu: Cpu,
         opt: OptLevel,
         obs: &FpsObserver,
-        threads: usize,
+        _threads: usize,
         bound: &StageOutcome,
     ) -> Result<StageOutcome, String> {
         let wcet = bound.certificate.stat("wcet_cycles").filter(|&w| w > 0).map(|w| w as u64);
@@ -627,7 +630,7 @@ impl Pipeline {
         let cpu_label = cpu.to_string();
         let claim = (Level::Asm.label(Some(&opt_label)), Level::Soc.label(Some(&cpu_label)));
         let outcome = self.run_stage(StageKind::Fps, &app.slug, claim, inputs, || {
-            let (report, stack_min) = self.run_fps(app, cpu, opt, obs, threads, timeout)?;
+            let (report, stack_min) = self.run_fps(app, cpu, opt, obs, timeout)?;
             let mut stats = vec![
                 ("cycles".into(), report.cycles as i64),
                 ("commands".into(), report.commands as i64),
@@ -714,16 +717,14 @@ impl Pipeline {
     /// place real/ideal SoCs are built and driven (used by
     /// [`Pipeline::fps_stage_bounded`] and, uncached, by the FPS
     /// scaling benchmark). Also returns the lowest stack address the
-    /// real SoC stored to (its whole-run high-water mark), which is
-    /// deterministic: the parallel checker's pre-pass drives the real
-    /// SoC alone through the entire script.
+    /// real SoC stored to across the whole script (its high-water
+    /// mark).
     pub fn run_fps(
         &self,
         app: &AppPipeline,
         cpu: Cpu,
         opt: OptLevel,
         obs: &FpsObserver,
-        threads: usize,
         timeout: u64,
     ) -> Result<(FpsReport, Option<u32>), String> {
         let sizes = app.sizes;
@@ -770,7 +771,7 @@ impl Pipeline {
         let state_size = sizes.state;
         let project = move |soc: &Soc| syssw::active_state(&soc.fram_bytes(0, 256), state_size);
         let script = app.fps_script();
-        let report = check_fps_parallel(&mut real, &mut emu, &cfg, &project, &script, obs, threads)
+        let report = check_fps_traced(&mut real, &mut emu, &cfg, &project, &script, obs)
             .map_err(|f| f.to_string())?;
         Ok((report, real.stack_high_water()))
     }
@@ -790,7 +791,6 @@ impl Pipeline {
 
     /// Verify `stages` of one cell (plus the stages they read) on a
     /// `threads`-wide stage graph, composing their certificates.
-    /// `threads` is also the FPS segment-worker budget.
     pub fn verify_stages(
         &self,
         app: &AppPipeline,
@@ -800,14 +800,13 @@ impl Pipeline {
         obs: &FpsObserver,
         threads: usize,
     ) -> Result<CellReport, String> {
-        let cell = Cell { pipeline: self, app, cpu, opt, stages, obs: obs.clone(), threads };
+        let cell = Cell { pipeline: self, app, cpu, opt, stages, obs: obs.clone() };
         run_cells(threads, std::slice::from_ref(&cell)).pop().expect("one result per cell")
     }
 
     /// Verify an app across a platform matrix: one stage graph of every
     /// platform's cell, `threads` wide, in which the stages the cells
-    /// share run once (and report as run in the first cell). Each cell
-    /// gets `threads / cpus` FPS segment workers.
+    /// share run once (and report as run in the first cell).
     pub fn verify_matrix(
         &self,
         app: &AppPipeline,
@@ -816,7 +815,6 @@ impl Pipeline {
         obs: &FpsObserver,
         threads: usize,
     ) -> Vec<(Cpu, Result<CellReport, String>)> {
-        let threads_per_cell = (threads / cpus.len().max(1)).max(1);
         let cells: Vec<Cell<'_>> = cpus
             .iter()
             .map(|&cpu| Cell {
@@ -826,7 +824,6 @@ impl Pipeline {
                 opt,
                 stages: StageSet::all(),
                 obs: obs.clone(),
-                threads: threads_per_cell,
             })
             .collect();
         cpus.iter().copied().zip(run_cells(threads, &cells)).collect()

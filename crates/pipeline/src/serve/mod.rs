@@ -126,9 +126,7 @@ impl ServeCore {
 
         // One cell per accepted request, planned into one graph: cells
         // sharing a (tenant, app) share its nodes. FPS heartbeats carry
-        // the request's 1-based position as their lane, and each FPS
-        // node gets one thread: on the serve path the parallelism
-        // budget is spent *across* nodes.
+        // the request's 1-based position as their lane.
         let cells: Vec<Cell<'_>> = reqs
             .iter()
             .enumerate()
@@ -144,7 +142,6 @@ impl ServeCore {
                     heartbeat_cycles: self.heartbeat,
                     cell: i as u64 + 1,
                 },
-                threads: 1,
             })
             .collect();
         let mut results = run_cells(self.threads, &cells).into_iter();

@@ -8,10 +8,9 @@
 //! pc, so the per-cycle cost collapses to one bounds-checked index.
 //!
 //! Caches are immutable and `Arc`-shared: a SoC snapshot (`Clone`)
-//! shares its cache with the original, so the parallel checker's forked
-//! worlds, the emulator's dummy SoC, and every mutant run over an
-//! unchanged firmware image all decode each ROM word exactly once per
-//! process. Sharing is keyed on the *image bytes* (plus base address)
+//! shares its cache with the original, so the real SoC, the emulator's
+//! dummy SoC, and every mutant run over an unchanged firmware image all
+//! decode each ROM word exactly once per process. Sharing is keyed on the *image bytes* (plus base address)
 //! via [`DecodeCache::shared`], so a tampered firmware gets its own
 //! cache and can never observe the clean image's decode results.
 

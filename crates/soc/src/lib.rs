@@ -116,8 +116,8 @@ impl Firmware {
 ///
 /// The SoC is `Clone`: a snapshot is cheap because the read-only parts
 /// (ROM image, firmware) are behind `Arc` and everything else is plain
-/// data. The parallel FPS checker forks verification segments from such
-/// snapshots.
+/// data. The crash-safety sweep replays every power-failure cut point
+/// from one mid-command snapshot.
 #[derive(Clone)]
 pub struct Soc {
     /// The CPU core.

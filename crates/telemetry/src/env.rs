@@ -20,7 +20,6 @@ use std::path::PathBuf;
 pub const KNOBS: &[&str] = &[
     "PARFAIT_THREADS",
     "PARFAIT_TIMEOUT",
-    "PARFAIT_SEGMENT_CYCLES",
     "PARFAIT_CACHE_DIR",
     "PARFAIT_HEARTBEAT",
     "PARFAIT_VCD_WINDOW",
@@ -76,21 +75,6 @@ pub fn parse_timeout(raw: Option<&str>) -> Result<Option<u64>, String> {
 /// Loud reader for [`parse_timeout`]; `None` when unset.
 pub fn timeout_loud() -> Option<u64> {
     loud(parse_timeout(read("PARFAIT_TIMEOUT").as_deref()))
-}
-
-/// Default segment length for the parallel FPS checker (cycles).
-pub const DEFAULT_SEGMENT_CYCLES: u64 = 100_000;
-
-/// `PARFAIT_SEGMENT_CYCLES`: positive cycle count per segment; default
-/// [`DEFAULT_SEGMENT_CYCLES`].
-pub fn parse_segment_cycles(raw: Option<&str>) -> Result<u64, String> {
-    Ok(parse_positive_u64("PARFAIT_SEGMENT_CYCLES", "a positive cycle count", raw)?
-        .unwrap_or(DEFAULT_SEGMENT_CYCLES))
-}
-
-/// Loud reader for [`parse_segment_cycles`].
-pub fn segment_cycles_loud() -> u64 {
-    loud(parse_segment_cycles(read("PARFAIT_SEGMENT_CYCLES").as_deref()))
 }
 
 /// Default heartbeat cadence (simulated cycles between progress
@@ -203,14 +187,6 @@ mod tests {
         assert_eq!(parse_timeout(Some("8_000_000")), Ok(Some(8_000_000)));
         assert_eq!(parse_timeout(None), Ok(None));
         assert!(parse_timeout(Some("0")).is_err());
-    }
-
-    #[test]
-    fn segment_cycles_defaults_and_rejects_zero() {
-        assert_eq!(parse_segment_cycles(None), Ok(DEFAULT_SEGMENT_CYCLES));
-        assert_eq!(parse_segment_cycles(Some("1")), Ok(1));
-        let e = parse_segment_cycles(Some("0")).unwrap_err();
-        assert!(e.contains("PARFAIT_SEGMENT_CYCLES expects"), "{e}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Benchmarks. Emits BENCH_fps.json (FPS-throughput: sequential oracle
-# vs. the snapshot-fork parallel checker over the Table 4 matrix),
+# Benchmarks. Emits BENCH_fps.json (FPS throughput over the Table 4
+# matrix: one case at a time vs. the cases fanned out across threads),
 # BENCH_pipeline.json (proof pipeline: cold vs. warm verification via
 # the content-addressed certificate cache), and BENCH_lint.json (static
 # constant-time lint wall time, the contrast to a cold FPS run), and

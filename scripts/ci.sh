@@ -4,14 +4,12 @@
 # run end-to-end, the constant-time lint at -O0/-O1/-O2 against its
 # findings baseline, the deterministic performance ratchet against
 # perf_baseline.json, the certified-resource-bound ratchet against
-# bound_baseline.json, the differential parallel-checker test under a
-# fixed thread budget,
-# the pipeline cache differential test (now including the ctcheck
-# stage) run twice against one shared PARFAIT_CACHE_DIR (cold pass then
-# warm pass — proving warm-run determinism), the serve-daemon gate (a
-# recorded two-tenant session replayed cold then warm; the warm pass
-# must be all cache hits), and clippy with warnings promoted to
-# errors. Run from the repo root.
+# bound_baseline.json, the pipeline cache differential test (now
+# including the ctcheck stage) run twice against one shared
+# PARFAIT_CACHE_DIR (cold pass then warm pass — proving warm-run
+# determinism), the serve-daemon gate (a recorded two-tenant session
+# replayed cold then warm; the warm pass must be all cache hits), and
+# clippy with warnings promoted to errors. Run from the repo root.
 set -eux
 
 # rustfmt's ignore option is nightly-only, so enumerate our packages
@@ -55,9 +53,6 @@ cargo run --release -p parfait-bench --bin lint -- --baseline lint_baseline.json
 # Ratchet tightened bounds in with `boundstat --baseline
 # bound_baseline.json --update` (which refuses loosened bounds).
 ./target/release/boundstat --baseline bound_baseline.json
-# The parallel FPS checker must be observationally identical to the
-# sequential oracle regardless of the ambient thread budget.
-PARFAIT_THREADS=2 cargo test -q --release --test fps_parallel
 # The certificate cache must be deterministic across processes: the
 # same test suite against the same cache directory, first cold then
 # warm, must pass both times with byte-identical certificates.
@@ -75,9 +70,9 @@ cargo run --release -p parfait-bench --bin mutatest -- \
 # snapshot containing the pipeline, cache-ledger, worker-pool,
 # contract-battery, and bound-analysis families, with every pipeline
 # stage in StageKind::ALL represented (`@stages`); cold + --threads 2,
-# so the FPS segment pool actually spins up. The seven-stage verify
-# runs the contract battery and bound analysis cold here and must hit
-# their certificates on the warm re-run.
+# so the stage graph's worker pool actually spins up. The seven-stage
+# verify runs the contract battery and bound analysis cold here and
+# must hit their certificates on the warm re-run.
 OBS_CACHE_DIR="target/ci-obs-cache"
 rm -rf "$OBS_CACHE_DIR"
 PARFAIT_CACHE_DIR="$OBS_CACHE_DIR" ./target/release/verify \

@@ -99,15 +99,11 @@ fn clean_token_control_survives_all_stages() {
     assert!(r.killed_by.is_none(), "clean control killed: {} ({})", r.verdict(), r.detail);
 }
 
-/// Satellite guard: adversary mutants must produce *byte-identical*
-/// verdicts from the sequential oracle and the parallel FPS checker —
-/// same killing stage, same error (modulo wall time), which also pins
-/// the lowest-failing-segment selection of the parallel checker.
+/// Adversary mutants must produce *byte-identical* verdicts whatever
+/// the stage graph's width — same killing stage, same error (modulo
+/// wall time).
 #[test]
 fn fps_killed_mutants_are_thread_invariant() {
-    // Force segment cuts at every quiescent boundary so even these
-    // short scripts genuinely fork (same knob as tests/fps_parallel.rs).
-    std::env::set_var("PARFAIT_SEGMENT_CYCLES", "1");
     let p = pipeline();
     for class in [
         "cc-syssw-reg-clobber",

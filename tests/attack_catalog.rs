@@ -21,7 +21,9 @@ use parfait_knox2::{FpsError, HostOp};
 
 mod common;
 
-use common::{cmd, standard_script, token_spec, TokenCodec, TokenFps, CMD, RESP, STATE, TOKEN_LC};
+use common::{
+    cmd, standard_script, token_fps, token_spec, TokenCodec, TokenFps, CMD, RESP, STATE, TOKEN_LC,
+};
 
 /// Run the FPS check for the given app source (and optional syssw/asm
 /// tampering) against the CORRECT app's assembly spec.
@@ -31,7 +33,7 @@ fn run_fps_with(
     patch: impl FnOnce(String) -> String,
     script: &[HostOp],
 ) -> Result<parfait_knox2::FpsReport, FpsError> {
-    TokenFps::build(app_source, syssw_src, None, patch).run(script, 1).result.map_err(|f| f.error)
+    TokenFps::build(app_source, syssw_src, None, patch).run(script).result.map_err(|f| f.error)
 }
 
 // --- baseline -----------------------------------------------------------
@@ -48,9 +50,31 @@ fn clean_token_hsm_passes_everything() {
         vec![cmd(1, 5), cmd(2, 3), cmd(3, 9), cmd(9, 1), cmd(0, 0), vec![0xFF; CMD]];
     check_lockstep_simulation(&TokenCodec, &spec, &interp, &[(0, 0), (0xAA55, 3)], &inputs)
         .unwrap();
-    // Knox2 FPS.
-    let report = run_fps_with(TOKEN_LC, None, |a| a, &standard_script()).unwrap();
-    assert_eq!(report.commands, 4);
+    // Knox2 FPS: the standard script, the empty and idle-only scripts,
+    // and a command split across two Garbage ops between commands (the
+    // framing is mid-command at an op boundary, and the completed
+    // garbage command's response must still bind to the spec).
+    let garbage = cmd(0x77, 0xABCD);
+    let split = vec![
+        HostOp::Command(cmd(3, 5)),
+        HostOp::Idle(500),
+        HostOp::Garbage(garbage[..2].to_vec()),
+        HostOp::Garbage(garbage[2..].to_vec()),
+        HostOp::Command(cmd(2, 1)),
+        HostOp::Idle(1),
+        HostOp::Command(cmd(3, 0)),
+    ];
+    let scripts = [
+        ("standard", standard_script(), 4, 4),
+        ("empty", vec![], 0, 0),
+        ("idle-only", vec![HostOp::Idle(2_000)], 0, 0),
+        ("split-garbage", split, 3, 4),
+    ];
+    for (label, script, commands, spec_queries) in scripts {
+        let report = token_fps().run(&script).result.unwrap_or_else(|f| panic!("{label}: {f}"));
+        assert_eq!(report.commands, commands, "{label}: commands");
+        assert_eq!(report.spec_queries, spec_queries, "{label}: spec queries");
+    }
 }
 
 // --- software logic bug (Starling) ---------------------------------------
@@ -150,7 +174,7 @@ fn variable_latency_div_on_secret_caught() {
     // Spec must match the buggy source (the bug here is *hardware*
     // latency, not functional behaviour).
     let fps = TokenFps::build(&buggy, None, Some(&buggy), |a| a);
-    let err = fps.run(&[HostOp::Command(cmd(3, 5))], 1).result.map_err(|f| f.error).unwrap_err();
+    let err = fps.run(&[HostOp::Command(cmd(3, 5))]).result.map_err(|f| f.error).unwrap_err();
     match err {
         FpsError::TraceDivergence { .. } | FpsError::Leak { .. } => {}
         other => panic!("expected latency divergence, got {other}"),

@@ -1,6 +1,6 @@
 //! Shared test fixture: the tiny "token counter" HSM used by the attack
-//! catalog and the parallel-checker differential tests. Each SoC run
-//! takes only thousands of cycles, so whole FPS checks stay fast.
+//! catalog and the decode-cache differential tests. Each SoC run takes
+//! only thousands of cycles, so whole FPS checks stay fast.
 //!
 //! The token HSM: state = [secret(4 LE), counter(4 LE)]; commands are
 //! [tag, arg(4 LE)]:
@@ -18,8 +18,7 @@ use parfait_hsms::firmware::hasher_app_source;
 use parfait_hsms::platform::{build_firmware, build_firmware_parts, make_soc, AppSizes, Cpu};
 use parfait_hsms::syssw;
 use parfait_knox2::{
-    check_fps_parallel, check_fps_traced, CircuitEmulator, FpsConfig, FpsFailure, FpsObserver,
-    FpsReport, HostOp,
+    check_fps_traced, CircuitEmulator, FpsConfig, FpsFailure, FpsObserver, FpsReport, HostOp,
 };
 use parfait_littlec::codegen::OptLevel;
 use parfait_littlec::validate::asm_machine;
@@ -235,8 +234,8 @@ pub fn standard_script() -> Vec<HostOp> {
 }
 
 /// A built token-HSM FPS scenario: firmware plus assembly-level spec,
-/// reusable across runs so the sequential oracle and the parallel
-/// checker start from bit-identical worlds.
+/// reusable across runs, each of which starts from bit-identical fresh
+/// worlds.
 pub struct TokenFps {
     pub fw: Firmware,
     pub spec: AsmStateMachine,
@@ -291,16 +290,11 @@ impl TokenFps {
         (real, emu)
     }
 
-    /// One run with the sequential checker (`threads <= 1`) or the
-    /// parallel checker, from fresh worlds.
-    pub fn run(&self, script: &[HostOp], threads: usize) -> RunOutcome {
+    /// One FPS run from fresh worlds.
+    pub fn run(&self, script: &[HostOp]) -> RunOutcome {
         let (mut real, mut emu) = self.worlds();
         let obs = FpsObserver::default();
-        let result = if threads <= 1 {
-            check_fps_traced(&mut real, &mut emu, &cfg(), &project, script, &obs)
-        } else {
-            check_fps_parallel(&mut real, &mut emu, &cfg(), &project, script, &obs, threads)
-        };
+        let result = check_fps_traced(&mut real, &mut emu, &cfg(), &project, script, &obs);
         RunOutcome {
             result,
             final_state: project(&real),

@@ -1,9 +1,8 @@
 //! Differential tests for the pre-decoded instruction cache
 //! (`parfait_riscv::predecode`): a SoC running from the shared decode
 //! cache must be cycle-for-cycle identical to one decoding live off
-//! the bus — same wire outputs, same FPS verdicts and statistics — at
-//! every checker thread count, and SoCs instantiated from the same
-//! firmware image must share one cache (the mutation harness builds
+//! the bus — same wire outputs, same FPS verdicts and statistics — and
+//! SoCs instantiated from the same firmware image must share one cache (the mutation harness builds
 //! hundreds of worlds per image; re-decoding the ROM for each would
 //! swamp the runs it benchmarks).
 
@@ -15,7 +14,7 @@ use common::{cfg, cmd, project, standard_script, token_fps, RunOutcome, TokenFps
 use parfait_cores::{Core, IbexCore};
 use parfait_hsms::platform::{make_soc, Cpu};
 use parfait_hsms::syssw;
-use parfait_knox2::{check_fps_parallel, check_fps_traced, CircuitEmulator, FpsObserver, HostOp};
+use parfait_knox2::{check_fps_traced, CircuitEmulator, FpsObserver, HostOp};
 use parfait_riscv::predecode::DecodeCache;
 use parfait_rtl::Circuit;
 use parfait_soc::{Firmware, Soc, ROM_BASE};
@@ -32,7 +31,7 @@ fn make_soc_uncached(fw: Firmware, initial_state: &[u8]) -> Soc {
 
 /// One FPS run over explicitly cached or uncached worlds (both the
 /// real SoC and the emulator's dummy SoC use the same mode).
-fn run_fps(fps: &TokenFps, cached: bool, threads: usize, script: &[HostOp]) -> RunOutcome {
+fn run_fps(fps: &TokenFps, cached: bool, script: &[HostOp]) -> RunOutcome {
     let (mut real, dummy) = if cached {
         (
             make_soc(Cpu::Ibex, fps.fw.clone(), &fps.secret_state),
@@ -46,11 +45,7 @@ fn run_fps(fps: &TokenFps, cached: bool, threads: usize, script: &[HostOp]) -> R
     };
     let mut emu = CircuitEmulator::new(dummy, &fps.spec, fps.secret_state.clone(), common::CMD);
     let obs = FpsObserver::default();
-    let result = if threads <= 1 {
-        check_fps_traced(&mut real, &mut emu, &cfg(), &project, script, &obs)
-    } else {
-        check_fps_parallel(&mut real, &mut emu, &cfg(), &project, script, &obs, threads)
-    };
+    let result = check_fps_traced(&mut real, &mut emu, &cfg(), &project, script, &obs);
     RunOutcome {
         result,
         final_state: project(&real),
@@ -60,7 +55,7 @@ fn run_fps(fps: &TokenFps, cached: bool, threads: usize, script: &[HostOp]) -> R
 }
 
 /// The cached and uncached worlds must agree on everything except
-/// wall/cpu timing.
+/// wall-clock timing.
 fn assert_identical(cached: &RunOutcome, fresh: &RunOutcome, label: &str) {
     let a = cached.result.as_ref().unwrap_or_else(|e| panic!("{label}: cached failed: {e}"));
     let b = fresh.result.as_ref().unwrap_or_else(|e| panic!("{label}: uncached failed: {e}"));
@@ -72,23 +67,19 @@ fn assert_identical(cached: &RunOutcome, fresh: &RunOutcome, label: &str) {
     assert_eq!(cached.spec_responses, fresh.spec_responses, "{label}: spec responses");
 }
 
+/// One cell's check runs on one thread whatever the stage graph's
+/// width, so a single run covers every thread count.
 #[test]
 fn cached_fps_matches_fresh_decode_at_all_thread_counts() {
-    // Segment at every quiescent boundary so the parallel runs
-    // exercise multi-segment forking of cache-sharing snapshots.
-    std::env::set_var("PARFAIT_SEGMENT_CYCLES", "1");
     let fps = token_fps();
     let script = standard_script();
-    for threads in [1, 2, 8] {
-        let cached = run_fps(fps, true, threads, &script);
-        let fresh = run_fps(fps, false, threads, &script);
-        assert_identical(&cached, &fresh, &format!("standard@{threads}"));
-    }
+    let cached = run_fps(fps, true, &script);
+    let fresh = run_fps(fps, false, &script);
+    assert_identical(&cached, &fresh, "standard");
 }
 
 #[test]
 fn cached_fps_matches_fresh_decode_on_hostile_io() {
-    std::env::set_var("PARFAIT_SEGMENT_CYCLES", "1");
     let fps = token_fps();
     // Garbage and idle between commands: boundaries land mid-frame, so
     // cached and uncached runs must agree even about partial traffic.
@@ -100,11 +91,9 @@ fn cached_fps_matches_fresh_decode_on_hostile_io() {
         HostOp::Garbage(vec![1]),
         HostOp::Command(cmd(3, 0)),
     ];
-    for threads in [1, 2, 8] {
-        let cached = run_fps(fps, true, threads, &script);
-        let fresh = run_fps(fps, false, threads, &script);
-        assert_identical(&cached, &fresh, &format!("hostile@{threads}"));
-    }
+    let cached = run_fps(fps, true, &script);
+    let fresh = run_fps(fps, false, &script);
+    assert_identical(&cached, &fresh, "hostile");
 }
 
 #[test]

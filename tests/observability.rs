@@ -12,14 +12,16 @@
 //!    heartbeats from a real verification land in the right lane of a
 //!    captured in-memory sink;
 //! 4. a `RunManifest` captured around a run round-trips through JSON
-//!    with its env knobs and metrics intact.
+//!    with its env knobs and metrics intact;
+//! 5. every committed `BENCH_*.manifest.json` still parses, retired env
+//!    knobs included, with a non-empty metrics snapshot.
 //!
 //! The fixture is the tiny token HSM (see `tests/common`), whose FPS
 //! runs take only thousands of cycles.
 
 mod common;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use common::{cmd, token_spec, TokenCodec, CMD, RESP, STATE, TOKEN_LC};
 use parfait_hsms::platform::{AppSizes, Cpu};
@@ -27,7 +29,7 @@ use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
 use parfait_pipeline::{app_from_codec, AppPipeline, CertCache, Pipeline, StageKind, StageSet};
 use parfait_starling::StarlingConfig;
-use parfait_telemetry::manifest::RunManifest;
+use parfait_telemetry::manifest::{snapshot_from_file, RunManifest};
 use parfait_telemetry::metrics::{Metrics, MetricsSnapshot};
 use parfait_telemetry::progress::MatrixView;
 use parfait_telemetry::sinks::SharedBuf;
@@ -185,4 +187,32 @@ fn run_manifest_round_trips_with_env_and_metrics() {
     assert_eq!(back.env, manifest.env);
     assert_eq!(back.metrics, manifest.metrics);
     assert_eq!(back.metrics.counter_total("certcache_disk_hit"), 5);
+}
+
+#[test]
+fn committed_bench_manifests_parse_with_their_metrics() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(root)
+        .expect("the repository root is readable")
+        .map(|entry| entry.expect("a readable directory entry").path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".manifest.json"))
+        })
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no BENCH_*.manifest.json in {}", root.display());
+    for path in &paths {
+        let label = path.display();
+        let snap = snapshot_from_file(path).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let text = std::fs::read_to_string(path).expect("a readable manifest");
+        let doc = json::parse(&text).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let manifest = RunManifest::from_json(&doc).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(manifest.metrics, snap, "{label}");
+        assert!(
+            !(snap.counters.is_empty() && snap.gauges.is_empty() && snap.hists.is_empty()),
+            "{label}: empty metrics snapshot"
+        );
+    }
 }

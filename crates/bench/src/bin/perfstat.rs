@@ -9,9 +9,10 @@
 //!    its declared leakage contract (stimulus coverage is gated
 //!    higher-is-better), the static bound analysis (its `bound_`
 //!    coverage counters are gated too) and the FPS check (exercising
-//!    the pre-decoded instruction cache and the firmware-build memo —
-//!    the second platform must reuse the first platform's build). Each
-//!    stage's wall time is `<stage>_s`, under a ceiling.
+//!    the pre-decoded instruction cache and the build memo — one
+//!    compile serves both platforms' bound keys and FPS builds, so
+//!    every lookup after the first is a hit). Each stage's wall time
+//!    is `<stage>_s`, under a ceiling.
 //!
 //! It then reads the counter *deltas* off the global metrics registry
 //! and gates them against `perf_baseline.json` (see

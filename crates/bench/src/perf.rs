@@ -1,9 +1,8 @@
 //! The CI performance ratchet (`perfstat`).
 //!
 //! The hot paths this repo optimizes — the tick loop's pre-decoded
-//! instruction cache, the sparse analyzer fixpoint, the firmware-build
-//! memo — are all
-//! *deterministic*: the same workload executes the same number of
+//! instruction cache, the sparse analyzer fixpoint, the build memo —
+//! are all *deterministic*: the same workload executes the same number of
 //! simulated cycles, worklist pops, memo hits, and cache probes on
 //! every run. Wall-clock benchmarks flake with machine load, but these
 //! counters cannot, so they make a perfect regression gate: CI runs a

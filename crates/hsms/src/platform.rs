@@ -70,13 +70,31 @@ pub fn build_firmware_parts(
     opt: OptLevel,
     patch_asm: impl FnOnce(String) -> String,
 ) -> Result<Firmware, LcError> {
+    firmware_from_asm(&link_asm(app_source, syssw_src, opt, patch_asm)?)
+}
+
+/// The linked whole-firmware text [`build_firmware_parts`] assembles:
+/// the app and system software compiled together at `opt`, the hook
+/// applied, the boot shim prepended.
+pub fn link_asm(
+    app_source: &str,
+    syssw_src: &str,
+    opt: OptLevel,
+    patch_asm: impl FnOnce(String) -> String,
+) -> Result<String, LcError> {
     let mut source = String::from(app_source);
     source.push_str(syssw_src);
     let program = frontend(&source)?;
     let compiled = patch_asm(compile(&program, opt)?);
     let mut asm = String::from(syssw::BOOT_ASM);
     asm.push_str(&compiled);
-    let prog = assemble_with(&asm, Layout { text_base: ROM_BASE, data_base: RAM_BASE })
+    Ok(asm)
+}
+
+/// Assemble linked firmware text ([`link_asm`]) at the SoC memory map
+/// into a ROM image.
+pub fn firmware_from_asm(asm: &str) -> Result<Firmware, LcError> {
+    let prog = assemble_with(asm, Layout { text_base: ROM_BASE, data_base: RAM_BASE })
         .map_err(|e| LcError::new(e.line, format!("firmware assembly failed: {}", e.msg)))?;
     Ok(Firmware::from_program(&prog))
 }

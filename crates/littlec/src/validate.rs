@@ -95,7 +95,17 @@ pub fn asm_machine_patched(
     patch_asm: impl FnOnce(String) -> String,
 ) -> Result<AsmStateMachine, ValidateError> {
     let asm = patch_asm(compile(program, opt)?);
-    let prog = assemble(&asm)
+    asm_machine_of(&asm, state_size, command_size, response_size)
+}
+
+/// The assembly-level machine of already compiled assembly text.
+pub fn asm_machine_of(
+    asm: &str,
+    state_size: usize,
+    command_size: usize,
+    response_size: usize,
+) -> Result<AsmStateMachine, ValidateError> {
+    let prog = assemble(asm)
         .map_err(|e| ValidateError::Exec(format!("generated assembly does not assemble: {e}")))?;
     AsmStateMachine::new(prog, state_size, command_size, response_size)
         .ok_or_else(|| ValidateError::Exec("program has no `handle` function".into()))

@@ -13,6 +13,10 @@
 //! minutes each — so the queues share one mutex; the stealing structure
 //! is about load balance, not about shaving nanoseconds off `push`.
 //!
+//! A one-thread scope spawns no worker: [`Pool::spawn`] runs each job
+//! on the calling thread before it returns, in spawn order, so a
+//! width-1 stage graph costs no thread start and no hand-offs.
+//!
 //! Panics inside jobs do not poison the pool: the first panic payload is
 //! captured, remaining queued jobs still run, and the panic is resumed
 //! on the caller's thread once the scope ends (mirroring
@@ -50,6 +54,8 @@ struct State<'env> {
     shutdown: bool,
     /// First captured panic payload from a job.
     panic: Option<Box<dyn std::any::Any + Send>>,
+    /// Time spent in jobs run on the calling thread (one-thread scopes).
+    inline_busy_ns: u64,
 }
 
 struct Shared<'env> {
@@ -88,8 +94,22 @@ impl<'env> Pool<'env> {
     }
 
     /// Submit a job. It may borrow anything that outlives the [`scope`]
-    /// call and runs on some worker thread before `scope` returns.
+    /// call and runs on some worker thread before `scope` returns — in
+    /// a one-thread scope, on the calling thread before `spawn` returns.
     pub fn spawn(&self, job: impl FnOnce(usize) + Send + 'env) {
+        if self.threads == 1 {
+            self.shared.spawned.inc();
+            let start = Instant::now();
+            let result = catch_unwind(AssertUnwindSafe(|| job(0)));
+            let busy_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.shared.completed.inc();
+            let mut st = self.shared.state.lock().expect("pool state lock poisoned");
+            st.inline_busy_ns += busy_ns;
+            if let Err(payload) = result {
+                st.panic.get_or_insert(payload);
+            }
+            return;
+        }
         let mut st = self.shared.state.lock().unwrap();
         let slot = st.next % st.deques.len();
         st.next = st.next.wrapping_add(1);
@@ -180,6 +200,7 @@ pub fn scope_with<'env, R>(
                 pending: 0,
                 shutdown: false,
                 panic: None,
+                inline_busy_ns: 0,
             }),
             cv: Condvar::new(),
             metrics: metrics.clone(),
@@ -189,22 +210,30 @@ pub fn scope_with<'env, R>(
         },
         threads,
     };
-    let result = std::thread::scope(|s| {
-        for id in 0..threads {
-            let shared = &pool.shared;
-            s.spawn(move || shared.worker_loop(id));
-        }
+    let result = if threads == 1 {
         let r = f(&pool);
-        // Wait for the queues to drain, then release the workers.
-        let mut st = pool.shared.state.lock().unwrap();
-        while st.pending > 0 {
-            st = pool.shared.cv.wait(st).unwrap();
-        }
-        st.shutdown = true;
-        drop(st);
-        pool.shared.cv.notify_all();
+        let busy_ns = pool.shared.state.lock().expect("pool state lock poisoned").inline_busy_ns;
+        metrics.counter_with("pool_worker_busy_ns", &[("worker", "0")]).add(busy_ns);
+        metrics.counter_with("pool_worker_idle_ns", &[("worker", "0")]).add(0);
         r
-    });
+    } else {
+        std::thread::scope(|s| {
+            for id in 0..threads {
+                let shared = &pool.shared;
+                s.spawn(move || shared.worker_loop(id));
+            }
+            let r = f(&pool);
+            // Wait for the queues to drain, then release the workers.
+            let mut st = pool.shared.state.lock().unwrap();
+            while st.pending > 0 {
+                st = pool.shared.cv.wait(st).unwrap();
+            }
+            st.shutdown = true;
+            drop(st);
+            pool.shared.cv.notify_all();
+            r
+        })
+    };
     if let Some(payload) = pool.shared.state.lock().unwrap().panic.take() {
         resume_unwind(payload);
     }
@@ -212,19 +241,16 @@ pub fn scope_with<'env, R>(
 }
 
 /// Apply `f` to every item on the pool, preserving input order in the
-/// output. With `threads <= 1` this runs inline on the caller's thread
-/// (no pool, deterministic scheduling) — the common oracle path.
+/// output. At most one worker per item: with one thread or one item the
+/// items run in order on the caller's thread (the common oracle path).
 pub fn parallel_map<T, U, F>(threads: usize, items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
     F: Fn(usize, T) -> U + Sync,
 {
-    if threads <= 1 || items.len() <= 1 {
-        return items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
     let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    scope(threads, |pool| {
+    scope(threads.min(items.len()), |pool| {
         for (i, item) in items.into_iter().enumerate() {
             let f = &f;
             let slots = &slots;
@@ -300,6 +326,43 @@ mod tests {
         assert!(caught.is_err(), "panic must cross the scope");
         // Sibling jobs are not cancelled by a panicking one.
         assert_eq!(completed.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn one_thread_runs_jobs_on_the_caller_in_spawn_order() {
+        // Observations are recorded, not asserted, inside the scope: a
+        // panic in the scope's closure would leave threaded workers
+        // waiting.
+        let caller = std::thread::current().id();
+        let ran = Mutex::new(Vec::new());
+        let done_at_return = Mutex::new(Vec::new());
+        let metrics = Metrics::new();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            scope_with(1, &metrics, |pool| {
+                for i in 0..6 {
+                    let ran = &ran;
+                    pool.spawn(move |w| {
+                        ran.lock().unwrap().push((i, w, std::thread::current().id()));
+                        if i == 2 {
+                            panic!("job 2");
+                        }
+                    });
+                    done_at_return.lock().unwrap().push(ran.lock().unwrap().len());
+                }
+            });
+        }));
+        // Each job ran on the caller, in spawn order, before `spawn`
+        // returned; the jobs after the panicking one still ran, and the
+        // panic is resumed after the scope.
+        let ran = ran.into_inner().unwrap();
+        assert_eq!(ran, (0..6).map(|i| (i, 0, caller)).collect::<Vec<_>>());
+        assert_eq!(done_at_return.into_inner().unwrap(), (1..=6).collect::<Vec<_>>());
+        let payload = caught.expect_err("the job's panic must cross the scope");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 2"));
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter_total("pool_tasks_spawned_total"), 6);
+        assert_eq!(snap.counter_total("pool_tasks_completed_total"), 6);
+        assert!(snap.counter("pool_worker_busy_ns", &[("worker", "0")]).is_some());
     }
 
     #[test]

@@ -34,6 +34,7 @@
 
 pub mod apps;
 pub mod artifact;
+pub mod build;
 pub mod cache;
 pub mod certificate;
 pub mod graph;

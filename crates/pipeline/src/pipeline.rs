@@ -13,26 +13,27 @@
 //! end-to-end claim via [`crate::certificate::compose`] — the
 //! executable form of the paper's transitivity theorem.
 //!
-//! This module is the **single** home of the firmware/spec/SoC build
-//! plumbing the bench binaries used to duplicate: [`Pipeline::run_fps`]
-//! is the one place a real and an ideal SoC are constructed and driven.
+//! Compiled text comes from the build memo ([`crate::build`]), which
+//! compiles each (app source, system software, opt level) once per
+//! process: ctcheck's and bound's input ids, the linked text bound
+//! analyses, and the ROM image and spec machine FPS runs. A warm cell
+//! therefore compiles nothing. [`Pipeline::run_fps`] is the one place a
+//! real and an ideal SoC are constructed and driven.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use parfait::levels::Level;
-use parfait_hsms::platform::{build_firmware_parts, make_soc_with, Cpu};
+use parfait_hsms::platform::{make_soc_with, Cpu};
 use parfait_hsms::syssw;
 use parfait_knox2::{check_fps_traced, CircuitEmulator, FpsConfig, FpsObserver, FpsReport};
 use parfait_littlec::codegen::OptLevel;
-use parfait_littlec::validate::{asm_machine, validate_handle_patched};
-use parfait_riscv::model::AsmStateMachine;
-use parfait_soc::{Firmware, Soc};
+use parfait_littlec::validate::validate_handle_patched;
+use parfait_soc::Soc;
 use parfait_telemetry::Telemetry;
 
 use crate::apps::AppPipeline;
 use crate::artifact::{ArtifactHasher, ArtifactId};
+use crate::build;
 use crate::cache::{CertCache, Claim};
 use crate::certificate::{ComposedCertificate, StageCertificate, StageKind, SCHEMA};
 use crate::graph::{run_cells, Cell, StageSet};
@@ -96,9 +97,9 @@ impl Pipeline {
         self.cache.metrics()
     }
 
-    /// Time a stage's input derivation (frontend + lowering + hashing
-    /// for ctcheck, pure hashing for the cheap stages) into
-    /// `pipeline_artifact_hash_us{stage}`.
+    /// Time a stage's input derivation (a build-memo lookup for ctcheck
+    /// and bound, compiling only on a memo miss; pure hashing for the
+    /// other stages) into `pipeline_artifact_hash_us{stage}`.
     fn timed_inputs<T>(&self, stage: StageKind, derive: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let out = derive();
@@ -311,31 +312,9 @@ impl Pipeline {
     /// byte-identical stays cached; a rule-set bump re-lints the world.
     pub fn ctcheck_stage(&self, app: &AppPipeline, opt: OptLevel) -> Result<StageOutcome, String> {
         let patch = app.tamper.as_ref().and_then(|t| t.patch_asm.clone());
-        // This stage's input derivation is the expensive one — it
-        // compiles — so its artifact-hash histogram dominates the family.
-        let inputs = self.timed_inputs(StageKind::CtCheck, || -> Result<ArtifactId, String> {
-            let program = parfait_littlec::frontend(&app.source).map_err(|e| e.to_string())?;
-            let ir = parfait_littlec::ir::lower(&program).map_err(|e| e.to_string())?;
-            let mut asm = parfait_littlec::compile(&program, opt).map_err(|e| e.to_string())?;
-            if let Some(p) = &patch {
-                asm = p(asm); // key the stage on the artifact it actually lints
-            }
-            let mut h = ArtifactHasher::new("stage:ctcheck");
-            h.field_u64("schema", SCHEMA as u64)
-                .field_str("app", &app.slug)
-                .field_str("ruleset", parfait_analyzer::RULESET_VERSION)
-                // The lint derives its CT-LATENCY/CT-MEM applicability
-                // from the union of the supported cores' contracts, so
-                // a contract edit re-lints.
-                .field_str("latency-model", &parfait_analyzer::latency_model_fingerprint())
-                .field_str("opt", &opt.to_string())
-                .field_str("ir", &format!("{ir:?}"))
-                .field_str("asm", &asm);
-            if let Some(t) = &app.tamper {
-                h.field_str("tamper", &t.fingerprint);
-            }
-            Ok(h.finish())
-        })?;
+        // The id hashes compiled text, so it comes from the build memo.
+        let inputs = self
+            .timed_inputs(StageKind::CtCheck, || build::ctcheck_inputs(app, opt, self.metrics()))?;
         let opt_label = opt.to_string();
         let asm_level = Level::Asm.label(Some(&opt_label));
         let claim = (asm_level.clone(), asm_level);
@@ -439,26 +418,6 @@ impl Pipeline {
         }
     }
 
-    /// The linked whole-firmware assembly, exactly as
-    /// [`build_firmware_parts`] links it: app + generated system
-    /// software compiled at `opt`, the tamper patch applied, the boot
-    /// shim prepended. This is the text the bound analysis certifies —
-    /// the same text `run_fps` assembles into the ROM image.
-    fn linked_asm(app: &AppPipeline, opt: OptLevel) -> Result<String, String> {
-        let sizes = app.sizes;
-        let syssw_src = syssw::syssw_source(sizes.state, sizes.command, sizes.response);
-        let mut source = app.source.clone();
-        source.push_str(&syssw_src);
-        let program = parfait_littlec::frontend(&source).map_err(|e| e.to_string())?;
-        let mut compiled = parfait_littlec::compile(&program, opt).map_err(|e| e.to_string())?;
-        if let Some(p) = app.tamper.as_ref().and_then(|t| t.patch_asm.clone()) {
-            compiled = p(compiled);
-        }
-        let mut asm = String::from(syssw::BOOT_ASM);
-        asm.push_str(&compiled);
-        Ok(asm)
-    }
-
     /// `bound` — resource bounds: whole-firmware static analysis over
     /// the linked text (`parfait_analyzer::bound_asm`). Recovers the
     /// call graph (rejecting recursion and unresolvable indirect
@@ -483,22 +442,11 @@ impl Pipeline {
         opt: OptLevel,
     ) -> Result<StageOutcome, String> {
         let contract = Self::core_contract(cpu);
-        let (inputs, linked) =
-            self.timed_inputs(StageKind::Bound, || -> Result<(ArtifactId, String), String> {
-                let linked = Self::linked_asm(app, opt)?;
-                let mut h = ArtifactHasher::new("stage:bound");
-                h.field_u64("schema", SCHEMA as u64)
-                    .field_str("app", &app.slug)
-                    .field_str("ruleset", parfait_analyzer::BOUND_RULESET_VERSION)
-                    .field_str("asm", &linked)
-                    .field_str("contract", &contract.canonical())
-                    .field_str("cpu", &cpu.to_string())
-                    .field_str("opt", &opt.to_string());
-                if let Some(t) = &app.tamper {
-                    h.field_str("tamper", &t.fingerprint);
-                }
-                Ok((h.finish(), linked))
-            })?;
+        // The linked text (the same text FPS's ROM image is assembled
+        // from) and its id come from the build memo.
+        let (inputs, linked) = self.timed_inputs(StageKind::Bound, || {
+            build::bound_inputs(app, cpu, opt, self.metrics())
+        })?;
         let opt_label = opt.to_string();
         let asm_level = Level::Asm.label(Some(&opt_label));
         let claim = (asm_level.clone(), asm_level);
@@ -665,54 +613,6 @@ impl Pipeline {
         Ok(outcome)
     }
 
-    /// A clean (untampered) firmware image plus its assembly-level spec
-    /// machine, memoized process-wide on the exact compile inputs.
-    ///
-    /// The compile is deterministic in (app source, system software
-    /// source, opt level), and `run_fps` recompiles it for every bench
-    /// leg, every CPU of a matrix row, and every thread count of a
-    /// scaling sweep — identical work each time, dominating FPS setup.
-    /// Tampered builds never consult the memo: their patches are
-    /// arbitrary closures whose effect is not captured by the key.
-    /// Hits and misses land in `pipeline_firmware_builds_total{outcome}`
-    /// (deterministic per run, so the perf ratchet can key on them).
-    fn built_firmware(
-        &self,
-        app: &AppPipeline,
-        syssw_src: &str,
-        opt: OptLevel,
-    ) -> Result<(Firmware, Arc<AsmStateMachine>), String> {
-        type Memo = Mutex<HashMap<(String, String, String), (Firmware, Arc<AsmStateMachine>)>>;
-        static MEMO: OnceLock<Memo> = OnceLock::new();
-        let memo = MEMO.get_or_init(Default::default);
-        let builds = |outcome: &str| {
-            self.metrics()
-                .counter_with("pipeline_firmware_builds_total", &[("outcome", outcome)])
-                .inc();
-        };
-        let key = (app.source.clone(), syssw_src.to_string(), opt.to_string());
-        if let Some(built) = memo.lock().unwrap().get(&key) {
-            builds("hit");
-            return Ok(built.clone());
-        }
-        // Compile outside the lock; a racing duplicate compile is
-        // benign (last writer wins, both results are identical).
-        let sizes = app.sizes;
-        let fw =
-            build_firmware_parts(&app.source, syssw_src, opt, |a| a).map_err(|e| e.to_string())?;
-        let program = parfait_littlec::frontend(&app.source).map_err(|e| e.to_string())?;
-        let spec = asm_machine(&program, opt, sizes.state, sizes.command, sizes.response)
-            .map_err(|e| e.to_string())?;
-        builds("miss");
-        let built = (fw, Arc::new(spec));
-        let mut memo = memo.lock().unwrap();
-        if memo.len() >= 32 {
-            memo.clear();
-        }
-        memo.insert(key, built.clone());
-        Ok(built)
-    }
-
     /// Run the hardware check itself, bypassing the cache — the single
     /// place real/ideal SoCs are built and driven (used by
     /// [`Pipeline::fps_stage_bounded`] and, uncached, by the FPS
@@ -732,21 +632,7 @@ impl Pipeline {
         // Tampering strikes the *built artifacts and hardware*; the spec
         // the emulator queries stays derived from the clean compile, so a
         // tampered device is held against the untampered contract.
-        let syssw_src = syssw::syssw_source(sizes.state, sizes.command, sizes.response);
-        let (mut fw, spec) = if tamper.is_none() {
-            self.built_firmware(app, &syssw_src, opt)?
-        } else {
-            let patch = tamper.and_then(|t| t.patch_asm.clone());
-            let fw = build_firmware_parts(&app.source, &syssw_src, opt, |a| match patch {
-                Some(p) => p(a),
-                None => a,
-            })
-            .map_err(|e| e.to_string())?;
-            let program = parfait_littlec::frontend(&app.source).map_err(|e| e.to_string())?;
-            let spec = asm_machine(&program, opt, sizes.state, sizes.command, sizes.response)
-                .map_err(|e| e.to_string())?;
-            (fw, Arc::new(spec))
-        };
+        let (mut fw, spec) = build::fps_build(app, opt, self.metrics())?;
         if let Some(pf) = tamper.and_then(|t| t.patch_firmware.clone()) {
             pf(&mut fw);
         }

@@ -16,7 +16,9 @@
 //! [`parfait_parallel::scope`] pool. The pool's jobs cannot themselves
 //! spawn (scoped lifetimes), so a *coordinator* — the caller's thread,
 //! which is free to block — drains a ready queue fed by completing
-//! nodes and submits newly unblocked work.
+//! nodes and submits newly unblocked work. A width-1 pool runs each job
+//! on the coordinator's thread as it is submitted, so the same loop
+//! runs a width-1 graph inline, with no worker thread.
 //!
 //! Failure is data, not control flow: a failing node records its error
 //! and every transitive dependent is *skipped* with that same error

@@ -43,7 +43,7 @@ cargo run --release -p parfait-bench --bin lint -- --baseline lint_baseline.json
 cargo run --release -p parfait-bench --bin lint -- --baseline lint_baseline.json --opt O1
 # Deterministic performance ratchet: hot-path counters (analyzer
 # fixpoint iterations and memo hits, FPS cycles, decode-cache hit
-# rate, firmware-build memo hits) must not regress against
+# rate, build-memo lookups that compiled nothing) must not regress against
 # perf_baseline.json; wall clock is only a generous backstop. Ratchet
 # improvements in with `perfstat --baseline perf_baseline.json
 # --update` (which refuses regressions).
@@ -112,5 +112,14 @@ PARFAIT_CACHE_DIR="$SERVE_CACHE_DIR" ./target/release/serve --threads 2 \
 ./target/release/servestat target/ci-serve-warm.jsonl \
     --expect-results 2 --expect-errors 0 --expect-all-cached --expect-bye
 ./target/release/cachestat --check-metrics target/ci-serve-warm-metrics.json \
+    --require serve_,certcache_,@nomiss
+# The same warm replay with a one-thread scheduler, whose stage graph
+# runs inline on the session's thread, must pass the same gates.
+PARFAIT_CACHE_DIR="$SERVE_CACHE_DIR" ./target/release/serve --threads 1 \
+    --metrics target/ci-serve-warm1-metrics.json \
+    < target/ci-serve-session.jsonl > target/ci-serve-warm1.jsonl
+./target/release/servestat target/ci-serve-warm1.jsonl \
+    --expect-results 2 --expect-errors 0 --expect-all-cached --expect-bye
+./target/release/cachestat --check-metrics target/ci-serve-warm1-metrics.json \
     --require serve_,certcache_,@nomiss
 cargo clippy --workspace --all-targets -- -D warnings

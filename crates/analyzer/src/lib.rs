@@ -109,7 +109,7 @@ pub enum RuleId {
 }
 
 impl RuleId {
-    /// Stable rule id (diagnostic codes, baselines, JSON).
+    /// Stable rule id (diagnostic codes, JSON).
     pub fn id(self) -> &'static str {
         match self {
             RuleId::SecretBranch => "CT-BRANCH",
@@ -140,7 +140,7 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// Serialize for `lint --json` and the findings baseline.
+    /// Serialize for `lint --json`.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("rule", Json::str(self.rule.id())),
@@ -150,19 +150,6 @@ impl Finding {
             ("message", Json::str(&self.diagnostic.message)),
             ("taint", Json::Arr(self.taint.iter().map(Json::str).collect())),
         ])
-    }
-
-    /// The stable identity used by the findings ratchet: everything
-    /// except the free-text taint path.
-    pub fn baseline_key(&self) -> String {
-        format!(
-            "{}|{}|{}|{}|{}",
-            self.rule.id(),
-            self.layer,
-            self.diagnostic.span.function,
-            self.diagnostic.span.line,
-            self.diagnostic.message
-        )
     }
 }
 

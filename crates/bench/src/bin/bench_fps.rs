@@ -16,7 +16,7 @@
 
 use std::time::{Duration, Instant};
 
-use parfait_bench::{json_output_path, render_table, threads_arg, write_json, App};
+use parfait_bench::{path_arg, render_table, threads_arg, write_json, App};
 use parfait_hsms::platform::Cpu;
 use parfait_knox2::{FpsConfig, FpsObserver, FpsReport};
 use parfait_littlec::codegen::OptLevel;
@@ -134,7 +134,7 @@ fn main() {
         cases,
         threads,
     );
-    if let Some(path) = json_output_path() {
+    if let Some(path) = path_arg("--json") {
         let doc = Json::obj([
             ("artifact", Json::str("bench_fps")),
             ("threads", Json::Int(threads as i64)),

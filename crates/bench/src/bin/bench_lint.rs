@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use parfait_analyzer::lint_source;
-use parfait_bench::{json_output_path, render_table, write_json, App};
+use parfait_bench::{path_arg, render_table, write_json, App};
 use parfait_littlec::codegen::OptLevel;
 use parfait_telemetry::json::Json;
 use parfait_telemetry::Telemetry;
@@ -66,7 +66,7 @@ fn main() {
         )
     );
     println!("all runs clean (asserted); compare the cold FPS columns in BENCH_pipeline.json.");
-    if let Some(path) = json_output_path() {
+    if let Some(path) = path_arg("--json") {
         let doc = Json::obj([
             ("artifact", Json::str("bench_lint")),
             ("ruleset", Json::str(parfait_analyzer::RULESET_VERSION)),

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use parfait_adversary::{catalog, reports_to_json, run_catalog, Matrix};
-use parfait_bench::{json_output_path, render_table, write_json};
+use parfait_bench::{path_arg, render_table, write_json};
 use parfait_pipeline::{CertCache, Pipeline, StageKind};
 use parfait_telemetry::json::Json;
 use parfait_telemetry::Telemetry;
@@ -111,7 +111,7 @@ fn main() {
     );
     println!("{}", Matrix::tally(&reports).render());
 
-    if let Some(path) = json_output_path() {
+    if let Some(path) = path_arg("--json") {
         let doc = Json::obj([
             ("artifact", Json::str("bench_mutatest")),
             ("run", reports_to_json(&reports, threads)),

@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use parfait_bench::{json_output_path, render_table, threads_arg, write_json, App};
+use parfait_bench::{path_arg, render_table, threads_arg, write_json, App};
 use parfait_hsms::platform::Cpu;
 use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
@@ -118,7 +118,7 @@ fn main() {
     );
     println!("warm runs hit the on-disk certificate cache in every stage; certificates");
     println!("are byte-identical to the cold run's (asserted above).");
-    if let Some(path) = json_output_path() {
+    if let Some(path) = path_arg("--json") {
         let doc = Json::obj([
             ("artifact", Json::str("bench_pipeline")),
             ("threads", Json::Int(threads as i64)),

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::io::Cursor;
 use std::time::Instant;
 
-use parfait_bench::{json_output_path, render_table, threads_arg, write_json};
+use parfait_bench::{path_arg, render_table, threads_arg, write_json};
 use parfait_pipeline::serve::server::handle_session;
 use parfait_pipeline::{CertCache, ServeCore};
 use parfait_telemetry::json::{parse, Json};
@@ -186,7 +186,7 @@ fn main() {
     );
     println!("equal cold-stage counts show the DAG dedup reuses, never recomputes.");
 
-    if let Some(path) = json_output_path() {
+    if let Some(path) = path_arg("--json") {
         let doc = Json::obj([
             ("artifact", Json::str("bench_serve")),
             ("threads", Json::Int(threads as i64)),

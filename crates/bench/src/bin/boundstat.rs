@@ -2,25 +2,26 @@
 //!
 //! Runs the `bound` pipeline stage (whole-firmware WCET and stack
 //! analysis, DESIGN.md §16) for every production verification cell —
-//! each app at each of its opt levels on both platforms — and gates
-//! the certified bounds against `bound_baseline.json`: bounds may only
-//! *tighten* without `--update`, and `--update` refuses regressions
-//! (see [`parfait_bench::bound_ratchet`]). The run is fully static —
-//! no simulation — so the whole matrix certifies in seconds.
+//! each app at each of its opt levels on both platforms — and reports
+//! each cell as two lower-is-better values,
+//! `<app>/<cpu>/<opt>/wcet_cycles` and `…/stack_depth`. It gates them
+//! against `bound_baseline.json` through
+//! [`parfait_bench::ratchet::gate`]: bounds may only *tighten* without
+//! `--update`, and `--update` refuses a loosened or vanished bound. The
+//! run is fully static — no simulation — so the whole matrix certifies
+//! in seconds.
 //!
 //! ```sh
 //! cargo run -p parfait-bench --release --bin boundstat -- --baseline bound_baseline.json
 //! cargo run -p parfait-bench --release --bin boundstat -- --baseline bound_baseline.json --update
 //! ```
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use parfait_bench::bound_ratchet::{check, update, BoundBaseline, BoundRow};
-use parfait_bench::{render_table, write_json, App};
+use parfait_bench::ratchet::{self, Direction, Measurement};
+use parfait_bench::{path_arg_from, write_json, App};
 use parfait_hsms::platform::Cpu;
 use parfait_pipeline::{CertCache, Pipeline};
-use parfait_telemetry::json::Json;
 use parfait_telemetry::Telemetry;
 
 fn usage() -> u8 {
@@ -28,10 +29,10 @@ fn usage() -> u8 {
     1
 }
 
-/// Certify every production cell, returning `"app/cpu/opt"` → bounds.
-fn measure() -> Result<BTreeMap<String, BoundRow>, String> {
+/// Certify every production cell: `"app/cpu/opt/<stat>"` → bound.
+fn measure() -> Result<Measurement, String> {
     let pipeline = Pipeline::new(CertCache::disabled(), Telemetry::disabled());
-    let mut rows = BTreeMap::new();
+    let mut m = Measurement::default();
     for app in [App::Hasher, App::Totp, App::Ecdsa] {
         let a = app.pipeline();
         for &opt in &a.opt_levels.clone() {
@@ -39,23 +40,19 @@ fn measure() -> Result<BTreeMap<String, BoundRow>, String> {
                 let cell = format!("{}/{cpu}/{opt}", a.slug);
                 let outcome =
                     pipeline.bound_stage(&a, cpu, opt).map_err(|e| format!("{cell}: {e}"))?;
-                let stat = |name: &str| {
-                    outcome
+                for stat in ["wcet_cycles", "stack_depth"] {
+                    let bound = outcome
                         .certificate
-                        .stat(name)
+                        .stat(stat)
                         .filter(|&v| v >= 0)
                         .map(|v| v as u64)
-                        .ok_or_else(|| format!("{cell}: certificate lacks stat {name}"))
-                };
-                let row = BoundRow {
-                    wcet_cycles: stat("wcet_cycles")?,
-                    stack_depth: stat("stack_depth")?,
-                };
-                rows.insert(cell, row);
+                        .ok_or_else(|| format!("{cell}: certificate lacks stat {stat}"))?;
+                    m.values.insert(format!("{cell}/{stat}"), (bound, Direction::LowerIsBetter));
+                }
             }
         }
     }
-    Ok(rows)
+    Ok(m)
 }
 
 fn main() -> ExitCode {
@@ -64,119 +61,42 @@ fn main() -> ExitCode {
 
 fn run() -> u8 {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_path: Option<String> = None;
+    let path = |flag| path_arg_from(args.iter().cloned(), flag);
+    let (baseline, json) = match (path("--baseline"), path("--json")) {
+        (Ok(Some(baseline)), Ok(json)) => (baseline, json),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("error: {e}");
+            return usage();
+        }
+        _ => return usage(),
+    };
     let mut do_update = false;
-    let mut json_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(p.clone()),
-                None => return usage(),
-            },
             "--update" => do_update = true,
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(p.clone()),
-                None => return usage(),
-            },
+            // Each path was read above by path_arg_from.
+            "--baseline" | "--json" => {
+                it.next();
+            }
             _ => return usage(),
         }
     }
-    let Some(baseline_path) = baseline_path else { return usage() };
 
-    let measured = match measure() {
+    let m = match measure() {
         Ok(m) => m,
         Err(e) => {
             eprintln!("error: {e}");
             return 1;
         }
     };
-
-    let rows: Vec<Vec<String>> = measured
-        .iter()
-        .map(|(cell, r)| vec![cell.clone(), r.wcet_cycles.to_string(), r.stack_depth.to_string()])
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "boundstat: certified resource bounds",
-            &["Cell", "WCET (cycles)", "Stack (bytes)"],
-            &rows
-        )
-    );
-
-    if let Some(path) = &json_path {
-        let doc = Json::obj([
-            ("artifact", Json::str("boundstat")),
-            ("bounds", BoundBaseline { rows: measured.clone() }.to_json()),
-        ]);
-        if let Err(e) = write_json(std::path::Path::new(path), &doc) {
-            eprintln!("error: cannot write {path}: {e}");
+    println!("{}", m.render("boundstat: certified resource bounds"));
+    if let Some(path) = &json {
+        if let Err(e) = write_json(path, &m.to_json("boundstat")) {
+            eprintln!("error: cannot write {}: {e}", path.display());
             return 1;
         }
-        eprintln!("wrote {path}");
+        eprintln!("wrote {}", path.display());
     }
-
-    let prev = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match parfait_telemetry::json::parse(&text)
-            .map_err(|e| e.to_string())
-            .and_then(|doc| BoundBaseline::from_json(&doc))
-        {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!("error: {baseline_path}: {e}");
-                return 1;
-            }
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => {
-            eprintln!("error: {baseline_path}: {e}");
-            return 1;
-        }
-    };
-
-    if do_update {
-        match update(prev.as_ref(), &measured) {
-            Ok(b) => {
-                if let Err(e) = write_json(std::path::Path::new(&baseline_path), &b.to_json()) {
-                    eprintln!("error: cannot write {baseline_path}: {e}");
-                    return 1;
-                }
-                println!("bound baseline updated: {baseline_path}");
-                0
-            }
-            Err(regressions) => {
-                eprintln!(
-                    "error: refusing to update {baseline_path}: {} bound(s) loosened:",
-                    regressions.len()
-                );
-                for r in &regressions {
-                    eprintln!("  {r}");
-                }
-                eprintln!("(tighten the bound, or delete the baseline to accept it explicitly)");
-                1
-            }
-        }
-    } else {
-        let Some(prev) = prev else {
-            eprintln!(
-                "error: {baseline_path} does not exist; create it with `boundstat --baseline \
-                 {baseline_path} --update`"
-            );
-            return 1;
-        };
-        let verdict = check(&prev, &measured);
-        for note in &verdict.notes {
-            eprintln!("note: {note}");
-        }
-        if !verdict.pass() {
-            eprintln!("error: bound ratchet: {} violation(s):", verdict.violations.len());
-            for v in &verdict.violations {
-                eprintln!("  {v}");
-            }
-            return 1;
-        }
-        println!("bounds: ok ({} cells ratcheted)", prev.rows.len());
-        0
-    }
+    ratchet::gate(&baseline, &m, do_update, "boundstat")
 }

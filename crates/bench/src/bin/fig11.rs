@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use parfait_bench::{json_output_path, render_table, write_json, App};
+use parfait_bench::{path_arg, render_table, write_json, App};
 use parfait_hsms::platform::Cpu;
 use parfait_knox2::sync::{run_until_decode, snapshot_isa_machine};
 use parfait_littlec::codegen::OptLevel;
@@ -92,7 +92,7 @@ fn main() {
             &rows
         )
     );
-    if let Some(path) = json_output_path() {
+    if let Some(path) = path_arg("--json") {
         let doc = Json::obj([("artifact", Json::str("fig11")), ("rows", Json::Arr(json_rows))]);
         write_json(&path, &doc).expect("write --json output");
         eprintln!("wrote {}", path.display());

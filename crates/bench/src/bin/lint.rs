@@ -2,22 +2,19 @@
 //!
 //! Runs the `parfait-analyzer` static leakage analysis (IR taint +
 //! assembly abstract interpretation, DESIGN.md §10) over the standard
-//! applications and exits nonzero on any finding not recorded in the
-//! baseline. The baseline (`lint_baseline.json`) is a ratchet: CI runs
-//! with `--baseline lint_baseline.json`, so new findings fail loudly
-//! while the recorded set can only shrink.
+//! applications, prints every finding and exits nonzero on any — the
+//! same verdict the `ctcheck` pipeline stage gives. CI runs it at
+//! `-O0`, `-O1` and `-O2`.
 //!
 //! ```sh
-//! cargo run -p parfait-bench --release --bin lint -- --baseline lint_baseline.json
+//! cargo run -p parfait-bench --release --bin lint
 //! cargo run -p parfait-bench --release --bin lint -- --app hasher --opt O0 --json lint.json
 //! ```
 
-use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 use parfait_analyzer::{lint_source, Finding};
-use parfait_bench::emit_manifest;
-use parfait_bench::{render_table, write_json, App};
+use parfait_bench::{emit_manifest, path_arg_from, render_table, write_json, App};
 use parfait_littlec::codegen::OptLevel;
 use parfait_telemetry::json::Json;
 use parfait_telemetry::Telemetry;
@@ -25,7 +22,7 @@ use parfait_telemetry::Telemetry;
 fn usage() -> u8 {
     eprintln!(
         "usage: lint [--app <ecdsa|hasher|totp>]... [--opt <O0|O1|O2>] \
-         [--baseline <path>] [--json <path>] [--metrics <path>]"
+         [--json <path>] [--metrics <path>]"
     );
     1
 }
@@ -39,30 +36,6 @@ fn parse_opt(s: &str) -> Option<OptLevel> {
     }
 }
 
-/// Parse a baseline document: `{"ruleset": ..., "findings": [key...]}`.
-/// A ruleset mismatch invalidates every recorded key (the rules that
-/// justified them changed), so it is treated as an empty baseline.
-fn read_baseline(path: &str) -> Result<BTreeSet<String>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = parfait_telemetry::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let ruleset = doc.get("ruleset").and_then(|v| v.as_str()).unwrap_or("");
-    if ruleset != parfait_analyzer::RULESET_VERSION {
-        eprintln!(
-            "warning: baseline {path} is for rule set {ruleset:?}, current is {:?}; \
-             treating as empty",
-            parfait_analyzer::RULESET_VERSION
-        );
-        return Ok(BTreeSet::new());
-    }
-    let keys = doc
-        .get("findings")
-        .and_then(|v| v.as_array())
-        .ok_or_else(|| format!("{path}: missing findings array"))?;
-    keys.iter()
-        .map(|k| k.as_str().map(str::to_string).ok_or_else(|| format!("{path}: non-string key")))
-        .collect()
-}
-
 fn main() -> ExitCode {
     let code = run();
     // Manifest (only with `--metrics`) records the exit status, so
@@ -73,10 +46,16 @@ fn main() -> ExitCode {
 
 fn run() -> u8 {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let path = |flag| path_arg_from(args.iter().cloned(), flag);
+    let json_path = match (path("--json"), path("--metrics")) {
+        (Ok(json), Ok(_)) => json,
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("error: {e}");
+            return usage();
+        }
+    };
     let mut apps: Vec<App> = Vec::new();
     let mut opt = OptLevel::O2;
-    let mut baseline_path: Option<String> = None;
-    let mut json_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -88,26 +67,12 @@ fn run() -> u8 {
                 Some(o) => opt = o,
                 None => return usage(),
             },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(p.clone()),
-                None => return usage(),
-            },
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(p.clone()),
-                None => return usage(),
-            },
-            "--metrics" => {
-                // Validated below by metrics_path_from over the full args.
-                if it.next().is_none() {
-                    return usage();
-                }
+            // Each path was read above by path_arg_from.
+            "--json" | "--metrics" => {
+                it.next();
             }
             _ => return usage(),
         }
-    }
-    if let Err(e) = parfait_bench::metrics_path_from(args.iter().cloned()) {
-        eprintln!("error: {e}");
-        return usage();
     }
     if apps.is_empty() {
         apps = App::ALL.to_vec();
@@ -162,37 +127,20 @@ fn run() -> u8 {
             ("opt", Json::str(opt.to_string())),
             ("rows", Json::Arr(json_rows)),
         ]);
-        if let Err(e) = write_json(std::path::Path::new(path), &doc) {
-            eprintln!("error: cannot write {path}: {e}");
+        if let Err(e) = write_json(path, &doc) {
+            eprintln!("error: cannot write {}: {e}", path.display());
             return 1;
         }
-        eprintln!("wrote {path}");
+        eprintln!("wrote {}", path.display());
     }
 
-    let allowed = match &baseline_path {
-        Some(p) => match read_baseline(p) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        },
-        None => BTreeSet::new(),
-    };
-    let fresh: Vec<&(App, Finding)> =
-        findings.iter().filter(|(_, f)| !allowed.contains(&f.baseline_key())).collect();
-    let seen: BTreeSet<String> = findings.iter().map(|(_, f)| f.baseline_key()).collect();
-    for key in allowed.difference(&seen) {
-        eprintln!("note: baseline entry no longer fires (ratchet it out): {key}");
-    }
-    if !fresh.is_empty() {
-        eprintln!("error: {} constant-time finding(s) not in the baseline:", fresh.len());
-        for (app, f) in &fresh {
+    if !findings.is_empty() {
+        eprintln!("error: {} constant-time finding(s):", findings.len());
+        for (app, f) in &findings {
             eprintln!("  [{}] {f}", app.slug());
-            eprintln!("    baseline key: {}", f.baseline_key());
         }
         return 1;
     }
-    println!("constant-time: clean ({} apps at {opt}, 0 non-baseline findings)", apps.len());
+    println!("constant-time: clean ({} apps at {opt}, 0 findings)", apps.len());
     0
 }

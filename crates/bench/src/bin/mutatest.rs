@@ -17,7 +17,7 @@
 use std::process::ExitCode;
 
 use parfait_adversary::{catalog, controls, diff, reports_to_json, run_catalog, Baseline, Level};
-use parfait_bench::{emit_manifest, write_json};
+use parfait_bench::{emit_manifest, path_arg_from, write_json};
 use parfait_pipeline::{CertCache, Pipeline};
 use parfait_telemetry::Telemetry;
 
@@ -40,11 +40,17 @@ fn main() -> ExitCode {
 
 fn run(threads_used: &mut usize) -> u8 {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let path = |flag| path_arg_from(args.iter().cloned(), flag);
+    let (baseline_path, json_path) = match (path("--baseline"), path("--json"), path("--metrics")) {
+        (Ok(baseline), Ok(json), Ok(_)) => (baseline, json),
+        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
+            eprintln!("error: {e}");
+            return usage();
+        }
+    };
     let mut quick = false;
     let mut update = false;
     let mut levels: Vec<Level> = Vec::new();
-    let mut baseline_path: Option<String> = None;
-    let mut json_path: Option<String> = None;
     let mut threads = parfait_parallel::default_threads();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -55,32 +61,18 @@ fn run(threads_used: &mut usize) -> u8 {
                 Some(l) => levels.push(l),
                 None => return usage(),
             },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(p.clone()),
-                None => return usage(),
-            },
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(p.clone()),
-                None => return usage(),
-            },
             "--threads" => match it.next().and_then(|s| s.parse().ok()) {
                 Some(n) if n > 0 => threads = n,
                 _ => return usage(),
             },
-            "--metrics" => {
-                // Validated below by metrics_path_from over the full args.
-                if it.next().is_none() {
-                    return usage();
-                }
+            // Each path was read above by path_arg_from.
+            "--baseline" | "--json" | "--metrics" => {
+                it.next();
             }
             _ => return usage(),
         }
     }
     *threads_used = threads;
-    if let Err(e) = parfait_bench::metrics_path_from(args.iter().cloned()) {
-        eprintln!("error: {e}");
-        return usage();
-    }
     if update && baseline_path.is_none() {
         eprintln!("error: --update needs --baseline <path>");
         return usage();
@@ -139,12 +131,11 @@ fn run(threads_used: &mut usize) -> u8 {
     println!("\n{}", parfait_adversary::Matrix::tally(&reports).render());
 
     if let Some(path) = &json_path {
-        if let Err(e) = write_json(std::path::Path::new(path), &reports_to_json(&reports, threads))
-        {
+        if let Err(e) = write_json(path, &reports_to_json(&reports, threads)) {
             eprintln!("error: {e}");
             return 1;
         }
-        println!("wrote {path}");
+        println!("wrote {}", path.display());
     }
 
     match (&baseline_path, update) {
@@ -162,15 +153,15 @@ fn run(threads_used: &mut usize) -> u8 {
                 return 1;
             }
             let b = Baseline::from_reports(&reports);
-            if let Err(e) = b.store(std::path::Path::new(path)) {
+            if let Err(e) = b.store(path) {
                 eprintln!("error: {e}");
                 return 1;
             }
-            println!("baseline updated: {path} ({} classes)", b.expected.len());
+            println!("baseline updated: {} ({} classes)", path.display(), b.expected.len());
             0
         }
         (Some(path), false) => {
-            let baseline = match Baseline::load(std::path::Path::new(path)) {
+            let baseline = match Baseline::load(path) {
                 Ok(b) => b,
                 Err(e) => {
                     eprintln!("error: {e}");

@@ -14,11 +14,12 @@
 //!    every lookup after the first is a hit). Each stage's wall time
 //!    is `<stage>_s`, under a ceiling.
 //!
-//! It then reads the counter *deltas* off the global metrics registry
-//! and gates them against `perf_baseline.json` (see
-//! [`parfait_bench::perf`]): deterministic counters must not get
-//! worse, wall clock must stay under a generous ceiling. `--update`
-//! rewrites the baseline but refuses regressions.
+//! It then reads the counter *deltas* off the global metrics registry,
+//! each with the direction it may move in, and gates them against
+//! `perf_baseline.json` through [`parfait_bench::ratchet::gate`]:
+//! deterministic counters must not get worse, wall clock must stay
+//! under a generous ceiling. `--update` rewrites the baseline but
+//! refuses whatever the check fails.
 //!
 //! ```sh
 //! cargo run -p parfait-bench --release --bin perfstat -- --baseline perf_baseline.json
@@ -28,13 +29,16 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use parfait_bench::perf::{check, update, Baseline, Measurement};
-use parfait_bench::{emit_manifest, render_table, write_json, App};
+use parfait_bench::ratchet::{
+    self,
+    Direction::{HigherIsBetter, LowerIsBetter},
+    Measurement,
+};
+use parfait_bench::{emit_manifest, path_arg_from, write_json, App};
 use parfait_hsms::platform::Cpu;
 use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
 use parfait_pipeline::{run_cells, Cell, CertCache, Pipeline, StageSet};
-use parfait_telemetry::json::Json;
 use parfait_telemetry::metrics::{MetricKey, Metrics, MetricsSnapshot};
 use parfait_telemetry::Telemetry;
 
@@ -80,12 +84,13 @@ fn run_workloads() -> Result<Measurement, String> {
         return Err("lint workload: hasher unexpectedly has findings".into());
     }
     let after = snapshot();
-    for (key, name, layer) in [
-        ("lint_asm_fixpoint_iters", "analyzer_fixpoint_iterations_total", "asm"),
-        ("lint_ir_fixpoint_iters", "analyzer_fixpoint_iterations_total", "ir"),
-        ("lint_asm_memo_hits", "analyzer_memo_hits_total", "asm"),
+    // The sparse asm-analyzer fixpoint and the IR taint pass.
+    for (key, name, layer, better) in [
+        ("lint_asm_fixpoint_iters", "analyzer_fixpoint_iterations_total", "asm", LowerIsBetter),
+        ("lint_ir_fixpoint_iters", "analyzer_fixpoint_iterations_total", "ir", LowerIsBetter),
+        ("lint_asm_memo_hits", "analyzer_memo_hits_total", "asm", HigherIsBetter),
     ] {
-        m.counters.insert(key.into(), grew(&before, &after, name, &[("layer", layer)]));
+        m.values.insert(key.into(), (grew(&before, &after, name, &[("layer", layer)]), better));
     }
 
     // -- workload 2: hardware stages, both platforms, one cell at a
@@ -114,20 +119,38 @@ fn run_workloads() -> Result<Measurement, String> {
     }
     let after = snapshot();
     let grew = |name, with| grew(&before, &after, name, with);
-    for (key, name, with) in [
-        ("fps_cycles", "fps_cycles_total", &[][..]),
-        ("firmware_build_hits", "pipeline_firmware_builds_total", &[("outcome", "hit")]),
-        ("firmware_build_misses", "pipeline_firmware_builds_total", &[("outcome", "miss")]),
-        // Labeled per cell or core: summed over both platforms.
-        ("bound_functions", "bound_functions_total", &[]),
-        ("bound_loops", "bound_loops_total", &[]),
-        ("contract_stimuli_total", "contract_stimuli_total", &[]),
+    // Labeled per cell or core: summed over both platforms.
+    for (key, name, with, better) in [
+        // Simulated work of the FPS checks.
+        ("fps_cycles", "fps_cycles_total", &[][..], LowerIsBetter),
+        // The build memo: one compile serves both platforms.
+        (
+            "firmware_build_hits",
+            "pipeline_firmware_builds_total",
+            &[("outcome", "hit")],
+            HigherIsBetter,
+        ),
+        (
+            "firmware_build_misses",
+            "pipeline_firmware_builds_total",
+            &[("outcome", "miss")],
+            LowerIsBetter,
+        ),
+        // Bound-analysis coverage must only ever grow: fewer functions
+        // or loops certified means the bound stage lost sight of code.
+        ("bound_functions", "bound_functions_total", &[], HigherIsBetter),
+        ("bound_loops", "bound_loops_total", &[], HigherIsBetter),
+        // Contract-battery stimulus coverage likewise: a shrink means
+        // instruction classes lost checks.
+        ("contract_stimuli_total", "contract_stimuli_total", &[], HigherIsBetter),
     ] {
-        m.counters.insert(key.into(), grew(name, with));
+        m.values.insert(key.into(), (grew(name, with), better));
     }
+    // Pre-decoded instruction cache efficiency, in parts per million of
+    // fetches served from the cache.
     let (hits, misses) = (grew("decode_cache_hit", &[]), grew("decode_cache_miss", &[]));
     let rate_ppm = (hits * 1_000_000).checked_div(hits + misses).unwrap_or(0);
-    m.counters.insert("decode_cache_hit_rate_ppm".into(), rate_ppm);
+    m.values.insert("decode_cache_hit_rate_ppm".into(), (rate_ppm, HigherIsBetter));
     Ok(m)
 }
 
@@ -139,34 +162,27 @@ fn main() -> ExitCode {
 
 fn run() -> u8 {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_path: Option<String> = None;
+    let path = |flag| path_arg_from(args.iter().cloned(), flag);
+    let (baseline, json) = match (path("--baseline"), path("--json"), path("--metrics")) {
+        (Ok(Some(baseline)), Ok(json), Ok(_)) => (baseline, json),
+        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
+            eprintln!("error: {e}");
+            return usage();
+        }
+        _ => return usage(),
+    };
     let mut do_update = false;
-    let mut json_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(p.clone()),
-                None => return usage(),
-            },
             "--update" => do_update = true,
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(p.clone()),
-                None => return usage(),
-            },
-            "--metrics" => {
-                if it.next().is_none() {
-                    return usage();
-                }
+            // Each path was read above by path_arg_from.
+            "--baseline" | "--json" | "--metrics" => {
+                it.next();
             }
             _ => return usage(),
         }
     }
-    if let Err(e) = parfait_bench::metrics_path_from(args.iter().cloned()) {
-        eprintln!("error: {e}");
-        return usage();
-    }
-    let Some(baseline_path) = baseline_path else { return usage() };
 
     let m = match run_workloads() {
         Ok(m) => m,
@@ -175,100 +191,13 @@ fn run() -> u8 {
             return 1;
         }
     };
-
-    let mut rows: Vec<Vec<String>> =
-        m.counters.iter().map(|(k, v)| vec![k.clone(), v.to_string()]).collect();
-    rows.extend(m.walls.iter().map(|(k, v)| vec![k.clone(), format!("{v:.2}")]));
-    println!(
-        "{}",
-        render_table("perfstat: deterministic hot-path counters", &["Metric", "Value"], &rows)
-    );
-
-    if let Some(path) = &json_path {
-        let doc = Json::obj([
-            ("artifact", Json::str("perfstat")),
-            (
-                "counters",
-                Json::Obj(
-                    m.counters.iter().map(|(k, &v)| (k.clone(), Json::Int(v as i64))).collect(),
-                ),
-            ),
-            (
-                "walls_s",
-                Json::Obj(m.walls.iter().map(|(k, &v)| (k.clone(), Json::Num(v))).collect()),
-            ),
-        ]);
-        if let Err(e) = write_json(std::path::Path::new(path), &doc) {
-            eprintln!("error: cannot write {path}: {e}");
+    println!("{}", m.render("perfstat: deterministic hot-path counters"));
+    if let Some(path) = &json {
+        if let Err(e) = write_json(path, &m.to_json("perfstat")) {
+            eprintln!("error: cannot write {}: {e}", path.display());
             return 1;
         }
-        eprintln!("wrote {path}");
+        eprintln!("wrote {}", path.display());
     }
-
-    let prev = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match parfait_telemetry::json::parse(&text)
-            .map_err(|e| e.to_string())
-            .and_then(|doc| Baseline::from_json(&doc))
-        {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!("error: {baseline_path}: {e}");
-                return 1;
-            }
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => {
-            eprintln!("error: {baseline_path}: {e}");
-            return 1;
-        }
-    };
-
-    if do_update {
-        match update(prev.as_ref(), &m) {
-            Ok(b) => {
-                if let Err(e) = write_json(std::path::Path::new(&baseline_path), &b.to_json()) {
-                    eprintln!("error: cannot write {baseline_path}: {e}");
-                    return 1;
-                }
-                println!("perf baseline updated: {baseline_path}");
-                0
-            }
-            Err(regressions) => {
-                eprintln!(
-                    "error: refusing to update {baseline_path}: {} counter(s) regressed:",
-                    regressions.len()
-                );
-                for r in &regressions {
-                    eprintln!("  {r}");
-                }
-                eprintln!("(fix the regression, or delete the baseline to accept it explicitly)");
-                1
-            }
-        }
-    } else {
-        let Some(prev) = prev else {
-            eprintln!(
-                "error: {baseline_path} does not exist; create it with `perfstat --baseline \
-                 {baseline_path} --update`"
-            );
-            return 1;
-        };
-        let verdict = check(&prev, &m);
-        for note in &verdict.notes {
-            eprintln!("note: {note}");
-        }
-        if !verdict.pass() {
-            eprintln!("error: performance ratchet: {} violation(s):", verdict.violations.len());
-            for v in &verdict.violations {
-                eprintln!("  {v}");
-            }
-            return 1;
-        }
-        println!(
-            "perf: ok ({} gated counters, {} wall ceilings)",
-            prev.counters.len(),
-            prev.wall_ceilings.len()
-        );
-        0
-    }
+    ratchet::gate(&baseline, &m, do_update, "perfstat")
 }

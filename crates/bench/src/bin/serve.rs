@@ -27,7 +27,7 @@
 
 use std::process::ExitCode;
 
-use parfait_bench::{emit_manifest, metrics_path_from, threads_from};
+use parfait_bench::{emit_manifest, path_arg_from, threads_from};
 use parfait_pipeline::{CertCache, ServeCore};
 use parfait_telemetry::sinks::LogSink;
 use parfait_telemetry::Telemetry;
@@ -74,7 +74,7 @@ fn run(threads_used: &mut usize) -> u8 {
         }
     };
     *threads_used = threads;
-    if let Err(e) = metrics_path_from(args.iter().cloned()) {
+    if let Err(e) = path_arg_from(args.iter().cloned(), "--metrics") {
         eprintln!("error: {e}");
         return usage();
     }

@@ -6,7 +6,7 @@
 
 use std::time::Instant;
 
-use parfait_bench::{json_output_path, loc, render_table, write_json, App};
+use parfait_bench::{loc, path_arg, render_table, write_json, App};
 use parfait_hsms::platform::Cpu;
 use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
@@ -94,7 +94,7 @@ fn main() {
     );
     println!("Paper shape: proof is hundreds of lines; machine verification runs in");
     println!("under a minute (paper: ECDSA 500 LoC, hasher 200 LoC / Δ2 hours).");
-    if let Some(path) = json_output_path() {
+    if let Some(path) = path_arg("--json") {
         let doc = Json::obj([("artifact", Json::str("table3")), ("rows", Json::Arr(json_rows))]);
         write_json(&path, &doc).expect("write --json output");
         eprintln!("wrote {}", path.display());

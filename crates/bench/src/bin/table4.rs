@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 
-use parfait_bench::{json_output_path, loc, render_table, threads_arg, write_json, App};
+use parfait_bench::{loc, path_arg, render_table, threads_arg, write_json, App};
 use parfait_hsms::platform::Cpu;
 use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
@@ -105,7 +105,7 @@ fn main() {
     println!("Paper shape to check: ECDSA >> hasher verification time; the PicoRV32");
     println!("needs more total cycles (multi-cycle core) while simulating each cycle");
     println!("faster than the pipelined Ibex; porting = only the 10-line mapping.");
-    if let Some(path) = json_output_path() {
+    if let Some(path) = path_arg("--json") {
         let doc = Json::obj([
             ("artifact", Json::str("table4")),
             ("threads", Json::Int(threads as i64)),

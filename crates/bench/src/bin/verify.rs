@@ -26,7 +26,7 @@
 use std::collections::HashSet;
 use std::process::ExitCode;
 
-use parfait_bench::{emit_manifest, metrics_path_from, threads_from, write_json};
+use parfait_bench::{emit_manifest, path_arg_from, threads_from, write_json};
 use parfait_hsms::platform::Cpu;
 use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
@@ -95,11 +95,18 @@ fn main() -> ExitCode {
 
 fn run(threads_used: &mut usize) -> u8 {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let path = |flag| path_arg_from(args.iter().cloned(), flag);
+    let json_path = match (path("--json"), path("--metrics")) {
+        (Ok(json), Ok(_)) => json,
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("error: {e}");
+            return usage();
+        }
+    };
     let mut app_name = None;
     let mut platform = "ibex".to_string();
     let mut software_only = false;
     let mut hardware_only = false;
-    let mut json_path: Option<String> = None;
     let mut trace = std::env::var_os("PARFAIT_TRACE").is_some();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -108,14 +115,10 @@ fn run(threads_used: &mut usize) -> u8 {
             "--platform" => platform = it.next().cloned().unwrap_or_default(),
             "--software-only" => software_only = true,
             "--hardware-only" => hardware_only = true,
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(p.clone()),
-                None => return usage(),
-            },
             "--trace" => trace = true,
-            "--threads" | "--metrics" => {
-                // Validated below (threads_from / metrics_path_from)
-                // over the full args.
+            "--json" | "--threads" | "--metrics" => {
+                // Validated by path_arg_from above and threads_from
+                // below, over the full args.
                 if it.next().is_none() {
                     return usage();
                 }
@@ -137,10 +140,6 @@ fn run(threads_used: &mut usize) -> u8 {
         }
     };
     *threads_used = threads;
-    if let Err(e) = metrics_path_from(args.iter().cloned()) {
-        eprintln!("error: {e}");
-        return usage();
-    }
     let Some(name) = app_name else { return usage() };
     let Some(app) = StdApp::from_slug(&name) else { return usage() };
     let cpus: Vec<Cpu> = match platform.as_str() {
@@ -273,7 +272,6 @@ fn run(threads_used: &mut usize) -> u8 {
             ("stages", Json::Int(total as i64)),
             ("results", Json::Arr(json_results)),
         ]);
-        let path = std::path::PathBuf::from(path);
         if let Err(e) = write_json(&path, &doc) {
             eprintln!("could not write {}: {e}", path.display());
             return finish(1);

@@ -13,6 +13,14 @@
 //! | Fig. 11  | `fig11`  | realized synchronization points per instruction class |
 //! | Ablation | `ablation` | sync-policy cost (the §5.4 design choice) |
 //!
+//! Beside them sit the CI gates: `lint` (any constant-time finding
+//! fails), `mutatest` (the mutation verdict table), and the two
+//! numeric ratchets, `perfstat` (hot-path work counters against
+//! `perf_baseline.json`) and `boundstat` (certified WCET and stack
+//! bounds against `bound_baseline.json`), which both judge through
+//! [`ratchet::gate`]. Every binary reads its path flags (`--json`,
+//! `--metrics`, `--baseline`) through [`path_arg_from`].
+//!
 //! Criterion micro-benchmarks live in `benches/`.
 
 #![forbid(unsafe_code)]
@@ -23,44 +31,41 @@
 /// firmware/spec/SoC construction this crate used to duplicate).
 pub use parfait_pipeline::apps::StdApp as App;
 
-/// The deterministic-counter performance ratchet behind the `perfstat`
-/// binary and CI's `perf_baseline.json` gate.
-pub mod perf;
+/// The ratchet behind the `perfstat` and `boundstat` binaries and CI's
+/// `perf_baseline.json` and `bound_baseline.json` gates.
+pub mod ratchet;
 
-/// The certified-resource-bound ratchet behind the `boundstat` binary
-/// and CI's `bound_baseline.json` gate.
-pub mod bound_ratchet;
-
-/// Extract `--json <path>` from an argument list. Distinguishes the
-/// flag being absent (`Ok(None)`) from it being malformed — missing its
-/// path, or followed by another flag (`Err`), so a typo'd invocation
-/// can't silently drop the artifact the caller asked for. Both
-/// malformed shapes (`--json --whatever` and a trailing lone `--json`)
-/// produce the same error text, so callers and CI greps see one
-/// diagnostic for one mistake.
-pub fn json_output_path_from<I>(args: I) -> Result<Option<std::path::PathBuf>, String>
+/// Extract `<flag> <path>` (`--json`, `--metrics`, `--baseline`) from an
+/// argument list. Distinguishes the flag being absent (`Ok(None)`) from
+/// it being malformed — missing its path, or followed by another flag
+/// (`Err`), so a typo'd invocation can't silently read or write a file
+/// named after a flag. Both malformed shapes (`--json --whatever` and a
+/// trailing lone `--json`) produce the same error text, so callers and
+/// CI greps see one diagnostic for one mistake.
+pub fn path_arg_from<I>(args: I, flag: &str) -> Result<Option<std::path::PathBuf>, String>
 where
     I: IntoIterator<Item = String>,
 {
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
-        if a == "--json" {
+        if a == flag {
             return match args.next() {
                 Some(p) if !p.starts_with("--") => Ok(Some(std::path::PathBuf::from(p))),
-                _ => Err("--json expects a file path".to_string()),
+                _ => Err(format!("{flag} expects a file path")),
             };
         }
     }
     Ok(None)
 }
 
-/// Extract `--json <path>` from this process's command line, if given.
-/// The bench binaries use it to emit machine-readable results next to
-/// the human-readable tables. Malformed usage (no path, or a flag in
-/// the path position) is a hard error: exiting loudly beats a CI run
-/// that "succeeds" without the requested artifact.
-pub fn json_output_path() -> Option<std::path::PathBuf> {
-    match json_output_path_from(std::env::args().skip(1)) {
+/// `<flag> <path>` from this process's command line, if given. The
+/// bench binaries use `--json` to emit machine-readable results next to
+/// the human-readable tables, `--metrics` for their run manifest.
+/// Malformed usage (no path, or a flag in the path position) is a hard
+/// error: exiting loudly beats a CI run that "succeeds" without the
+/// requested artifact.
+pub fn path_arg(flag: &str) -> Option<std::path::PathBuf> {
+    match path_arg_from(std::env::args().skip(1), flag) {
         Ok(path) => path,
         Err(e) => {
             eprintln!("error: {e}");
@@ -103,44 +108,13 @@ pub fn threads_arg() -> usize {
     }
 }
 
-/// Extract `--metrics <path>` from an argument list, with the same
-/// strictness contract as [`json_output_path_from`]: absent is
-/// `Ok(None)`, a missing or flag-shaped path is a loud `Err`.
-pub fn metrics_path_from<I>(args: I) -> Result<Option<std::path::PathBuf>, String>
-where
-    I: IntoIterator<Item = String>,
-{
-    let mut args = args.into_iter();
-    while let Some(a) = args.next() {
-        if a == "--metrics" {
-            return match args.next() {
-                Some(p) if !p.starts_with("--") => Ok(Some(std::path::PathBuf::from(p))),
-                _ => Err("--metrics expects a file path".to_string()),
-            };
-        }
-    }
-    Ok(None)
-}
-
-/// `--metrics <path>` from this process's command line, if given.
-/// Malformed usage exits loudly, like [`json_output_path`].
-pub fn metrics_path() -> Option<std::path::PathBuf> {
-    match metrics_path_from(std::env::args().skip(1)) {
-        Ok(path) => path,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// If `--metrics <path>` was given, capture a [`RunManifest`] for this
 /// bin — name, build id, env knobs, thread count, exit status, and a
 /// snapshot of the global metrics registry — and write it to the path.
 /// Call once, just before returning the bin's exit code. Write failures
 /// exit loudly (a CI run must not "succeed" without its artifact).
 pub fn emit_manifest(bin: &str, threads: usize, exit_code: i32) {
-    if let Some(path) = metrics_path() {
+    if let Some(path) = path_arg("--metrics") {
         parfait_telemetry::manifest::RunManifest::capture(
             bin,
             threads,
@@ -234,53 +208,30 @@ mod tests {
     }
 
     #[test]
-    fn json_flag_absent_is_none() {
-        assert_eq!(json_output_path_from(args(&["--quick"])).unwrap(), None);
-        assert_eq!(json_output_path_from(args(&[])).unwrap(), None);
+    fn path_flags_parse_when_well_formed() {
+        for flag in ["--json", "--metrics", "--baseline"] {
+            assert_eq!(path_arg_from(args(&["--quick"]), flag).unwrap(), None);
+            assert_eq!(path_arg_from(args(&[]), flag).unwrap(), None);
+            assert_eq!(
+                path_arg_from(args(&["--quick", flag, "out.json"]), flag).unwrap(),
+                Some(std::path::PathBuf::from("out.json"))
+            );
+        }
     }
 
     #[test]
-    fn json_flag_with_path_parses() {
-        assert_eq!(
-            json_output_path_from(args(&["--quick", "--json", "out.json"])).unwrap(),
-            Some(std::path::PathBuf::from("out.json"))
-        );
-    }
-
-    #[test]
-    fn json_flag_without_path_is_a_loud_error() {
-        assert!(json_output_path_from(args(&["--json"])).is_err());
-    }
-
-    #[test]
-    fn json_flag_swallowing_another_flag_is_a_loud_error() {
-        // The old implementation silently wrote to a file named
-        // "--quick" here; now it is rejected.
-        assert!(json_output_path_from(args(&["--json", "--quick"])).is_err());
-    }
-
-    #[test]
-    fn json_flag_errors_share_one_text_path() {
-        // `--json --` style and a trailing lone `--json` are the same
-        // user mistake (no path given) and must produce the same error
-        // text, so one grep in CI catches both shapes.
-        let trailing = json_output_path_from(args(&["--json"])).unwrap_err();
-        let flag_like = json_output_path_from(args(&["--json", "--quick"])).unwrap_err();
-        let bare_dashes = json_output_path_from(args(&["--json", "--"])).unwrap_err();
-        assert_eq!(trailing, flag_like);
-        assert_eq!(trailing, bare_dashes);
-        assert_eq!(trailing, "--json expects a file path");
-    }
-
-    #[test]
-    fn metrics_flag_mirrors_json_flag_contract() {
-        assert_eq!(metrics_path_from(args(&["--quick"])).unwrap(), None);
-        assert_eq!(
-            metrics_path_from(args(&["--metrics", "m.json"])).unwrap(),
-            Some(std::path::PathBuf::from("m.json"))
-        );
-        assert!(metrics_path_from(args(&["--metrics"])).is_err());
-        assert!(metrics_path_from(args(&["--metrics", "--json"])).is_err());
+    fn a_flag_in_the_path_slot_or_a_trailing_flag_is_one_loud_error() {
+        // `perfstat --baseline perf_baseline.json --json --update` used
+        // to write its JSON to a file named `--update` and skip the
+        // update; each malformed shape is now the same error.
+        for flag in ["--json", "--metrics", "--baseline"] {
+            let trailing = path_arg_from(args(&["--quick", flag]), flag).unwrap_err();
+            let flag_like = path_arg_from(args(&[flag, "--update"]), flag).unwrap_err();
+            let bare_dashes = path_arg_from(args(&[flag, "--"]), flag).unwrap_err();
+            assert_eq!(trailing, format!("{flag} expects a file path"));
+            assert_eq!(trailing, flag_like);
+            assert_eq!(trailing, bare_dashes);
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! A minimal JSON value type with a compact serializer and a
 //! recursive-descent parser.
 //!
-//! This exists so the telemetry sinks can emit valid JSON and the test
-//! suite can verify it round-trips, without any external dependency.
-//! Object key order is preserved (a `Vec` of pairs, not a map), which
-//! keeps emitted event fields in a stable, readable order.
+//! This exists so metrics snapshots, run manifests and the binaries'
+//! artifacts can emit valid JSON and the test suite can verify it
+//! round-trips, without any external dependency. Object key order is
+//! preserved (a `Vec` of pairs, not a map), which keeps emitted fields
+//! in a stable, readable order.
 
 use std::fmt;
 

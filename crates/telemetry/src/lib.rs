@@ -17,9 +17,9 @@
 //! - **Progress** — periodic heartbeats with numeric fields
 //!   (`tel.progress("fps.heartbeat", &[("cycles", c), ...])`).
 //!
-//! Events flow to a [`Recorder`]; three sinks are provided in
-//! [`sinks`]: a human-readable indented log, a JSONL event stream, and
-//! Chrome trace-event JSON loadable in Perfetto / `chrome://tracing`.
+//! Events flow to a [`Recorder`]: [`sinks`] provides a human-readable
+//! indented log and a fan-out combinator, and
+//! [`progress::MatrixView`] a live per-cell view.
 //!
 //! The disabled handle (`Telemetry::disabled()`, also `Default`) is a
 //! `None` behind the `Clone`: every instrumentation call is a single
@@ -41,7 +41,7 @@ use std::time::Instant;
 /// One telemetry event, passed by reference to [`Recorder::record`].
 ///
 /// Timestamps (`t_us`) are microseconds since the handle was created;
-/// `tid` is a small per-thread integer (Chrome-trace lane).
+/// `tid` is a small per-thread integer.
 #[derive(Clone, Debug)]
 pub enum Event<'a> {
     SpanBegin { id: u64, parent: u64, depth: usize, tid: u64, name: &'a str, t_us: u64 },
@@ -60,7 +60,7 @@ pub trait Recorder: Send {
     /// Consume one event.
     fn record(&mut self, event: &Event<'_>);
 
-    /// Flush and close the sink (write trailers, final brackets, …).
+    /// Flush and close the sink.
     /// Called once by [`Telemetry::finish`]; must be idempotent.
     fn finish(&mut self) {}
 }
@@ -279,11 +279,18 @@ impl Drop for Span {
 
 #[cfg(test)]
 mod tests {
-    use super::sinks::SharedBuf;
     use super::*;
 
     /// Recorder that captures a flat description of each event.
-    struct Capture(std::sync::Arc<Mutex<Vec<String>>>);
+    #[derive(Clone, Default)]
+    pub(crate) struct Capture(std::sync::Arc<Mutex<Vec<String>>>);
+
+    impl Capture {
+        /// The events captured so far, one line each.
+        pub(crate) fn lines(&self) -> Vec<String> {
+            self.0.lock().unwrap().clone()
+        }
+    }
 
     impl Recorder for Capture {
         fn record(&mut self, event: &Event<'_>) {
@@ -318,8 +325,8 @@ mod tests {
 
     #[test]
     fn nested_spans_report_parentage_and_depth() {
-        let log = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let tel = Telemetry::new(Box::new(Capture(log.clone())));
+        let log = Capture::default();
+        let tel = Telemetry::new(Box::new(log.clone()));
         {
             let _a = tel.span("outer");
             {
@@ -328,9 +335,8 @@ mod tests {
             }
             let _d = tel.span("sibling");
         }
-        let lines = log.lock().unwrap().clone();
         assert_eq!(
-            lines,
+            log.lines(),
             vec![
                 "B outer id=1 parent=0 depth=0",
                 "B mid id=2 parent=1 depth=1",
@@ -346,15 +352,14 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_gauge_max_filters() {
-        let log = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let tel = Telemetry::new(Box::new(Capture(log.clone())));
+        let log = Capture::default();
+        let tel = Telemetry::new(Box::new(log.clone()));
         tel.count("q", 1);
         tel.count("q", 4);
         tel.gauge_max("hwm", 3);
         tel.gauge_max("hwm", 2); // not a raise: suppressed
         tel.gauge_max("hwm", 7);
-        let lines = log.lock().unwrap().clone();
-        assert_eq!(lines, vec!["C q +1=1", "C q +4=5", "G hwm=3", "G hwm=7"]);
+        assert_eq!(log.lines(), vec!["C q +1=1", "C q +4=5", "G hwm=3", "G hwm=7"]);
     }
 
     #[test]
@@ -375,19 +380,16 @@ mod tests {
 
     #[test]
     fn clones_share_one_recorder() {
-        let buf = SharedBuf::new();
-        let tel = Telemetry::new(Box::new(sinks::JsonlSink::new(buf.writer())));
+        let log = Capture::default();
+        let tel = Telemetry::new(Box::new(log.clone()));
         let tel2 = tel.clone();
         tel.count("a", 1);
         tel2.count("a", 1);
         tel.finish();
-        let text = buf.take_string();
-        let totals: Vec<i64> = text
-            .lines()
-            .map(|l| json::parse(l).unwrap().get("total").unwrap().as_i64().unwrap())
-            .collect();
-        assert_eq!(totals, vec![1, 2], "clones must accumulate into one counter");
+        assert_eq!(
+            log.lines(),
+            vec!["C a +1=1", "C a +1=2"],
+            "clones must accumulate into one counter"
+        );
     }
-
-    use super::sinks;
 }

@@ -1,16 +1,13 @@
-//! Recorder implementations: human-readable log, JSONL event stream,
-//! Chrome trace-event JSON, a fan-out combinator, and an in-memory
-//! buffer for tests.
+//! Recorder implementations: a human-readable log, a fan-out
+//! combinator, and an in-memory buffer for tests. The live matrix view
+//! (`progress::MatrixView`) is the other sink the binaries use.
 //!
 //! Sinks swallow I/O errors: telemetry must never take down the
 //! pipeline it is observing.
 
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
-use crate::json::Json;
 use crate::{Event, Recorder};
 
 /// Human-readable indented log.
@@ -83,162 +80,8 @@ impl<W: Write + Send> Recorder for LogSink<W> {
     }
 }
 
-fn common_fields(ev: &str, name: &str, tid: u64, t_us: u64) -> Vec<(String, Json)> {
-    vec![
-        ("ev".into(), Json::str(ev)),
-        ("name".into(), Json::str(name)),
-        ("tid".into(), Json::Int(tid as i64)),
-        ("t_us".into(), Json::Int(t_us as i64)),
-    ]
-}
-
-fn event_to_jsonl(event: &Event<'_>) -> Json {
-    match event {
-        Event::SpanBegin { id, parent, depth, tid, name, t_us } => {
-            let mut f = common_fields("span_begin", name, *tid, *t_us);
-            f.push(("id".into(), Json::Int(*id as i64)));
-            f.push(("parent".into(), Json::Int(*parent as i64)));
-            f.push(("depth".into(), Json::Int(*depth as i64)));
-            Json::Obj(f)
-        }
-        Event::SpanEnd { id, parent, depth, tid, name, t_us, dur_us } => {
-            let mut f = common_fields("span_end", name, *tid, *t_us);
-            f.push(("id".into(), Json::Int(*id as i64)));
-            f.push(("parent".into(), Json::Int(*parent as i64)));
-            f.push(("depth".into(), Json::Int(*depth as i64)));
-            f.push(("dur_us".into(), Json::Int(*dur_us as i64)));
-            Json::Obj(f)
-        }
-        Event::Count { name, delta, total, tid, t_us } => {
-            let mut f = common_fields("count", name, *tid, *t_us);
-            f.push(("delta".into(), Json::Int(*delta as i64)));
-            f.push(("total".into(), Json::Int(*total as i64)));
-            Json::Obj(f)
-        }
-        Event::Gauge { name, value, tid, t_us } => {
-            let mut f = common_fields("gauge", name, *tid, *t_us);
-            f.push(("value".into(), Json::Int(*value as i64)));
-            Json::Obj(f)
-        }
-        Event::Progress { name, fields, tid, t_us } => {
-            let mut f = common_fields("progress", name, *tid, *t_us);
-            let fields =
-                fields.iter().map(|(k, v)| (k.to_string(), Json::Num(*v))).collect::<Vec<_>>();
-            f.push(("fields".into(), Json::Obj(fields)));
-            Json::Obj(f)
-        }
-    }
-}
-
-/// One JSON object per line — easy to grep, stream, and post-process.
-pub struct JsonlSink<W: Write + Send> {
-    out: W,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    pub fn new(out: W) -> Self {
-        JsonlSink { out }
-    }
-}
-
-impl JsonlSink<BufWriter<File>> {
-    /// Stream events to a file.
-    pub fn to_file(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonlSink::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-impl<W: Write + Send> Recorder for JsonlSink<W> {
-    fn record(&mut self, event: &Event<'_>) {
-        let _ = writeln!(self.out, "{}", event_to_jsonl(event));
-    }
-
-    fn finish(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-/// Chrome trace-event JSON (the array form), loadable in Perfetto
-/// (<https://ui.perfetto.dev>) or `chrome://tracing`.
-///
-/// Spans become `B`/`E` duration events, counters and gauges become
-/// `C` counter tracks, progress heartbeats become `i` instants.
-pub struct ChromeTraceSink<W: Write + Send> {
-    out: W,
-    wrote_any: bool,
-    closed: bool,
-}
-
-impl<W: Write + Send> ChromeTraceSink<W> {
-    pub fn new(out: W) -> Self {
-        ChromeTraceSink { out, wrote_any: false, closed: false }
-    }
-}
-
-impl ChromeTraceSink<BufWriter<File>> {
-    /// Stream a trace to a file.
-    pub fn to_file(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(ChromeTraceSink::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-fn chrome_entry(event: &Event<'_>) -> Json {
-    let base = |name: &str, ph: &str, tid: u64, t_us: u64| {
-        vec![
-            ("name".to_string(), Json::str(name)),
-            ("cat".to_string(), Json::str("parfait")),
-            ("ph".to_string(), Json::str(ph)),
-            ("pid".to_string(), Json::Int(1)),
-            ("tid".to_string(), Json::Int(tid as i64)),
-            ("ts".to_string(), Json::Int(t_us as i64)),
-        ]
-    };
-    match event {
-        Event::SpanBegin { tid, name, t_us, .. } => Json::Obj(base(name, "B", *tid, *t_us)),
-        Event::SpanEnd { tid, name, t_us, .. } => Json::Obj(base(name, "E", *tid, *t_us)),
-        Event::Count { name, total, tid, t_us, .. } => {
-            let mut f = base(name, "C", *tid, *t_us);
-            f.push(("args".into(), Json::obj([("total", Json::Int(*total as i64))])));
-            Json::Obj(f)
-        }
-        Event::Gauge { name, value, tid, t_us } => {
-            let mut f = base(name, "C", *tid, *t_us);
-            f.push(("args".into(), Json::obj([("value", Json::Int(*value as i64))])));
-            Json::Obj(f)
-        }
-        Event::Progress { name, fields, tid, t_us } => {
-            let mut f = base(name, "i", *tid, *t_us);
-            f.push(("s".into(), Json::str("t")));
-            let fields =
-                fields.iter().map(|(k, v)| (k.to_string(), Json::Num(*v))).collect::<Vec<_>>();
-            f.push(("args".into(), Json::Obj(fields)));
-            Json::Obj(f)
-        }
-    }
-}
-
-impl<W: Write + Send> Recorder for ChromeTraceSink<W> {
-    fn record(&mut self, event: &Event<'_>) {
-        if self.closed {
-            return;
-        }
-        let sep = if self.wrote_any { "," } else { "[" };
-        self.wrote_any = true;
-        let _ = writeln!(self.out, "{sep}{}", chrome_entry(event));
-    }
-
-    fn finish(&mut self) {
-        if self.closed {
-            return;
-        }
-        self.closed = true;
-        let _ = if self.wrote_any { writeln!(self.out, "]") } else { writeln!(self.out, "[]") };
-        let _ = self.out.flush();
-    }
-}
-
-/// Duplicate every event to several sinks (e.g. a terminal log plus a
-/// trace file).
+/// Duplicate every event to several sinks (e.g. a terminal log plus the
+/// live matrix view).
 pub struct Fanout {
     sinks: Vec<Box<dyn Recorder>>,
 }
@@ -299,93 +142,8 @@ impl Write for SharedBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use crate::tests::Capture;
     use crate::Telemetry;
-
-    fn demo_run(tel: &Telemetry) {
-        let _run = tel.span("demo.run");
-        for i in 0..3 {
-            let _op = tel.span("demo.op");
-            tel.count("demo.queries", 1 + i);
-        }
-        tel.gauge_max("demo.hwm", 5);
-        tel.progress("demo.heartbeat", &[("cycles", 1e6), ("cycles_per_s", 2.5e6)]);
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_with_matched_begin_end() {
-        let buf = SharedBuf::new();
-        let tel = Telemetry::new(Box::new(ChromeTraceSink::new(buf.writer())));
-        demo_run(&tel);
-        tel.finish();
-        let text = buf.take_string();
-        let doc = json::parse(&text).expect("chrome trace must be one valid JSON document");
-        let entries = doc.as_array().expect("array form");
-        let phase = |p: &str| {
-            entries.iter().filter(|e| e.get("ph").and_then(|v| v.as_str()) == Some(p)).count()
-        };
-        assert_eq!(phase("B"), 4, "demo.run + 3×demo.op");
-        assert_eq!(phase("B"), phase("E"), "every span closes");
-        assert_eq!(phase("C"), 4, "3 counter bumps + 1 gauge");
-        assert_eq!(phase("i"), 1, "one heartbeat instant");
-        for e in entries {
-            assert_eq!(e.get("pid").and_then(|v| v.as_i64()), Some(1));
-            assert!(e.get("ts").and_then(|v| v.as_i64()).is_some());
-            assert!(e.get("name").and_then(|v| v.as_str()).is_some());
-        }
-    }
-
-    #[test]
-    fn chrome_trace_empty_run_is_valid() {
-        let buf = SharedBuf::new();
-        let tel = Telemetry::new(Box::new(ChromeTraceSink::new(buf.writer())));
-        tel.finish();
-        let doc = json::parse(&buf.take_string()).unwrap();
-        assert_eq!(doc.as_array().unwrap().len(), 0);
-    }
-
-    #[test]
-    fn jsonl_lines_parse_individually_with_correct_parentage() {
-        let buf = SharedBuf::new();
-        let tel = Telemetry::new(Box::new(JsonlSink::new(buf.writer())));
-        demo_run(&tel);
-        tel.finish();
-        let text = buf.take_string();
-        let events: Vec<json::Json> = text
-            .lines()
-            .map(|line| json::parse(line).expect("each JSONL line parses alone"))
-            .collect();
-        assert_eq!(events.len(), 13, "4 begin + 4 end + 3 count + 1 gauge + 1 progress");
-        // demo.op spans are children of demo.run.
-        let run_id = events
-            .iter()
-            .find(|e| e.get("name").and_then(|v| v.as_str()) == Some("demo.run"))
-            .and_then(|e| e.get("id"))
-            .and_then(|v| v.as_i64())
-            .unwrap();
-        let op_parents: Vec<i64> = events
-            .iter()
-            .filter(|e| {
-                e.get("ev").and_then(|v| v.as_str()) == Some("span_begin")
-                    && e.get("name").and_then(|v| v.as_str()) == Some("demo.op")
-            })
-            .map(|e| e.get("parent").unwrap().as_i64().unwrap())
-            .collect();
-        assert_eq!(op_parents, vec![run_id; 3]);
-        // Counter totals accumulate 1+2+3.
-        let totals: Vec<i64> = events
-            .iter()
-            .filter(|e| e.get("ev").and_then(|v| v.as_str()) == Some("count"))
-            .map(|e| e.get("total").unwrap().as_i64().unwrap())
-            .collect();
-        assert_eq!(totals, vec![1, 3, 6]);
-        // The progress event carries its fields.
-        let hb = events
-            .iter()
-            .find(|e| e.get("ev").and_then(|v| v.as_str()) == Some("progress"))
-            .unwrap();
-        assert_eq!(hb.get("fields").unwrap().get("cycles_per_s").unwrap().as_f64(), Some(2.5e6));
-    }
 
     #[test]
     fn log_sink_indents_by_depth() {
@@ -406,14 +164,13 @@ mod tests {
 
     #[test]
     fn fanout_duplicates_events() {
-        let a = SharedBuf::new();
-        let b = SharedBuf::new();
-        let tel = Telemetry::new(Box::new(Fanout::new(vec![
-            Box::new(JsonlSink::new(a.writer())),
-            Box::new(JsonlSink::new(b.writer())),
-        ])));
+        let a = Capture::default();
+        let b = Capture::default();
+        let tel =
+            Telemetry::new(Box::new(Fanout::new(vec![Box::new(a.clone()), Box::new(b.clone())])));
         tel.count("x", 1);
         tel.finish();
-        assert_eq!(a.take_string(), b.take_string());
+        assert_eq!(a.lines(), vec!["C x +1=1"]);
+        assert_eq!(a.lines(), b.lines());
     }
 }

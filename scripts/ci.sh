@@ -1,10 +1,11 @@
 #!/bin/sh
 # Full local CI gate: formatting, the unsafe-code ban, release build,
 # tier-1 tests, workspace tests, all examples built and the quickstart
-# run end-to-end, the constant-time lint at -O0/-O1/-O2 against its
-# findings baseline, the deterministic performance ratchet against
+# run end-to-end, the constant-time lint at -O0/-O1/-O2 (any finding
+# fails), the deterministic performance ratchet against
 # perf_baseline.json, the certified-resource-bound ratchet against
-# bound_baseline.json, the pipeline cache differential test (now
+# bound_baseline.json, proof that both ratchets reject a zeroed
+# baseline, the pipeline cache differential test (now
 # including the ctcheck stage) run twice against one shared
 # PARFAIT_CACHE_DIR (cold pass then warm pass — proving warm-run
 # determinism), the serve-daemon gate (a recorded two-tenant session
@@ -35,24 +36,39 @@ cargo test -q --workspace
 # Every example must build, and the quickstart must run end-to-end.
 cargo build --release --examples
 cargo run --release --example quickstart
-# Static constant-time lint: any finding not recorded in the baseline
-# ratchet fails the build loudly. All three production firmwares at
-# every opt level (DESIGN.md §10 claims each lints clean).
-cargo run --release -p parfait-bench --bin lint -- --baseline lint_baseline.json
-cargo run --release -p parfait-bench --bin lint -- --baseline lint_baseline.json --opt O0
-cargo run --release -p parfait-bench --bin lint -- --baseline lint_baseline.json --opt O1
+# Static constant-time lint: any finding fails the build loudly, as it
+# fails the ctcheck stage. All three production firmwares at every opt
+# level (DESIGN.md §10 claims each lints clean).
+cargo run --release -p parfait-bench --bin lint
+cargo run --release -p parfait-bench --bin lint -- --opt O0
+cargo run --release -p parfait-bench --bin lint -- --opt O1
+# The two ratchets share one gate (parfait_bench::ratchet). Ratchet
+# improvements in with `<bin> --baseline <file> --update`, which
+# refuses whatever the check fails.
 # Deterministic performance ratchet: hot-path counters (analyzer
 # fixpoint iterations and memo hits, FPS cycles, decode-cache hit
 # rate, build-memo lookups that compiled nothing) must not regress against
-# perf_baseline.json; wall clock is only a generous backstop. Ratchet
-# improvements in with `perfstat --baseline perf_baseline.json
-# --update` (which refuses regressions).
+# perf_baseline.json; wall clock is only a generous backstop.
 ./target/release/perfstat --baseline perf_baseline.json
 # Certified-resource-bound ratchet: every production cell's certified
 # WCET and stack depth may only tighten against bound_baseline.json.
-# Ratchet tightened bounds in with `boundstat --baseline
-# bound_baseline.json --update` (which refuses loosened bounds).
 ./target/release/boundstat --baseline bound_baseline.json
+# Both gates must bite through the real bins: with every baselined
+# value zeroed, each lower-is-better value is a regression, so the
+# check fails, --update refuses, and the copy stays byte-unchanged.
+for gate in perfstat:perf_baseline.json boundstat:bound_baseline.json; do
+    bin="${gate%%:*}"
+    zeroed="target/ci-zeroed-${gate#*:}"
+    sed 's/"value":[0-9]*/"value":0/g' "${gate#*:}" > "$zeroed"
+    cp "$zeroed" "$zeroed.orig"
+    for mode in "" --update; do
+        if ./target/release/"$bin" --baseline "$zeroed" $mode; then
+            echo "$bin accepted a zeroed baseline (${mode:-check})" >&2
+            exit 1
+        fi
+        cmp "$zeroed" "$zeroed.orig"
+    done
+done
 # The certificate cache must be deterministic across processes: the
 # same test suite against the same cache directory, first cold then
 # warm, must pass both times with byte-identical certificates.

@@ -3,6 +3,8 @@
 //! configured cycle interval, attach a partial report to failures, and
 //! dump a dual-scope VCD on wire divergence when asked.
 
+use std::sync::{Arc, Mutex};
+
 use parfait::lockstep::Codec;
 use parfait::StateMachine;
 use parfait_hsms::firmware::hasher_app_source;
@@ -14,11 +16,47 @@ use parfait_hsms::syssw;
 use parfait_knox2::{check_fps_traced, CircuitEmulator, FpsConfig, FpsError, FpsObserver, HostOp};
 use parfait_littlec::codegen::OptLevel;
 use parfait_soc::{Firmware, Soc};
-use parfait_telemetry::json;
-use parfait_telemetry::sinks::{Fanout, JsonlSink, LogSink, SharedBuf};
-use parfait_telemetry::Telemetry;
+use parfait_telemetry::sinks::{Fanout, LogSink, SharedBuf};
+use parfait_telemetry::{Event, Recorder, Telemetry};
 
 mod common;
+
+/// One captured counter or progress event: kind, name and fields.
+type Captured = (&'static str, String, Vec<(String, f64)>);
+
+/// A recorder keeping every counter and progress event.
+#[derive(Clone, Default)]
+struct Capture(Arc<Mutex<Vec<Captured>>>);
+
+impl Recorder for Capture {
+    fn record(&mut self, event: &Event<'_>) {
+        let captured = match event {
+            Event::Count { name, .. } => ("count", name.to_string(), Vec::new()),
+            Event::Progress { name, fields, .. } => {
+                let fields = fields.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+                ("progress", name.to_string(), fields)
+            }
+            _ => return,
+        };
+        self.0.lock().unwrap().push(captured);
+    }
+}
+
+impl Capture {
+    /// The fields of every `kind` event named `name`, in order.
+    fn events(&self, kind: &str, name: &str) -> Vec<Vec<(String, f64)>> {
+        let events = self.0.lock().unwrap();
+        events
+            .iter()
+            .filter(|(k, n, _)| *k == kind && n == name)
+            .map(|(_, _, f)| f.clone())
+            .collect()
+    }
+}
+
+fn field(fields: &[(String, f64)], key: &str) -> Option<f64> {
+    fields.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+}
 
 fn build(opt: OptLevel) -> (Firmware, parfait_riscv::model::AsmStateMachine) {
     // The common -O2 image and spec come from the per-binary cache; the
@@ -58,10 +96,10 @@ fn heartbeats_fire_at_the_configured_interval() {
     let dummy_soc = make_soc(Cpu::Ibex, fw, &HasherCodec.encode_state(&HasherSpec.init()));
     let mut emu = CircuitEmulator::new(dummy_soc, &spec, secret_state, COMMAND_SIZE);
 
-    let jsonl = SharedBuf::new();
+    let events = Capture::default();
     let log = SharedBuf::new();
     let tel = Telemetry::new(Box::new(Fanout::new(vec![
-        Box::new(JsonlSink::new(jsonl.writer())),
+        Box::new(events.clone()),
         Box::new(LogSink::new(log.writer())),
     ])));
     let obs = FpsObserver { telemetry: tel.clone(), heartbeat_cycles: INTERVAL, cell: 0 };
@@ -70,18 +108,11 @@ fn heartbeats_fire_at_the_configured_interval() {
             .expect("the hasher verifies");
     tel.finish();
 
-    // The JSONL stream carries one fps.heartbeat progress event per
+    // The event stream carries one fps.heartbeat progress event per
     // full INTERVAL of simulated cycles, stamped with the cycle count.
-    let text = jsonl.take_string();
-    let heartbeat_cycles: Vec<u64> = text
-        .lines()
-        .map(|line| json::parse(line).expect("each JSONL line parses"))
-        .filter(|e| {
-            e.get("ev").and_then(|v| v.as_str()) == Some("progress")
-                && e.get("name").and_then(|v| v.as_str()) == Some("fps.heartbeat")
-        })
-        .map(|e| e.get("fields").unwrap().get("cycles").unwrap().as_f64().unwrap() as u64)
-        .collect();
+    let heartbeats = events.events("progress", "fps.heartbeat");
+    let heartbeat_cycles: Vec<u64> =
+        heartbeats.iter().map(|f| field(f, "cycles").unwrap() as u64).collect();
     assert!(!heartbeat_cycles.is_empty(), "a {}-cycle run must heartbeat", report.cycles);
     assert_eq!(
         heartbeat_cycles.len() as u64,
@@ -93,14 +124,9 @@ fn heartbeats_fire_at_the_configured_interval() {
         assert_eq!(*c, (i as u64 + 1) * INTERVAL, "heartbeats land on the interval grid");
     }
     // Rate and progress context ride along on every heartbeat.
-    let first = text
-        .lines()
-        .map(|l| json::parse(l).unwrap())
-        .find(|e| e.get("name").and_then(|v| v.as_str()) == Some("fps.heartbeat"))
-        .unwrap();
-    let fields = first.get("fields").unwrap();
-    assert!(fields.get("cycles_per_s").unwrap().as_f64().unwrap() > 0.0);
-    assert!(fields.get("real_pc").is_some() && fields.get("ideal_pc").is_some());
+    let first = &heartbeats[0];
+    assert!(field(first, "cycles_per_s").unwrap() > 0.0);
+    assert!(field(first, "real_pc").is_some() && field(first, "ideal_pc").is_some());
 
     // The human-readable log shows the same heartbeat with a rate.
     let log_text = log.take_string();
@@ -121,8 +147,8 @@ fn timeout_failure_carries_partial_report() {
     let dummy_soc = make_soc(Cpu::Ibex, fw, &HasherCodec.encode_state(&HasherSpec.init()));
     let mut emu = CircuitEmulator::new(dummy_soc, &spec, secret_state, COMMAND_SIZE);
 
-    let jsonl = SharedBuf::new();
-    let tel = Telemetry::new(Box::new(JsonlSink::new(jsonl.writer())));
+    let events = Capture::default();
+    let tel = Telemetry::new(Box::new(events.clone()));
     let obs = FpsObserver { telemetry: tel.clone(), heartbeat_cycles: 0, cell: 0 };
     // A Hash command needs far more than 100 cycles of compute, so the
     // host's per-byte handshake budget is guaranteed to run out.
@@ -139,14 +165,7 @@ fn timeout_failure_carries_partial_report() {
     // The Display form surfaces the context too.
     assert!(format!("{failure}").contains("cycles"), "{failure}");
     // And the timeout was counted.
-    let text = jsonl.take_string();
-    assert!(
-        text.lines().map(|l| json::parse(l).unwrap()).any(|e| {
-            e.get("ev").and_then(|v| v.as_str()) == Some("count")
-                && e.get("name").and_then(|v| v.as_str()) == Some("fps.timeouts")
-        }),
-        "fps.timeouts counter emitted"
-    );
+    assert!(!events.events("count", "fps.timeouts").is_empty(), "fps.timeouts counter emitted");
 }
 
 #[test]

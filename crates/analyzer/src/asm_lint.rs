@@ -45,7 +45,10 @@
 //! to re-running it, so the sparse driver's findings are byte-identical
 //! to the dense oracle's (proved differentially over the lint corpus).
 
-use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap, HashSet};
+use std::cell::Cell;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use parfait_cores::InstrClass;
@@ -87,13 +90,53 @@ impl MRegion {
 /// from "the first tainted region of a set" come out byte-identical.
 type Rid = u32;
 
-/// An interned region set. `Rc`-shared: pointer kinds are cloned on
-/// every join and most sets are singletons minted once at
-/// [`AsmLint::new`].
-type RegionSet = Rc<BTreeSet<Rid>>;
+/// An interned region set: an index into [`SetTable::sets`]. The
+/// singleton `{r}` has id `r`.
+type SetId = u32;
+
+/// Every region set the analysis has built, each once, so kinds compare
+/// and hash by id exactly as they would by contents.
+struct SetTable {
+    sets: Vec<BTreeSet<Rid>>,
+    ids: HashMap<BTreeSet<Rid>, SetId>,
+}
+
+impl SetTable {
+    /// A table holding the singletons of regions `0..regions`, at their
+    /// own ids.
+    fn new(regions: usize) -> SetTable {
+        let mut table = SetTable { sets: Vec::new(), ids: HashMap::new() };
+        for r in 0..regions as Rid {
+            table.intern(BTreeSet::from([r]));
+        }
+        table
+    }
+
+    fn intern(&mut self, set: BTreeSet<Rid>) -> SetId {
+        if let Some(&id) = self.ids.get(&set) {
+            return id;
+        }
+        let id = self.sets.len() as SetId;
+        self.sets.push(set.clone());
+        self.ids.insert(set, id);
+        id
+    }
+
+    fn get(&self, id: SetId) -> &BTreeSet<Rid> {
+        &self.sets[id as usize]
+    }
+
+    fn union(&mut self, a: SetId, b: SetId) -> SetId {
+        let set = self.get(a).union(self.get(b)).copied().collect();
+        self.intern(set)
+    }
+}
+
+/// Interned provenance text: an index into [`AsmLint::provs`].
+type Prov = u32;
 
 /// What a register value *is*, beyond its secrecy.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Kind {
     /// Nothing known.
     Top,
@@ -104,15 +147,15 @@ enum Kind {
     /// Somewhere on the stack, offset unknown (variable array index).
     SpAny,
     /// A pointer into one of these regions, at any offset.
-    Mem(RegionSet),
+    Mem(SetId),
 }
 
-/// The abstract value of a register or stack slot.
-#[derive(Clone, Debug)]
+/// The abstract value of a register or stack slot. Plain data: copying
+/// a state's registers or stack bytes touches no reference count.
+#[derive(Clone, Copy, Debug)]
 struct AVal {
     /// `Some(provenance)` when the value may be secret-derived.
-    /// Shared: provenance strings are cloned on every join.
-    secret: Option<Rc<str>>,
+    secret: Option<Prov>,
     kind: Kind,
 }
 
@@ -127,23 +170,37 @@ impl AVal {
         AVal { secret: None, kind: Kind::Const(v) }
     }
 
-    fn join(&self, other: &AVal) -> AVal {
-        AVal {
-            secret: self.secret.clone().or_else(|| other.secret.clone()),
-            kind: join_kind(&self.kind, &other.kind),
-        }
+    fn join(&self, other: &AVal, sets: &mut SetTable) -> AVal {
+        AVal { secret: self.secret.or(other.secret), kind: join_kind(self.kind, other.kind, sets) }
     }
 
     fn same_lattice(&self, other: &AVal) -> bool {
         self.secret.is_some() == other.secret.is_some() && self.kind == other.kind
     }
+
+    /// Whether `self.join(other)` differs from `self` in lattice shape,
+    /// decided without building the joined value.
+    fn grown_by(&self, other: &AVal, sets: &SetTable) -> bool {
+        other.secret.is_some() && self.secret.is_none()
+            || kind_grown_by(self.kind, other.kind, sets)
+    }
 }
 
-fn join_kind(a: &Kind, b: &Kind) -> Kind {
+/// Whether `join_kind(a, b) != a`.
+fn kind_grown_by(a: Kind, b: Kind, sets: &SetTable) -> bool {
     match (a, b) {
-        _ if a == b => a.clone(),
+        _ if a == b => false,
+        (Kind::Sp(_) | Kind::SpAny, Kind::Sp(_) | Kind::SpAny) => a != Kind::SpAny,
+        (Kind::Mem(x), Kind::Mem(y)) => !sets.get(y).is_subset(sets.get(x)),
+        _ => a != Kind::Top,
+    }
+}
+
+fn join_kind(a: Kind, b: Kind, sets: &mut SetTable) -> Kind {
+    match (a, b) {
+        _ if a == b => a,
         (Kind::Sp(_) | Kind::SpAny, Kind::Sp(_) | Kind::SpAny) => Kind::SpAny,
-        (Kind::Mem(x), Kind::Mem(y)) => Kind::Mem(Rc::new(x.union(y).copied().collect())),
+        (Kind::Mem(x), Kind::Mem(y)) => Kind::Mem(sets.union(x, y)),
         _ => Kind::Top,
     }
 }
@@ -163,7 +220,7 @@ fn join_kind(a: &Kind, b: &Kind) -> Kind {
 /// anything else degrades to an unknown with the joined secrecy. Byte
 /// reassembly of *numeric* constants written at a different width can
 /// therefore be imprecise, but never in a way that drops taint.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct SByte {
     val: AVal,
     /// True when written through a pointer (array world) rather than
@@ -175,7 +232,7 @@ impl SByte {
     /// This byte joined with a never-written one: same secrecy and
     /// world, unknown contents.
     fn degraded(&self) -> SByte {
-        SByte { val: AVal { secret: self.val.secret.clone(), kind: Kind::Top }, array: self.array }
+        SByte { val: AVal { secret: self.val.secret, kind: Kind::Top }, array: self.array }
     }
 }
 
@@ -184,16 +241,67 @@ const PAGE: i32 = 64;
 
 /// One page of tracked stack bytes; slot `k` of page `p` is offset
 /// `p * PAGE + k`, and `None` is a byte never written.
-type Page = [Option<SByte>; PAGE as usize];
+#[derive(Clone, Debug)]
+struct Page {
+    slots: [Option<SByte>; PAGE as usize],
+    /// Fingerprint of the slots' lattice shape, computed on first use
+    /// and dropped by every write ([`Page::slots_mut`]). Pages are
+    /// shared between states, so one computation serves every state
+    /// that still holds the page.
+    fp: Cell<Option<u64>>,
+}
+
+impl Page {
+    fn empty() -> Page {
+        Page { slots: std::array::from_fn(|_| None), fp: Cell::new(None) }
+    }
+
+    /// The slots, for writing: drops the cached fingerprint.
+    fn slots_mut(&mut self) -> &mut [Option<SByte>; PAGE as usize] {
+        self.fp.set(None);
+        &mut self.slots
+    }
+
+    /// A hash of each slot's presence, world, secrecy bit and kind:
+    /// equal shapes have equal fingerprints.
+    fn fingerprint(&self) -> u64 {
+        if let Some(fp) = self.fp.get() {
+            return fp;
+        }
+        let mut h = DefaultHasher::new();
+        for b in &self.slots {
+            b.as_ref().map(|b| (b.array, b.val.secret.is_some(), &b.val.kind)).hash(&mut h);
+        }
+        let fp = h.finish();
+        self.fp.set(Some(fp));
+        fp
+    }
+
+    /// Slot-wise lattice equality (provenance is not compared).
+    fn same_shape(&self, other: &Page) -> bool {
+        if let (Some(a), Some(b)) = (self.fp.get(), other.fp.get()) {
+            if a != b {
+                return false;
+            }
+        }
+        self.slots.iter().zip(&other.slots).all(|(a, b)| match (a, b) {
+            (None, None) => true,
+            (Some(a), Some(b)) => a.array == b.array && a.val.same_lattice(&b.val),
+            _ => false,
+        })
+    }
+}
 
 /// The tracked stack bytes of one state: fixed-size copy-on-write
-/// pages under a page-index map. States forked from one another share
-/// every page neither has written since, so a store copies one page
-/// and a join skips each page both sides still share. No page is ever
-/// empty, so equal contents always have equal page sets.
+/// pages in a copy-on-write list sorted by page index. Cloning a state
+/// shares the list; a store copies the list and the one page it
+/// writes, if shared. States forked from one another share every page
+/// neither has written since, so a join skips each page both sides
+/// still share, and the whole stack when they share the list. No page
+/// is ever empty, so equal contents always have equal page sets.
 #[derive(Clone, Debug, Default)]
 struct Stack {
-    pages: BTreeMap<i32, Rc<Page>>,
+    pages: Rc<Vec<(i32, Rc<Page>)>>,
 }
 
 impl Stack {
@@ -203,9 +311,15 @@ impl Stack {
         (o.div_euclid(PAGE), o.rem_euclid(PAGE) as usize)
     }
 
+    /// Where page `p` is in the list, or where it would go.
+    fn find(&self, p: i32) -> Result<usize, usize> {
+        self.pages.binary_search_by_key(&p, |&(q, _)| q)
+    }
+
     fn get(&self, o: i32) -> Option<&SByte> {
         let (p, k) = Stack::split(o);
-        self.pages.get(&p)?[k].as_ref()
+        let i = self.find(p).ok()?;
+        self.pages[i].1.slots[k].as_ref()
     }
 
     /// Store `val` into the `w` bytes at `o`: a multi-byte store
@@ -213,16 +327,21 @@ impl Stack {
     fn write(&mut self, o: i32, w: u8, val: &AVal, array: bool) {
         for o in o..o + w as i32 {
             let (p, k) = Stack::split(o);
-            let page =
-                self.pages.entry(p).or_insert_with(|| Rc::new(std::array::from_fn(|_| None)));
-            Rc::make_mut(page)[k] = Some(SByte { val: val.clone(), array });
+            let i = self.find(p);
+            let pages = Rc::make_mut(&mut self.pages);
+            let i = i.unwrap_or_else(|i| {
+                pages.insert(i, (p, Rc::new(Page::empty())));
+                i
+            });
+            Rc::make_mut(&mut pages[i].1).slots_mut()[k] = Some(SByte { val: *val, array });
         }
     }
 
     /// Tracked bytes in ascending offset order.
     fn iter(&self) -> impl Iterator<Item = (i32, &SByte)> {
-        self.pages.iter().flat_map(|(&p, page)| {
-            page.iter()
+        self.pages.iter().flat_map(|(p, page)| {
+            page.slots
+                .iter()
                 .enumerate()
                 .filter_map(move |(k, b)| Some((p * PAGE + k as i32, b.as_ref()?)))
         })
@@ -234,18 +353,17 @@ impl Stack {
     fn read(&self, o: i32, w: u8) -> AVal {
         if let Some(b0) = self.get(o) {
             if (1..w as i32).all(|k| self.get(o + k).is_some_and(|b| b.val.same_lattice(&b0.val))) {
-                return b0.val.clone();
+                return b0.val;
             }
         }
-        let secret =
-            (0..w as i32).filter_map(|k| self.get(o + k)).find_map(|b| b.val.secret.clone());
+        let secret = (0..w as i32).filter_map(|k| self.get(o + k)).find_map(|b| b.val.secret);
         AVal { secret, kind: Kind::Top }
     }
 
     /// Provenance of the lowest secret array-world byte: what a read at
     /// an unknown stack offset observes.
-    fn array_secret(&self) -> Option<Rc<str>> {
-        self.iter().filter(|(_, b)| b.array).find_map(|(_, b)| b.val.secret.clone())
+    fn array_secret(&self) -> Option<Prov> {
+        self.iter().filter(|(_, b)| b.array).find_map(|(_, b)| b.val.secret)
     }
 
     /// Drop every byte below offset `s` (the current stack pointer),
@@ -257,75 +375,119 @@ impl Stack {
             return;
         }
         let (p, k) = Stack::split(s);
-        self.pages = self.pages.split_off(&p);
-        if let Some(page) = self.pages.get_mut(&p) {
-            let page = Rc::make_mut(page);
-            page[..k].fill(None);
-            if page.iter().all(Option::is_none) {
-                self.pages.remove(&p);
+        let keep = self.find(p).unwrap_or_else(|i| i);
+        let pages = Rc::make_mut(&mut self.pages);
+        pages.drain(..keep);
+        if let Some((_, page)) = pages.first_mut().filter(|(q, _)| *q == p) {
+            let slots = Rc::make_mut(page).slots_mut();
+            slots[..k].fill(None);
+            if slots.iter().all(Option::is_none) {
+                pages.remove(0);
             }
         }
+    }
+
+    /// Whether both stacks track the same bytes with the same lattice
+    /// shapes. No page is ever empty, so that is: the same page
+    /// indices, each page shared or slot-wise equal.
+    fn same_shape(&self, other: &Stack) -> bool {
+        Rc::ptr_eq(&self.pages, &other.pages)
+            || self.pages.len() == other.pages.len()
+                && self
+                    .pages
+                    .iter()
+                    .zip(other.pages.iter())
+                    .all(|((p, a), (q, b))| p == q && (Rc::ptr_eq(a, b) || a.same_shape(b)))
     }
 
     /// Join `from` into `self`; true when some byte's lattice shape
     /// changed. A byte missing on one side was never written there:
     /// clean, unknown contents — the join keeps the other side's
     /// secrecy and world but degrades its kind to `Top`.
-    fn join(&mut self, from: &Stack) -> bool {
+    fn join(&mut self, from: &Stack, sets: &mut SetTable) -> bool {
+        if Rc::ptr_eq(&self.pages, &from.pages) {
+            return false;
+        }
         let mut changed = false;
-        for (p, page) in &mut self.pages {
-            let other = from.pages.get(p);
+        // Both lists are sorted: walk `from` alongside.
+        let mut j = 0;
+        for i in 0..self.pages.len() {
+            let (p, page) = &self.pages[i];
+            while from.pages.get(j).is_some_and(|(q, _)| q < p) {
+                j += 1;
+            }
+            let other = from.pages.get(j).filter(|(q, _)| q == p).map(|(_, o)| o);
             if other.is_some_and(|o| Rc::ptr_eq(o, page)) {
                 continue;
             }
-            let updates = join_slots(Some(page), other.map(|o| &**o));
-            if !updates.is_empty() {
-                let page = Rc::make_mut(page);
-                for (k, b) in updates {
-                    page[k] = Some(b);
-                }
+            let other = other.map(|o| &**o);
+            if page_grown_by(page, other, sets) {
+                let page = &mut Rc::make_mut(&mut self.pages)[i].1;
+                join_slots(Rc::make_mut(page).slots_mut(), other, sets);
                 changed = true;
             }
         }
-        for (&p, other) in &from.pages {
-            if let btree_map::Entry::Vacant(slot) = self.pages.entry(p) {
-                let mut page: Page = std::array::from_fn(|_| None);
-                for (k, b) in join_slots(None, Some(other)) {
-                    page[k] = Some(b);
-                }
-                slot.insert(Rc::new(page));
-                changed = true;
-            }
+        let added: Vec<(i32, Rc<Page>)> = from
+            .pages
+            .iter()
+            .filter(|(q, _)| self.find(*q).is_err())
+            .map(|(q, other)| {
+                let mut page = Page::empty();
+                join_slots(&mut page.slots, Some(other), sets);
+                (*q, Rc::new(page))
+            })
+            .collect();
+        if !added.is_empty() {
+            let pages = Rc::make_mut(&mut self.pages);
+            pages.extend(added);
+            pages.sort_unstable_by_key(|&(p, _)| p);
+            changed = true;
         }
         changed
     }
 }
 
-/// The slots of `into` that joining `from` changes, with their new
-/// bytes (`None` stands for an absent page).
-fn join_slots(into: Option<&Page>, from: Option<&Page>) -> Vec<(usize, SByte)> {
-    let mut updates = Vec::new();
-    for k in 0..PAGE as usize {
-        let a = into.and_then(|p| p[k].as_ref());
-        let b = from.and_then(|p| p[k].as_ref());
-        match (a, b) {
-            (Some(a), Some(b)) => {
-                let world = a.array || b.array;
-                let merged = a.val.join(&b.val);
-                if a.array != world || !a.val.same_lattice(&merged) {
-                    updates.push((k, SByte { val: merged, array: world }));
-                }
-            }
-            (Some(a), None) => {
-                if a.val.kind != Kind::Top {
-                    updates.push((k, a.degraded()));
-                }
-            }
-            (None, Some(b)) => updates.push((k, b.degraded())),
-            (None, None) => {}
+/// Whether joining byte `b` into byte `a` changes `a`'s lattice shape
+/// (`None` is a byte never written).
+fn slot_grown_by(a: Option<&SByte>, b: Option<&SByte>, sets: &SetTable) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => b.array && !a.array || a.val.grown_by(&b.val, sets),
+        (Some(a), None) => a.val.kind != Kind::Top,
+        (None, Some(_)) => true,
+        (None, None) => false,
+    }
+}
+
+/// Byte `a` joined with byte `b`, for a pair [`slot_grown_by`] accepts.
+fn join_slot(a: Option<&SByte>, b: Option<&SByte>, sets: &mut SetTable) -> SByte {
+    match (a, b) {
+        (Some(a), Some(b)) => SByte { val: a.val.join(&b.val, sets), array: a.array || b.array },
+        (Some(a), None) => a.degraded(),
+        (None, Some(b)) => b.degraded(),
+        (None, None) => unreachable!("an unwritten pair never grows"),
+    }
+}
+
+/// Join page `from` into `slots` (`None` stands for an absent page),
+/// rebuilding only the slots whose lattice shape changes.
+fn join_slots(
+    slots: &mut [Option<SByte>; PAGE as usize],
+    from: Option<&Page>,
+    sets: &mut SetTable,
+) {
+    for (k, a) in slots.iter_mut().enumerate() {
+        let b = from.and_then(|p| p.slots[k].as_ref());
+        if slot_grown_by(a.as_ref(), b, sets) {
+            *a = Some(join_slot(a.as_ref(), b, sets));
         }
     }
-    updates
+}
+
+/// Whether joining page `from` into page `into` would change it.
+fn page_grown_by(into: &Page, from: Option<&Page>, sets: &SetTable) -> bool {
+    (0..PAGE as usize).any(|k| {
+        slot_grown_by(into.slots[k].as_ref(), from.and_then(|p| p.slots[k].as_ref()), sets)
+    })
 }
 
 /// The abstract machine state at one program point.
@@ -334,16 +496,12 @@ struct MState {
     regs: Vec<AVal>,
     /// Bytes relative to the *entry* `sp` of the linted handler; one
     /// coordinate system across inlined callees. Paged copy-on-write:
-    /// cloning a state clones the page-index map, not the bytes.
+    /// cloning a state shares the page list, not the bytes.
     stack: Stack,
     /// Join of everything stored at an unresolved stack address; reads
     /// at any stack address must also observe it.
     blob: Option<AVal>,
 }
-
-/// Provenance-free lattice shape of a state, for memoization and
-/// change detection.
-type StateKey = (Vec<(bool, Kind)>, Vec<(i32, bool, bool, Kind)>, Option<(bool, Kind)>);
 
 impl MState {
     fn reg(&self, r: Reg) -> &AVal {
@@ -356,40 +514,57 @@ impl MState {
         }
     }
 
-    fn key(&self) -> StateKey {
-        (
-            self.regs.iter().map(|v| (v.secret.is_some(), v.kind.clone())).collect(),
-            self.stack
-                .iter()
-                .map(|(o, b)| (o, b.array, b.val.secret.is_some(), b.val.kind.clone()))
-                .collect(),
-            self.blob.as_ref().map(|v| (v.secret.is_some(), v.kind.clone())),
-        )
+    /// A hash of the state's provenance-free lattice shape: each
+    /// register's secrecy bit and kind, each stack page's index and
+    /// cached [`Page::fingerprint`], and the blob's shape. States of
+    /// the same shape have equal fingerprints; the memo uses it to pick
+    /// a bucket and [`MState::same_shape`] to decide a hit.
+    fn fingerprint(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        for v in &self.regs {
+            (v.secret.is_some(), &v.kind).hash(&mut h);
+        }
+        self.stack.pages.len().hash(&mut h);
+        for (p, page) in self.stack.pages.iter() {
+            (p, page.fingerprint()).hash(&mut h);
+        }
+        self.blob.as_ref().map(|v| (v.secret.is_some(), &v.kind)).hash(&mut h);
+        h.finish()
+    }
+
+    /// Whether two states have the same provenance-free lattice shape:
+    /// equal registers, stack bytes and blob up to provenance text.
+    fn same_shape(&self, other: &MState) -> bool {
+        self.regs.iter().zip(&other.regs).all(|(a, b)| a.same_lattice(b))
+            && self.stack.same_shape(&other.stack)
+            && match (&self.blob, &other.blob) {
+                (None, None) => true,
+                (Some(a), Some(b)) => a.same_lattice(b),
+                _ => false,
+            }
     }
 }
 
 /// Join `from` into `into`; true when `into`'s lattice shape changed.
-fn join_state(into: &mut MState, from: &MState) -> bool {
+fn join_state(into: &mut MState, from: &MState, sets: &mut SetTable) -> bool {
     let mut changed = false;
-    for i in 0..32 {
-        let j = into.regs[i].join(&from.regs[i]);
-        if !j.same_lattice(&into.regs[i]) {
-            into.regs[i] = j;
+    for (a, b) in into.regs.iter_mut().zip(&from.regs) {
+        if a.grown_by(b, sets) {
+            *a = a.join(b, sets);
             changed = true;
         }
     }
-    changed |= into.stack.join(&from.stack);
+    changed |= into.stack.join(&from.stack, sets);
     match (&mut into.blob, &from.blob) {
         (_, None) => {}
         (Some(a), Some(b)) => {
-            let j = a.join(b);
-            if !j.same_lattice(a) {
-                *a = j;
+            if a.grown_by(b, sets) {
+                *a = a.join(b, sets);
                 changed = true;
             }
         }
         (into_blob @ None, Some(b)) => {
-            *into_blob = Some(b.clone());
+            *into_blob = Some(*b);
             changed = true;
         }
     }
@@ -400,7 +575,7 @@ fn join_state(into: &mut MState, from: &MState) -> bool {
 enum Target {
     Stack(i32),
     StackAny,
-    Regions(RegionSet),
+    Regions(SetId),
     Untracked,
 }
 
@@ -410,9 +585,9 @@ enum Target {
 #[derive(Clone, Debug)]
 enum Effect {
     /// `taint_region(rid, why)` was attempted.
-    Taint(Rid, Rc<str>),
+    Taint(Rid, Prov),
     /// The escape flag was attempted with this provenance.
-    Escape(Rc<str>),
+    Escape(Prov),
     /// A finding was attempted at `(rule, addr)`.
     Record(RuleId, u32, Rc<Finding>),
 }
@@ -440,8 +615,12 @@ struct Frame {
     saw_unescaped: bool,
 }
 
-/// A finished call summary: the joined return state plus the recording.
+/// A finished call summary: the entry state it was recorded from, the
+/// joined return state and the recording.
 struct MemoEntry {
+    /// The call's entry state. Its pages are shared with the states
+    /// the analysis still holds, not copied.
+    entry: MState,
     ret: Option<MState>,
     effects: Vec<Effect>,
     clean: BTreeSet<Rid>,
@@ -460,24 +639,30 @@ struct AsmLint<'p> {
     /// Interned regions, indexed by [`Rid`]; ids follow [`MRegion`]
     /// sort order.
     regions: Vec<MRegion>,
-    /// Pre-minted singleton region sets, indexed by [`Rid`].
-    singletons: Vec<RegionSet>,
+    /// Every region set built so far; pointer kinds name sets by id.
+    sets: SetTable,
+    /// Every provenance text built so far, indexed by [`Prov`], each
+    /// once ([`AsmLint::intern`]).
+    provs: Vec<Rc<str>>,
+    prov_ids: HashMap<Rc<str>, Prov>,
     /// Data-section symbol ranges, sorted by start address, for
     /// binary-search classification of constant addresses.
     globals: Vec<(u32, u32, Rid)>,
     /// Region → provenance of its secret content. Absent = clean.
     /// Monotone: entries are only ever added, never changed or removed,
     /// across the whole lint run (all passes).
-    content: HashMap<Rid, Rc<str>>,
+    content: HashMap<Rid, Prov>,
     /// Set when a secret was stored through an untracked pointer: all
     /// loads must then be considered secret. Set once, monotone.
-    escaped: Option<Rc<str>>,
+    escaped: Option<Prov>,
     /// Bumped when `content`/`escaped` grow; the outer loop reruns
     /// until stable.
     epoch: u64,
-    /// Cross-pass call summaries; validity is footprint-checked (or
+    /// Cross-pass call summaries, bucketed by entry address and the
+    /// entry state's [`MState::fingerprint`]; within a bucket at most
+    /// one entry per lattice shape. Validity is footprint-checked (or
     /// epoch-checked for the dense oracle) at lookup.
-    memo: HashMap<(u32, StateKey), Rc<MemoEntry>>,
+    memo: HashMap<(u32, u64), Vec<Rc<MemoEntry>>>,
     /// Sparse mode: reuse entries whose footprint still holds. Dense
     /// mode (the oracle): reuse only within the recording epoch.
     reuse: bool,
@@ -490,18 +675,23 @@ struct AsmLint<'p> {
     /// per-load hot path is one branch.
     all_unescaped: bool,
     call_stack: Vec<u32>,
-    /// Per-active-call snapshot of the entry register file (parallel
-    /// to `call_stack`), for the callee-saved-preservation check at
-    /// each return point. Memoization stays sound: the snapshot's
-    /// lattice shape is part of the memo key, and the findings the
-    /// check records replay through the frame effect list.
-    entry_regs: Vec<Vec<AVal>>,
+    /// Per-active-call entry state (parallel to `call_stack`): its
+    /// register file serves the callee-saved-preservation check at
+    /// each return point, and it becomes the memo entry's key state.
+    /// Memoization stays sound: the snapshot's lattice shape is part
+    /// of the memo key, and the findings the check records replay
+    /// through the frame effect list.
+    entry_states: Vec<MState>,
     findings: BTreeMap<(RuleId, u32), Finding>,
     /// Worklist pops across every function fixpoint (flushed to the
     /// metrics registry by [`lint_asm`], not per-pop).
     fixpoint_iters: u64,
     /// Summary-memo hits in `analyze_function`.
     memo_hits: u64,
+    /// Every call's entry address and state, in analysis order: the
+    /// memo-key differential tests compare them pairwise.
+    #[cfg(test)]
+    calls: Vec<(u32, MState)>,
 }
 
 impl<'p> AsmLint<'p> {
@@ -534,23 +724,23 @@ impl<'p> AsmLint<'p> {
             .map(|(i, n)| (n.as_str(), (regions.len() + i) as Rid))
             .collect();
         regions.extend(names.iter().map(|n| MRegion::Global((*n).clone())));
-        let singletons: Vec<RegionSet> =
-            (0..regions.len() as Rid).map(|r| Rc::new(BTreeSet::from([r]))).collect();
+        let sets = SetTable::new(regions.len());
         let mut globals = Vec::with_capacity(starts.len());
         for (i, (start, name)) in starts.iter().enumerate() {
             let end = starts.get(i + 1).map(|(s, _)| *s).unwrap_or(data_end);
             globals.push((*start, end, by_name[name.as_str()]));
         }
-        let mut content = HashMap::new();
-        content.insert(RID_STATE, Rc::from("secret handler state"));
+        let state_secret: Rc<str> = Rc::from("secret handler state");
         AsmLint {
             prog,
             code,
             funcs,
             regions,
-            singletons,
+            sets,
+            provs: vec![state_secret.clone()],
+            prov_ids: HashMap::from([(state_secret, 0)]),
             globals,
-            content,
+            content: HashMap::from([(RID_STATE, 0)]),
             escaped: None,
             epoch: 0,
             memo: HashMap::new(),
@@ -558,10 +748,25 @@ impl<'p> AsmLint<'p> {
             frames: Vec::new(),
             all_unescaped: false,
             call_stack: Vec::new(),
-            entry_regs: Vec::new(),
+            entry_states: Vec::new(),
             findings: BTreeMap::new(),
             fixpoint_iters: 0,
             memo_hits: 0,
+            #[cfg(test)]
+            calls: Vec::new(),
+        }
+    }
+
+    /// Analyze the handler at `entry` until the region content table
+    /// and the escape flag stop growing.
+    fn run(&mut self, entry: u32) -> Result<(), LintError> {
+        loop {
+            let epoch0 = self.epoch;
+            self.findings.clear();
+            self.analyze_function(entry, self.entry_state())?;
+            if self.epoch == epoch0 {
+                return Ok(());
+            }
         }
     }
 
@@ -572,14 +777,25 @@ impl<'p> AsmLint<'p> {
         regs[Reg::ZERO.0 as usize] = AVal::konst(0);
         regs[Reg::SP.0 as usize] = AVal { secret: None, kind: Kind::Sp(0) };
         for (r, rid) in [(Reg::A0, RID_STATE), (Reg::A1, RID_CMD), (Reg::A2, RID_RESP)] {
-            regs[r.0 as usize] =
-                AVal { secret: None, kind: Kind::Mem(self.singletons[rid as usize].clone()) };
+            regs[r.0 as usize] = AVal { secret: None, kind: Kind::Mem(rid) };
         }
         MState { regs, stack: Stack::default(), blob: None }
     }
 
     fn describe(&self, r: Rid) -> String {
         self.regions[r as usize].describe()
+    }
+
+    /// The id of provenance text `text`, minted on first sight.
+    fn intern(&mut self, text: String) -> Prov {
+        if let Some(&p) = self.prov_ids.get(text.as_str()) {
+            return p;
+        }
+        let text: Rc<str> = Rc::from(text);
+        let p = self.provs.len() as Prov;
+        self.provs.push(text.clone());
+        self.prov_ids.insert(text, p);
+        p
     }
 
     fn func_of(&self, addr: u32) -> String {
@@ -610,10 +826,10 @@ impl<'p> AsmLint<'p> {
     // --- effect emission (applied first-writer-wins, recorded into
     // --- every active frame for cross-pass replay)
 
-    fn attempt_taint(&mut self, r: Rid, why: Rc<str>) {
+    fn attempt_taint(&mut self, r: Rid, why: Prov) {
         for f in &mut self.frames {
             if f.keys.insert(EffKey::Taint(r)) {
-                f.effects.push(Effect::Taint(r, why.clone()));
+                f.effects.push(Effect::Taint(r, why));
             }
         }
         if let std::collections::hash_map::Entry::Vacant(e) = self.content.entry(r) {
@@ -622,10 +838,10 @@ impl<'p> AsmLint<'p> {
         }
     }
 
-    fn attempt_escape(&mut self, why: Rc<str>) {
+    fn attempt_escape(&mut self, why: Prov) {
         for f in &mut self.frames {
             if f.keys.insert(EffKey::Escape) {
-                f.effects.push(Effect::Escape(why.clone()));
+                f.effects.push(Effect::Escape(why));
             }
         }
         if self.escaped.is_none() {
@@ -664,6 +880,13 @@ impl<'p> AsmLint<'p> {
         self.attempt_record(rule, addr, Rc::new(finding));
     }
 
+    /// [`AsmLint::record`] for a secret reaching a sink: the taint path
+    /// starts at the secret's provenance.
+    fn record_secret(&mut self, rule: RuleId, addr: u32, instr: Instr, why: Prov, sink: &str) {
+        let why = self.provs[why as usize].clone();
+        self.record(rule, addr, instr, &why, sink);
+    }
+
     // --- dependency footprint observations
 
     fn note_clean(&mut self, r: Rid) {
@@ -697,8 +920,8 @@ impl<'p> AsmLint<'p> {
         }
         for eff in &e.effects {
             match eff {
-                Effect::Taint(r, why) => self.attempt_taint(*r, why.clone()),
-                Effect::Escape(why) => self.attempt_escape(why.clone()),
+                Effect::Taint(r, why) => self.attempt_taint(*r, *why),
+                Effect::Escape(why) => self.attempt_escape(*why),
                 Effect::Record(rule, addr, finding) => {
                     self.attempt_record(*rule, *addr, finding.clone())
                 }
@@ -711,11 +934,11 @@ impl<'p> AsmLint<'p> {
         match &base.kind {
             Kind::Sp(o) => Target::Stack(o + off),
             Kind::SpAny => Target::StackAny,
-            Kind::Mem(rs) => Target::Regions(rs.clone()),
+            Kind::Mem(rs) => Target::Regions(*rs),
             Kind::Const(a) => {
                 let addr = a.wrapping_add(off as u32);
                 match self.data_region(addr) {
-                    Some(r) => Target::Regions(self.singletons[r as usize].clone()),
+                    Some(r) => Target::Regions(r),
                     None => Target::Untracked,
                 }
             }
@@ -731,21 +954,16 @@ impl<'p> AsmLint<'p> {
         let mut v = match target {
             Target::Stack(o) => st.stack.read(*o, w),
             Target::StackAny => {
-                let mut v = AVal { secret: st.stack.array_secret(), kind: Kind::Top };
-                if let Some(blob) = &st.blob {
-                    v = v.join(blob);
-                }
-                v.kind = Kind::Top;
-                v
+                let secret = st.stack.array_secret();
+                AVal { secret: secret.or(st.blob.and_then(|b| b.secret)), kind: Kind::Top }
             }
             Target::Regions(rs) => {
-                let mut secret = None;
+                let mut tainted = None;
                 let mut cleans: Vec<Rid> = Vec::new();
-                for &r in rs.iter() {
+                for &r in self.sets.get(*rs) {
                     match self.content.get(&r) {
-                        Some(why) => {
-                            secret =
-                                Some(Rc::from(format!("{why}, loaded from {}", self.describe(r))));
+                        Some(&why) => {
+                            tainted = Some((why, r));
                             break;
                         }
                         None => cleans.push(r),
@@ -754,16 +972,23 @@ impl<'p> AsmLint<'p> {
                 for r in cleans {
                     self.note_clean(r);
                 }
+                let secret = tainted.map(|(why, r)| {
+                    self.intern(format!(
+                        "{}, loaded from {}",
+                        self.provs[why as usize],
+                        self.describe(r)
+                    ))
+                });
                 AVal { secret, kind: Kind::Top }
             }
             Target::Untracked => AVal {
-                secret: Some(Rc::from(format!("load via untracked address at {addr:#010x}"))),
+                secret: Some(self.intern(format!("load via untracked address at {addr:#010x}"))),
                 kind: Kind::Top,
             },
         };
         if v.secret.is_none() {
-            match &self.escaped {
-                Some(e) => v.secret = Some(e.clone()),
+            match self.escaped {
+                Some(e) => v.secret = Some(e),
                 None => self.note_unescaped(),
             }
         }
@@ -775,24 +1000,25 @@ impl<'p> AsmLint<'p> {
             Target::Stack(o) => st.stack.write(o, w, val, array),
             Target::StackAny => {
                 let joined = match &st.blob {
-                    Some(b) => b.join(val),
-                    None => val.clone(),
+                    Some(b) => b.join(val, &mut self.sets),
+                    None => *val,
                 };
                 st.blob = Some(joined);
             }
             Target::Regions(rs) => {
-                if let Some(why) = &val.secret {
-                    let why = why.clone();
-                    for &r in rs.iter() {
+                if let Some(why) = val.secret {
+                    let targets: Vec<Rid> = self.sets.get(rs).iter().copied().collect();
+                    for r in targets {
                         if r != RID_STATE {
-                            self.attempt_taint(r, why.clone());
+                            self.attempt_taint(r, why);
                         }
                     }
                 }
             }
             Target::Untracked => {
-                if let Some(why) = &val.secret {
-                    let why = Rc::from(format!("{why}, escaped via untracked store"));
+                if let Some(why) = val.secret {
+                    let text = format!("{}, escaped via untracked store", self.provs[why as usize]);
+                    let why = self.intern(text);
                     self.attempt_escape(why);
                 }
             }
@@ -812,7 +1038,7 @@ impl<'p> AsmLint<'p> {
             // to Top at the loop head.
             if matches!(op, AluOp::Add | AluOp::Sub) {
                 if let Some(r) = self.data_region(v) {
-                    return Mem(self.singletons[r as usize].clone());
+                    return Mem(r);
                 }
             }
             return Const(v);
@@ -824,11 +1050,11 @@ impl<'p> AsmLint<'p> {
             (AluOp::Sub, Sp(o), Const(c)) => Sp(o.wrapping_sub(*c as i32)),
             (AluOp::Add, Sp(_) | SpAny, _) | (AluOp::Add, _, Sp(_) | SpAny) => SpAny,
             (AluOp::Sub, Sp(_) | SpAny, _) => SpAny,
-            (AluOp::Add | AluOp::Sub, Mem(rs), _) | (AluOp::Add, _, Mem(rs)) => Mem(rs.clone()),
+            (AluOp::Add | AluOp::Sub, Mem(rs), _) | (AluOp::Add, _, Mem(rs)) => Mem(*rs),
             // A constant pointing into the data section, indexed by a
             // variable, is still a pointer into that symbol's range.
             (AluOp::Add, Const(c), _) | (AluOp::Add, _, Const(c)) => match self.data_region(*c) {
-                Some(r) => Mem(self.singletons[r as usize].clone()),
+                Some(r) => Mem(r),
                 None => Top,
             },
             _ => Top,
@@ -845,8 +1071,11 @@ impl<'p> AsmLint<'p> {
                 self.func_of(entry)
             )));
         }
-        let memo_key = (entry, st.key());
-        if let Some(e) = self.memo.get(&memo_key) {
+        #[cfg(test)]
+        self.calls.push((entry, st.clone()));
+        let bucket = (entry, st.fingerprint());
+        let found = self.memo.get(&bucket).and_then(|b| b.iter().find(|e| e.entry.same_shape(&st)));
+        if let Some(e) = found {
             let valid = if self.reuse {
                 e.clean.iter().all(|r| !self.content.contains_key(r))
                     && (!e.saw_unescaped || self.escaped.is_none())
@@ -861,7 +1090,7 @@ impl<'p> AsmLint<'p> {
             }
         }
         self.call_stack.push(entry);
-        self.entry_regs.push(st.regs.clone());
+        self.entry_states.push(st.clone());
         self.frames.push(Frame::default());
         self.all_unescaped = false;
         let t0 = std::time::Instant::now();
@@ -871,22 +1100,28 @@ impl<'p> AsmLint<'p> {
             .histogram_with("analyzer_fn_lint_us", &[("layer", "asm")])
             .record_duration(t0.elapsed());
         self.call_stack.pop();
-        self.entry_regs.pop();
+        let entry_state = self.entry_states.pop().expect("entry state pushed above");
         let frame = self.frames.pop().expect("frame pushed above");
         // The popped frame may leave the remaining frames all-noted;
         // recompute the fast flag conservatively.
         self.all_unescaped = !self.frames.is_empty() && self.frames.iter().all(|f| f.saw_unescaped);
         let ret = result?;
-        self.memo.insert(
-            memo_key,
-            Rc::new(MemoEntry {
-                ret: ret.clone(),
-                effects: frame.effects,
-                clean: frame.clean,
-                saw_unescaped: frame.saw_unescaped,
-                epoch_at,
-            }),
-        );
+        // A same-shape entry here failed its validity check above: the
+        // fresh summary replaces it.
+        let entries = self.memo.entry(bucket).or_default();
+        let stale = entries.iter().position(|e| e.entry.same_shape(&entry_state));
+        let e = Rc::new(MemoEntry {
+            entry: entry_state,
+            ret: ret.clone(),
+            effects: frame.effects,
+            clean: frame.clean,
+            saw_unescaped: frame.saw_unescaped,
+            epoch_at,
+        });
+        match stale {
+            Some(i) => entries[i] = e,
+            None => entries.push(e),
+        }
         Ok(ret)
     }
 
@@ -907,7 +1142,7 @@ impl<'p> AsmLint<'p> {
             if let Some(r) = returned {
                 match &mut ret {
                     Some(acc) => {
-                        join_state(acc, &r);
+                        join_state(acc, &r, &mut self.sets);
                     }
                     None => ret = Some(r),
                 }
@@ -915,7 +1150,7 @@ impl<'p> AsmLint<'p> {
             for (succ, out) in succs {
                 match states.get_mut(&succ) {
                     Some(old) => {
-                        if join_state(old, &out) {
+                        if join_state(old, &out, &mut self.sets) {
                             work.insert(succ);
                         }
                     }
@@ -948,27 +1183,27 @@ impl<'p> AsmLint<'p> {
                 st.set_reg(rd, AVal::konst(addr.wrapping_add((imm as u32).wrapping_shl(12))));
             }
             Instr::OpImm { op, rd, rs1, imm } => {
-                let a = st.reg(rs1).clone();
+                let a = *st.reg(rs1);
                 let b = AVal::konst(imm as u32);
                 self.check_latency(op, addr, instr, &a, &b);
                 let kind = self.alu_kind(op, &a.kind, &b.kind);
                 st.set_reg(rd, AVal { secret: a.secret, kind });
             }
             Instr::Op { op, rd, rs1, rs2 } => {
-                let a = st.reg(rs1).clone();
-                let b = st.reg(rs2).clone();
+                let a = *st.reg(rs1);
+                let b = *st.reg(rs2);
                 self.check_latency(op, addr, instr, &a, &b);
                 let kind = self.alu_kind(op, &a.kind, &b.kind);
                 st.set_reg(rd, AVal { secret: a.secret.or(b.secret), kind });
             }
             Instr::Load { op, rd, rs1, off } => {
-                let base = st.reg(rs1).clone();
+                let base = *st.reg(rs1);
                 // `CT-MEM` applies because a core's contract exposes
                 // the data-bus address; a core with an untraced bus
                 // would not make this a sink.
                 if latency_model().addr_trace(InstrClass::Load) {
-                    if let Some(why) = &base.secret {
-                        self.record(
+                    if let Some(why) = base.secret {
+                        self.record_secret(
                             RuleId::SecretIndex,
                             addr,
                             instr,
@@ -983,11 +1218,10 @@ impl<'p> AsmLint<'p> {
                 st.set_reg(rd, v);
             }
             Instr::Store { op, rs1, rs2, off } => {
-                let base = st.reg(rs1).clone();
-                let val = st.reg(rs2).clone();
+                let (base, val) = (*st.reg(rs1), *st.reg(rs2));
                 if latency_model().addr_trace(InstrClass::Store) {
-                    if let Some(why) = &base.secret {
-                        self.record(
+                    if let Some(why) = base.secret {
+                        self.record_secret(
                             RuleId::SecretIndex,
                             addr,
                             instr,
@@ -1001,18 +1235,14 @@ impl<'p> AsmLint<'p> {
                 self.store_value(&mut st, target, w, &val, rs1 != Reg::SP);
             }
             Instr::Branch { rs1, rs2, off, .. } => {
-                for rs in [rs1, rs2] {
-                    if let Some(why) = &st.reg(rs).secret {
-                        let why = why.clone();
-                        self.record(
-                            RuleId::SecretBranch,
-                            addr,
-                            instr,
-                            &why,
-                            "branch on secret-derived value",
-                        );
-                        break;
-                    }
+                if let Some(why) = st.reg(rs1).secret.or(st.reg(rs2).secret) {
+                    self.record_secret(
+                        RuleId::SecretBranch,
+                        addr,
+                        instr,
+                        why,
+                        "branch on secret-derived value",
+                    );
                 }
                 let taken = addr.wrapping_add(off as u32);
                 return Ok((vec![(taken, st.clone()), (next, st)], None));
@@ -1088,13 +1318,11 @@ impl<'p> AsmLint<'p> {
             Reg::S10,
             Reg::S11,
         ];
-        let Some(entry) = self.entry_regs.last() else {
+        let Some(entry) = self.entry_states.last() else {
             return;
         };
-        let clobbered: Vec<Reg> = CALLEE_SAVED
-            .into_iter()
-            .filter(|r| !st.reg(*r).same_lattice(&entry[r.0 as usize]))
-            .collect();
+        let clobbered: Vec<Reg> =
+            CALLEE_SAVED.into_iter().filter(|r| !st.reg(*r).same_lattice(entry.reg(*r))).collect();
         for r in clobbered {
             let why = format!(
                 "callee-saved `{}` not restored across `{}`",
@@ -1118,18 +1346,14 @@ impl<'p> AsmLint<'p> {
             return;
         }
         let (tainted, sink) = match class {
-            InstrClass::Div => (
-                a.secret.as_ref().or(b.secret.as_ref()),
-                "secret operand to variable-latency division",
-            ),
-            InstrClass::Shift => (b.secret.as_ref(), "secret shift amount to a serial shifter"),
-            _ => {
-                (a.secret.as_ref().or(b.secret.as_ref()), "secret operand to a variable-latency op")
+            InstrClass::Div => {
+                (a.secret.or(b.secret), "secret operand to variable-latency division")
             }
+            InstrClass::Shift => (b.secret, "secret shift amount to a serial shifter"),
+            _ => (a.secret.or(b.secret), "secret operand to a variable-latency op"),
         };
         if let Some(why) = tainted {
-            let why = why.clone();
-            self.record(RuleId::SecretLatency, addr, instr, &why, sink);
+            self.record_secret(RuleId::SecretLatency, addr, instr, why, sink);
         }
     }
 }
@@ -1171,14 +1395,7 @@ fn lint_asm_driver(prog: &Program, entry: &str, reuse: bool) -> Result<Vec<Findi
     let entry_addr = prog.address_of(entry).ok_or_else(|| LintError::NoEntry(entry.to_string()))?;
     let code = predecode(prog);
     let mut lint = AsmLint::new(prog, code, reuse);
-    loop {
-        let epoch0 = lint.epoch;
-        lint.findings.clear();
-        lint.analyze_function(entry_addr, lint.entry_state())?;
-        if lint.epoch == epoch0 {
-            break;
-        }
-    }
+    lint.run(entry_addr)?;
     let metrics = parfait_telemetry::metrics::Metrics::global();
     metrics
         .counter_with("analyzer_fixpoint_iterations_total", &[("layer", "asm")])
@@ -1213,16 +1430,25 @@ pub fn lint_asm_dense(prog: &Program, entry: &str) -> Result<Vec<Finding>, LintE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rng;
     use parfait_littlec::codegen::OptLevel;
 
     fn lint_src(src: &str, opt: OptLevel) -> Vec<Finding> {
+        lint_prog(&assemble_src(src, opt))
+    }
+
+    fn assemble_src(src: &str, opt: OptLevel) -> Program {
         let program = parfait_littlec::frontend(src).unwrap();
-        let asm = parfait_littlec::compile(&program, opt).unwrap();
-        let prog = parfait_riscv::assemble(&asm).unwrap();
-        let sparse = lint_asm(&prog, "handle").unwrap();
-        // Every test doubles as a sparse-vs-dense differential check.
-        let dense = lint_asm_dense(&prog, "handle").unwrap();
+        parfait_riscv::assemble(&parfait_littlec::compile(&program, opt).unwrap()).unwrap()
+    }
+
+    /// Every test doubles as a sparse-vs-dense differential check and
+    /// as a check of the memo's hit decision against the old key.
+    fn lint_prog(prog: &Program) -> Vec<Finding> {
+        let sparse = lint_asm(prog, "handle").unwrap();
+        let dense = lint_asm_dense(prog, "handle").unwrap();
         assert_eq!(sparse, dense, "sparse and dense asm lint disagree");
+        check_memo_keys("handle", prog);
         sparse
     }
 
@@ -1344,11 +1570,7 @@ mod tests {
     ) -> Vec<Finding> {
         let program = parfait_littlec::frontend(src).unwrap();
         let asm = patch(parfait_littlec::compile(&program, opt).unwrap());
-        let prog = parfait_riscv::assemble(&asm).unwrap();
-        let sparse = lint_asm(&prog, "handle").unwrap();
-        let dense = lint_asm_dense(&prog, "handle").unwrap();
-        assert_eq!(sparse, dense, "sparse and dense asm lint disagree");
-        sparse
+        lint_prog(&parfait_riscv::assemble(&asm).unwrap())
     }
 
     const ABI_SRC: &str = "void handle(u8* state, u8* cmd, u8* resp) {
@@ -1420,23 +1642,23 @@ mod tests {
                 None => false,
             });
             if agree {
-                bytes[0].unwrap().val.clone()
+                bytes[0].unwrap().val
             } else {
-                let secret = bytes.iter().flatten().find_map(|b| b.val.secret.clone());
+                let secret = bytes.iter().flatten().find_map(|b| b.val.secret);
                 AVal { secret, kind: Kind::Top }
             }
         }
 
         fn write(&mut self, o: i32, w: u8, val: &AVal, array: bool) {
             for k in 0..w as i32 {
-                self.0.insert(o + k, SByte { val: val.clone(), array });
+                self.0.insert(o + k, SByte { val: *val, array });
             }
         }
 
-        fn array_secret(&self) -> Option<Rc<str>> {
+        fn array_secret(&self) -> Option<Prov> {
             let mut secret = None;
             for b in self.0.values().filter(|b| b.array) {
-                secret = secret.or_else(|| b.val.secret.clone());
+                secret = secret.or(b.val.secret);
             }
             secret
         }
@@ -1445,14 +1667,14 @@ mod tests {
             self.0.retain(|&o, _| o >= s);
         }
 
-        fn join(&mut self, from: &MapStack) -> bool {
+        fn join(&mut self, from: &MapStack, sets: &mut SetTable) -> bool {
             let keys: BTreeSet<i32> = self.0.keys().chain(from.0.keys()).copied().collect();
             let mut updates: Vec<(i32, SByte)> = Vec::new();
             for o in keys {
                 match (self.0.get(&o), from.0.get(&o)) {
                     (Some(a), Some(b)) => {
                         let world = a.array || b.array;
-                        let merged = a.val.join(&b.val);
+                        let merged = a.val.join(&b.val, sets);
                         if a.array == world && a.val.same_lattice(&merged) {
                             continue;
                         }
@@ -1460,12 +1682,12 @@ mod tests {
                     }
                     (Some(a), None) => {
                         if a.val.kind != Kind::Top {
-                            let val = AVal { secret: a.val.secret.clone(), kind: Kind::Top };
+                            let val = AVal { secret: a.val.secret, kind: Kind::Top };
                             updates.push((o, SByte { val, array: a.array }));
                         }
                     }
                     (None, Some(b)) => {
-                        let val = AVal { secret: b.val.secret.clone(), kind: Kind::Top };
+                        let val = AVal { secret: b.val.secret, kind: Kind::Top };
                         updates.push((o, SByte { val, array: b.array }));
                     }
                     (None, None) => unreachable!(),
@@ -1477,12 +1699,12 @@ mod tests {
         }
     }
 
-    /// Everything observable about a value, provenance text included.
-    fn shape(v: &AVal) -> (Option<String>, Kind) {
-        (v.secret.as_deref().map(String::from), v.kind.clone())
+    /// Everything observable about a value, provenance included.
+    fn shape(v: &AVal) -> (Option<Prov>, Kind) {
+        (v.secret, v.kind)
     }
 
-    type Bytes = Vec<(i32, bool, (Option<String>, Kind))>;
+    type Bytes = Vec<(i32, bool, (Option<Prov>, Kind))>;
 
     fn paged_bytes(s: &Stack) -> Bytes {
         s.iter().map(|(o, b)| (o, b.array, shape(&b.val))).collect()
@@ -1492,18 +1714,7 @@ mod tests {
         m.0.iter().map(|(&o, b)| (o, b.array, shape(&b.val))).collect()
     }
 
-    /// splitmix64: a seeded, dependency-free generator.
-    struct Rng(u64);
-
     impl Rng {
-        fn below(&mut self, n: u64) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) % n
-        }
-
         /// An offset within four bytes of a page boundary, in pages -3..=1.
         fn offset(&mut self) -> i32 {
             PAGE * (self.below(5) as i32 - 3) + self.below(9) as i32 - 4
@@ -1512,8 +1723,8 @@ mod tests {
 
     #[test]
     fn paged_stack_matches_the_byte_map_model() {
-        let provs: Vec<Rc<str>> = ["p0", "p1", "p2"].into_iter().map(Rc::from).collect();
-        let sets: Vec<RegionSet> = (0..3).map(|r| Rc::new(BTreeSet::from([r]))).collect();
+        // Three regions; joins mint their unions in the shared table.
+        let mut sets = SetTable::new(3);
         let mut steps_with_bytes = 0;
         for seed in 0..48 {
             let mut rng = Rng(seed);
@@ -1527,14 +1738,14 @@ mod tests {
                         let val = AVal {
                             secret: match rng.below(4) {
                                 3 => None,
-                                p => Some(provs[p as usize].clone()),
+                                p => Some(p as Prov),
                             },
                             kind: match rng.below(5) {
                                 0 => Kind::Top,
                                 1 => Kind::Const(rng.below(3) as u32),
                                 2 => Kind::Sp(rng.below(3) as i32 - 1),
                                 3 => Kind::SpAny,
-                                _ => Kind::Mem(sets[rng.below(3) as usize].clone()),
+                                _ => Kind::Mem(rng.below(3) as SetId),
                             },
                         };
                         let (o, w, array) =
@@ -1558,8 +1769,12 @@ mod tests {
                     }
                     5 | 6 => {
                         let (from_p, from_m) = (paged[j].clone(), model[j].clone());
-                        let changed = paged[i].join(&from_p);
-                        assert_eq!(changed, model[i].join(&from_m), "{ctx}: changed flag");
+                        let changed = paged[i].join(&from_p, &mut sets);
+                        assert_eq!(
+                            changed,
+                            model[i].join(&from_m, &mut sets),
+                            "{ctx}: changed flag"
+                        );
                     }
                     _ => {
                         paged[i] = paged[j].clone();
@@ -1568,11 +1783,226 @@ mod tests {
                 }
                 for (p, m) in paged.iter().zip(&model) {
                     assert_eq!(paged_bytes(p), model_bytes(m), "{ctx}");
-                    assert!(p.pages.values().all(|pg| pg.iter().any(Option::is_some)), "{ctx}");
+                    assert!(
+                        p.pages.iter().all(|(_, pg)| pg.slots.iter().any(Option::is_some)),
+                        "{ctx}"
+                    );
                     steps_with_bytes += usize::from(!m.0.is_empty());
                 }
             }
         }
         assert!(steps_with_bytes > 10_000, "the walk must exercise populated stacks");
+    }
+
+    /// Provenance-free lattice shape of a state: the memo key that
+    /// [`MState::fingerprint`] and [`MState::same_shape`] replaced,
+    /// kept as their oracle.
+    type StateKey = (Vec<(bool, Kind)>, Vec<(i32, bool, bool, Kind)>, Option<(bool, Kind)>);
+
+    impl MState {
+        fn key(&self) -> StateKey {
+            (
+                self.regs.iter().map(|v| (v.secret.is_some(), v.kind)).collect(),
+                self.stack
+                    .iter()
+                    .map(|(o, b)| (o, b.array, b.val.secret.is_some(), b.val.kind))
+                    .collect(),
+                self.blob.as_ref().map(|v| (v.secret.is_some(), v.kind)),
+            )
+        }
+
+        /// The same shape sharing nothing with `self`: fresh pages with
+        /// no cached fingerprint and other provenance.
+        fn unshared_copy(&self) -> MState {
+            let copy = |v: &AVal| AVal { secret: v.secret.map(|p| p + 1), kind: v.kind };
+            let pages = self.stack.pages.iter().map(|(p, page)| {
+                let mut fresh = Page::empty();
+                for (to, from) in fresh.slots.iter_mut().zip(&page.slots) {
+                    *to = from.as_ref().map(|b| SByte { val: copy(&b.val), array: b.array });
+                }
+                (*p, Rc::new(fresh))
+            });
+            MState {
+                regs: self.regs.iter().map(copy).collect(),
+                stack: Stack { pages: Rc::new(pages.collect()) },
+                blob: self.blob.as_ref().map(copy),
+            }
+        }
+    }
+
+    impl MState {
+        /// An unshared copy with one detail of its shape changed: a
+        /// byte's world, secrecy or kind, a byte added below the rest,
+        /// a register's secrecy or kind, or the blob. Its pages cache
+        /// no fingerprint, so comparing it goes through the slots.
+        fn perturbed(&self, rng: &mut Rng) -> MState {
+            let mut st = self.unshared_copy();
+            let flip = |v: &mut AVal, rng: &mut Rng| match rng.below(2) {
+                0 => v.secret = if v.secret.is_some() { None } else { Some(0) },
+                _ => v.kind = if v.kind == Kind::Top { Kind::Const(1) } else { Kind::Top },
+            };
+            let offsets: Vec<i32> = st.stack.iter().map(|(o, _)| o).collect();
+            match rng.below(4) {
+                0 if !offsets.is_empty() => {
+                    let o = offsets[rng.below(offsets.len() as u64) as usize];
+                    let mut b = *st.stack.get(o).expect("a tracked byte");
+                    match rng.below(3) {
+                        0 => b.array = !b.array,
+                        _ => flip(&mut b.val, rng),
+                    }
+                    st.stack.write(o, 1, &b.val, b.array);
+                }
+                0 | 1 => {
+                    let below =
+                        offsets.first().map_or(0, |o| o - 1 - rng.below(PAGE as u64) as i32);
+                    st.stack.write(below, 1, &AVal::default(), rng.below(2) == 0);
+                }
+                2 => flip(&mut st.regs[rng.below(32) as usize], rng),
+                _ => st.blob = if st.blob.is_some() { None } else { Some(AVal::default()) },
+            }
+            st
+        }
+    }
+
+    /// Every call-entry state of a sparse lint of `prog`'s handler.
+    fn call_states(prog: &Program) -> Vec<(u32, MState)> {
+        let mut lint = AsmLint::new(prog, predecode(prog), true);
+        lint.run(prog.address_of("handle").unwrap()).unwrap();
+        lint.calls
+    }
+
+    /// Pairs of calls to compare: every pair when there are at most
+    /// `budget`; else every two consecutive calls of one function (the
+    /// pairs the memo compares) plus seeded random pairs up to `budget`.
+    fn pairs_to_check(calls: &[(u32, MState)], budget: usize, seed: u64) -> Vec<(usize, usize)> {
+        let n = calls.len();
+        if n * n.saturating_sub(1) / 2 <= budget {
+            return (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))).collect();
+        }
+        let mut last: HashMap<u32, usize> = HashMap::new();
+        let mut pairs = Vec::new();
+        for (j, (entry, _)) in calls.iter().enumerate() {
+            if let Some(i) = last.insert(*entry, j) {
+                pairs.push((i, j));
+            }
+        }
+        let mut rng = Rng(seed);
+        while pairs.len() < budget {
+            let (i, j) = (rng.below(n as u64) as usize, rng.below(n as u64) as usize);
+            if i != j {
+                pairs.push((i, j));
+            }
+        }
+        pairs
+    }
+
+    /// The memo's hit decision equals the old key comparison on the
+    /// call-entry states of one real lint: `same_shape` holds exactly
+    /// when the keys are equal, equal keys have equal fingerprints, and
+    /// a copy that shares no page, region set or provenance string has
+    /// the same key, shape and fingerprint. Pairs of real states mostly
+    /// differ in their cached page fingerprints, so each state is also
+    /// compared with perturbed copies, whose pages cache none. Keys are
+    /// built per pair, not kept: an ECDSA lint's would take hundreds of
+    /// megabytes. Returns (pairs, equal-key pairs).
+    fn check_memo_keys(what: &str, prog: &Program) -> (usize, usize) {
+        let calls = call_states(prog);
+        assert!(!calls.is_empty(), "{what}: no calls recorded");
+        let mut rng = Rng(calls.len() as u64);
+        for (i, (_, st)) in calls.iter().enumerate() {
+            let copy = st.unshared_copy();
+            assert_eq!(copy.key(), st.key(), "{what}: call {i}: the copy must keep the key");
+            assert!(copy.same_shape(st) && st.same_shape(&copy), "{what}: call {i}: copy differs");
+            assert_eq!(copy.fingerprint(), st.fingerprint(), "{what}: call {i}: stale fingerprint");
+            // At most about 2,000 perturbations per lint.
+            if i % calls.len().div_ceil(500) == 0 {
+                for _ in 0..4 {
+                    let p = st.perturbed(&mut rng);
+                    let same = p.key() == st.key();
+                    let ctx = format!("{what}: call {i}, perturbed");
+                    assert_eq!((st.same_shape(&p), p.same_shape(st)), (same, same), "{ctx}");
+                }
+            }
+        }
+        let pairs = pairs_to_check(&calls, 30_000, calls.len() as u64);
+        let mut equal = 0;
+        for &(i, j) in &pairs {
+            let ((ea, a), (eb, b)) = (&calls[i], &calls[j]);
+            let ctx = format!("{what}: calls {i} (entry {ea:#x}) and {j} (entry {eb:#x})");
+            let same = a.key() == b.key();
+            assert_eq!(a.same_shape(b), same, "{ctx}");
+            if same {
+                assert_eq!(a.fingerprint(), b.fingerprint(), "{ctx}: equal keys");
+                equal += 1;
+            }
+        }
+        (pairs.len(), equal)
+    }
+
+    /// Sources beyond the ones the tests above lint, each at every opt
+    /// level: helpers called in loops on public and secret data, a
+    /// secret loop bound, secret-indexed stores through a helper.
+    const CORPUS: &[&str] = &[
+        "const u8 T[16] = {9, 4, 10, 11, 13, 1, 8, 5, 6, 2, 0, 3, 12, 14, 15, 7};
+        u32 look(u32 i) { return T[i & 15]; }
+        void handle(u8* state, u8* cmd, u8* resp) {
+            u32 i = 0;
+            u32 acc = 0;
+            while (i < 8) { acc = acc + look(cmd[i]) + look(state[i]); i = i + 1; }
+            resp[0] = (u8)acc;
+        }",
+        "u32 add(u32 a, u32 b) { return a + b; }
+        void handle(u8* state, u8* cmd, u8* resp) {
+            u32 n = state[0] & 31;
+            u32 acc = 0;
+            u32 i = 0;
+            while (i < n) { acc = add(acc, cmd[i]); i = i + 1; }
+            resp[0] = (u8)(100 / (acc + 1));
+        }",
+        "static u8 scratch[16];
+        void put(u32 i, u32 v) { scratch[i & 15] = (u8)v; }
+        void handle(u8* state, u8* cmd, u8* resp) {
+            put(state[0], cmd[0]);
+            put(cmd[1], state[1]);
+            resp[0] = scratch[0];
+        }",
+    ];
+
+    #[test]
+    fn memo_hits_decide_as_the_old_key_on_the_corpus() {
+        let mut totals = (0, 0);
+        for (i, src) in CORPUS.iter().enumerate() {
+            for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+                let (pairs, equal) =
+                    check_memo_keys(&format!("corpus {i} {opt:?}"), &assemble_src(src, opt));
+                totals = (totals.0 + pairs, totals.1 + equal);
+            }
+        }
+        assert!(totals.1 > 0, "no equal-key pair among {} pairs", totals.0);
+    }
+
+    fn check_app(app: &str, src: &str) {
+        let mut totals = (0, 0);
+        for opt in [OptLevel::O0, OptLevel::O2] {
+            let (pairs, equal) =
+                check_memo_keys(&format!("{app} {opt:?}"), &assemble_src(src, opt));
+            totals = (totals.0 + pairs, totals.1 + equal);
+        }
+        assert!(totals.1 > 0, "{app}: no equal-key pair among {} pairs", totals.0);
+    }
+
+    #[test]
+    fn memo_hits_decide_as_the_old_key_on_the_hasher() {
+        check_app("hasher", &parfait_hsms::firmware::hasher_app_source());
+    }
+
+    #[test]
+    fn memo_hits_decide_as_the_old_key_on_totp() {
+        check_app("totp", &parfait_hsms::totp::totp_app_source());
+    }
+
+    #[test]
+    fn memo_hits_decide_as_the_old_key_on_ecdsa() {
+        check_app("ecdsa", &parfait_hsms::firmware::ecdsa_app_source());
     }
 }

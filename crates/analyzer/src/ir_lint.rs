@@ -85,27 +85,37 @@ impl AbsVal {
         AbsVal { secret: self.secret.clone().or_else(|| other.secret.clone()), pts }
     }
 
-    /// Lattice identity (provenance strings are carried, not compared).
-    fn same_lattice(&self, other: &AbsVal) -> bool {
-        self.secret.is_some() == other.secret.is_some() && self.pts == other.pts
+    /// Whether `self.join(other)` differs from `self` in lattice shape:
+    /// `other` adds secrecy or a region outside `self`'s points-to set.
+    /// (Provenance strings are carried, not compared.)
+    fn grown_by(&self, other: &AbsVal) -> bool {
+        other.secret.is_some() && self.secret.is_none()
+            || !Rc::ptr_eq(&other.pts, &self.pts) && !other.pts.is_subset(&self.pts)
     }
 }
 
-type VMap = BTreeMap<VReg, AbsVal>;
+/// A function's register map, indexed by [`VReg`] and sized from
+/// [`IrFunction::nvregs`]; `None` is a register not yet assigned on
+/// any path into this point.
+type VMap = Vec<Option<AbsVal>>;
 
+/// Join `from` into `into`; true when some register's lattice shape
+/// changed. A slot whose join would keep `into`'s shape (no new
+/// secrecy, no new region) is skipped without building the joined
+/// value, so its provenance stays `into`'s.
 fn join_maps(into: &mut VMap, from: &VMap) -> bool {
     let mut changed = false;
-    for (v, val) in from {
-        match into.get(v) {
+    for (slot, val) in into.iter_mut().zip(from) {
+        let Some(val) = val else { continue };
+        match slot {
             Some(old) => {
-                let j = old.join(val);
-                if !j.same_lattice(old) {
-                    into.insert(*v, j);
+                if old.grown_by(val) {
+                    *old = old.join(val);
                     changed = true;
                 }
             }
             None => {
-                into.insert(*v, val.clone());
+                *slot = Some(val.clone());
                 changed = true;
             }
         }
@@ -202,9 +212,9 @@ impl<'p> IrLint<'p> {
         f: &'p IrFunction,
         args: Vec<AbsVal>,
     ) -> Result<AbsVal, LintError> {
-        let mut entry = VMap::new();
+        let mut entry: VMap = vec![None; f.nvregs as usize];
         for (i, &p) in f.params.iter().enumerate() {
-            entry.insert(p, args.get(i).cloned().unwrap_or_default());
+            entry[p as usize] = Some(args.get(i).cloned().unwrap_or_default());
         }
         let nb = f.blocks.len();
         let mut in_states: Vec<Option<VMap>> = vec![None; nb];
@@ -221,7 +231,7 @@ impl<'p> IrLint<'p> {
                 Term::Br { then_b, else_b, .. } => vec![*then_b, *else_b],
                 Term::Ret { value } => {
                     if let Some(v) = value {
-                        if let Some(val) = st.get(v) {
+                        if let Some(val) = &st[*v as usize] {
                             ret = ret.join(val);
                         }
                     }
@@ -248,16 +258,16 @@ impl<'p> IrLint<'p> {
     /// Abstractly execute block `bi` from `st`, recording findings.
     fn transfer(&mut self, f: &'p IrFunction, bi: usize, st: &mut VMap) -> Result<(), LintError> {
         let block = &f.blocks[bi];
-        let get = |st: &VMap, v: VReg| st.get(&v).cloned().unwrap_or_default();
+        let get = |st: &VMap, v: VReg| st[v as usize].clone().unwrap_or_default();
         for (i, inst) in block.insts.iter().enumerate() {
             let line = block.line_of(i);
             match inst {
                 Inst::Const { dst, .. } => {
-                    st.insert(*dst, AbsVal::default());
+                    st[*dst as usize] = Some(AbsVal::default());
                 }
                 Inst::Copy { dst, src } => {
                     let v = get(st, *src);
-                    st.insert(*dst, v);
+                    st[*dst as usize] = Some(v);
                 }
                 Inst::Bin { op, dst, a, b } => {
                     let va = get(st, *a);
@@ -289,7 +299,7 @@ impl<'p> IrLint<'p> {
                             );
                         }
                     }
-                    st.insert(*dst, va.join(&vb));
+                    st[*dst as usize] = Some(va.join(&vb));
                 }
                 Inst::Load { dst, addr, .. } => {
                     let av = get(st, *addr);
@@ -322,7 +332,7 @@ impl<'p> IrLint<'p> {
                             }
                         }
                     }
-                    st.insert(*dst, loaded);
+                    st[*dst as usize] = Some(loaded);
                 }
                 Inst::Store { addr, src, .. } => {
                     let av = get(st, *addr);
@@ -350,16 +360,17 @@ impl<'p> IrLint<'p> {
                     }
                 }
                 Inst::AddrOfGlobal { dst, name } => {
-                    st.insert(*dst, AbsVal::points_to(Region::Global(name.clone())));
+                    st[*dst as usize] = Some(AbsVal::points_to(Region::Global(name.clone())));
                 }
                 Inst::AddrOfLocal { dst, slot } => {
-                    st.insert(*dst, AbsVal::points_to(Region::Frame(f.name.clone(), *slot)));
+                    st[*dst as usize] =
+                        Some(AbsVal::points_to(Region::Frame(f.name.clone(), *slot)));
                 }
                 Inst::Call { dst, func, args } => {
                     let argv: Vec<AbsVal> = args.iter().map(|&a| get(st, a)).collect();
                     let ret = self.analyze_function(func, argv)?;
                     if let Some(d) = dst {
-                        st.insert(*d, ret);
+                        st[*d as usize] = Some(ret);
                     }
                 }
             }
@@ -574,5 +585,101 @@ mod tests {
         let p = parfait_littlec::frontend("u32 f() { return 1; }").unwrap();
         let ir = lower(&p).unwrap();
         assert!(matches!(lint_ir(&ir, "handle"), Err(LintError::NoEntry(_))));
+    }
+
+    /// The `BTreeMap` register map the dense [`VMap`] replaced, kept as
+    /// its oracle: an absent key is a register not yet assigned.
+    type MapVMap = BTreeMap<VReg, AbsVal>;
+
+    /// The replaced join: build every joined value, keep it when its
+    /// lattice shape differs (provenance is carried, not compared).
+    fn join_map_oracle(into: &mut MapVMap, from: &MapVMap) -> bool {
+        let same_lattice =
+            |a: &AbsVal, b: &AbsVal| a.secret.is_some() == b.secret.is_some() && a.pts == b.pts;
+        let mut changed = false;
+        for (v, val) in from {
+            match into.get(v) {
+                Some(old) => {
+                    let j = old.join(val);
+                    if !same_lattice(&j, old) {
+                        into.insert(*v, j);
+                        changed = true;
+                    }
+                }
+                None => {
+                    into.insert(*v, val.clone());
+                    changed = true;
+                }
+            }
+        }
+        changed
+    }
+
+    /// Everything observable about a map: each assigned register's
+    /// provenance text and points-to set.
+    type Shape = Vec<(VReg, Option<String>, Vec<Region>)>;
+
+    fn shape<'a>(vals: impl Iterator<Item = (VReg, &'a AbsVal)>) -> Shape {
+        vals.map(|(v, a)| {
+            (v, a.secret.as_deref().map(String::from), a.pts.iter().cloned().collect())
+        })
+        .collect()
+    }
+
+    fn dense_shape(m: &VMap) -> Shape {
+        shape(m.iter().enumerate().filter_map(|(v, a)| Some((v as VReg, a.as_ref()?))))
+    }
+
+    #[test]
+    fn dense_join_matches_the_btreemap_join() {
+        let provs: Vec<Rc<str>> = ["p0", "p1", "p2"].into_iter().map(Rc::from).collect();
+        let regions = [
+            Region::State,
+            Region::Cmd,
+            Region::Global("g".into()),
+            Region::Frame("f".into(), 0),
+            Region::Unknown,
+        ];
+        // Shared sets (the join's pointer-equality fast path) beside
+        // freshly built equal ones.
+        let subsets: Vec<RegionSet> = (0..1u32 << regions.len())
+            .map(|bits| {
+                let set = regions.iter().enumerate().filter(|(i, _)| bits >> i & 1 == 1);
+                Rc::new(set.map(|(_, r)| r.clone()).collect())
+            })
+            .collect();
+        let mut grown = 0;
+        for seed in 0..64 {
+            let mut rng = crate::Rng(seed);
+            let n = 1 + rng.below(16) as usize;
+            let mut dense: Vec<VMap> = vec![vec![None; n]; 3];
+            let mut model: Vec<MapVMap> = vec![MapVMap::new(); 3];
+            for step in 0..300 {
+                let (i, j) = (rng.below(3) as usize, rng.below(3) as usize);
+                let ctx = format!("seed {seed} step {step}");
+                if rng.below(3) == 0 {
+                    let v = rng.below(n as u64) as VReg;
+                    let set = &subsets[rng.below(subsets.len() as u64) as usize];
+                    let val = AbsVal {
+                        secret: match rng.below(4) {
+                            3 => None,
+                            p => Some(provs[p as usize].clone()),
+                        },
+                        pts: if rng.below(2) == 0 { set.clone() } else { Rc::new((**set).clone()) },
+                    };
+                    dense[i][v as usize] = Some(val.clone());
+                    model[i].insert(v, val);
+                } else {
+                    let (from_d, from_m) = (dense[j].clone(), model[j].clone());
+                    let changed = join_maps(&mut dense[i], &from_d);
+                    assert_eq!(changed, join_map_oracle(&mut model[i], &from_m), "{ctx}: changed");
+                    grown += usize::from(changed);
+                }
+                for (d, m) in dense.iter().zip(&model) {
+                    assert_eq!(dense_shape(d), shape(m.iter().map(|(v, a)| (*v, a))), "{ctx}");
+                }
+            }
+        }
+        assert!(grown > 1_000, "the walk must exercise growing joins: {grown}");
     }
 }

@@ -270,6 +270,22 @@ pub fn lint_source_with(
     Ok(LintReport { findings, ir_insts, asm_instrs })
 }
 
+/// splitmix64: a seeded, dependency-free generator for the property
+/// tests of both lint layers.
+#[cfg(test)]
+struct Rng(u64);
+
+#[cfg(test)]
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

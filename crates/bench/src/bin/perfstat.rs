@@ -84,11 +84,13 @@ fn run_workloads() -> Result<Measurement, String> {
         return Err("lint workload: hasher unexpectedly has findings".into());
     }
     let after = snapshot();
-    // The sparse asm-analyzer fixpoint and the IR taint pass.
+    // The sparse asm-analyzer fixpoint and the IR taint pass, and each
+    // layer's call-summary memo.
     for (key, name, layer, better) in [
         ("lint_asm_fixpoint_iters", "analyzer_fixpoint_iterations_total", "asm", LowerIsBetter),
         ("lint_ir_fixpoint_iters", "analyzer_fixpoint_iterations_total", "ir", LowerIsBetter),
         ("lint_asm_memo_hits", "analyzer_memo_hits_total", "asm", HigherIsBetter),
+        ("lint_ir_memo_hits", "analyzer_memo_hits_total", "ir", HigherIsBetter),
     ] {
         m.values.insert(key.into(), (grew(&before, &after, name, &[("layer", layer)]), better));
     }

@@ -57,10 +57,9 @@ fn run(threads_used: &mut usize) -> u8 {
             },
             "--trace" => trace = true,
             "--threads" | "--metrics" => {
-                // Validated below over the full args.
-                if it.next().is_none() {
-                    return usage();
-                }
+                // Validated below over the full args, which names the
+                // flag when its value is missing.
+                it.next();
             }
             _ => return usage(),
         }

@@ -112,9 +112,21 @@ pub fn threads_arg() -> usize {
 /// bin — name, build id, env knobs, thread count, exit status, and a
 /// snapshot of the global metrics registry — and write it to the path.
 /// Call once, just before returning the bin's exit code. Write failures
-/// exit loudly (a CI run must not "succeed" without its artifact).
+/// exit loudly (a CI run must not "succeed" without its artifact), and
+/// so does a malformed `--metrics` in a run that otherwise succeeded.
+/// In a run that already failed it is left unreported: the bins that
+/// read `--metrics` themselves reject a malformed one with their own
+/// error and usage code, which must stand.
 pub fn emit_manifest(bin: &str, threads: usize, exit_code: i32) {
-    if let Some(path) = path_arg("--metrics") {
+    let path = match path_arg_from(std::env::args().skip(1), "--metrics") {
+        Ok(path) => path,
+        Err(_) if exit_code != 0 => return,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    };
+    if let Some(path) = path {
         parfait_telemetry::manifest::RunManifest::capture(
             bin,
             threads,

@@ -24,8 +24,9 @@ use parfait_littlec::ir::{Inst, IrFunction, IrOp, IrProgram, Operand, Term, VReg
 use crate::latency_model::latency_model;
 use crate::{Finding, Layer, LintError, RuleId};
 
-/// A memory region, the granularity of the content-taint summary.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// A memory region, the granularity of the content-taint summary. The
+/// analysis works on [`RegionId`]s; this is what an id names.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Region {
     /// The handler's secret state buffer (content pinned secret).
     State,
@@ -54,9 +55,76 @@ impl Region {
     }
 }
 
+/// A [`Region`] interned by [`Regions`]. Ids sort as their regions do
+/// (state < cmd < resp < globals by name < frame slots by function and
+/// slot < unknown), so a points-to set iterates in region order and the
+/// first tainted region it meets, which names a load's provenance, is
+/// the same.
+type RegionId = u32;
+
+const STATE: RegionId = 0;
+const CMD: RegionId = 1;
+const RESP: RegionId = 2;
+
 /// A points-to set. `Rc`-shared: register reads and joins clone it
 /// far more often than a union grows it.
-type RegionSet = Rc<BTreeSet<Region>>;
+type RegionSet = Rc<BTreeSet<RegionId>>;
+
+/// A function's frame slots' region ids.
+type FrameIds = HashMap<usize, RegionId>;
+
+/// Every region a program can name, numbered in [`Region`] order.
+struct Regions {
+    /// Id → region.
+    all: Vec<Region>,
+    /// Id → the set holding just it, shared by every pointer into it.
+    singletons: Vec<RegionSet>,
+    globals: HashMap<String, RegionId>,
+    /// Function → (frame slot → id).
+    frames: HashMap<String, Rc<FrameIds>>,
+}
+
+impl Regions {
+    fn of(prog: &IrProgram) -> Regions {
+        let mut set = BTreeSet::from([Region::State, Region::Cmd, Region::Resp, Region::Unknown]);
+        for f in &prog.functions {
+            for inst in f.blocks.iter().flat_map(|b| &b.insts) {
+                match inst {
+                    Inst::AddrOfGlobal { name, .. } => set.insert(Region::Global(name.clone())),
+                    Inst::AddrOfLocal { slot, .. } => {
+                        set.insert(Region::Frame(f.name.clone(), *slot))
+                    }
+                    _ => false,
+                };
+            }
+        }
+        let all: Vec<Region> = set.into_iter().collect();
+        let (mut globals, mut frames) = (HashMap::new(), HashMap::<String, FrameIds>::new());
+        for (id, r) in all.iter().enumerate() {
+            match r {
+                Region::Global(g) => {
+                    globals.insert(g.clone(), id as RegionId);
+                }
+                Region::Frame(f, slot) => {
+                    frames.entry(f.clone()).or_default().insert(*slot, id as RegionId);
+                }
+                _ => {}
+            }
+        }
+        let frames = frames.into_iter().map(|(f, ids)| (f, Rc::new(ids))).collect();
+        let singletons = (0..all.len() as RegionId).map(|r| Rc::new(BTreeSet::from([r]))).collect();
+        Regions { all, singletons, globals, frames }
+    }
+
+    /// A clean pointer into exactly `r`.
+    fn points_to(&self, r: RegionId) -> AbsVal {
+        AbsVal { secret: None, pts: self.singletons[r as usize].clone() }
+    }
+
+    fn unknown(&self) -> RegionId {
+        self.all.len() as RegionId - 1
+    }
+}
 
 /// The abstract value of a virtual register.
 #[derive(Clone, Debug, Default)]
@@ -69,11 +137,6 @@ struct AbsVal {
 }
 
 impl AbsVal {
-    /// A clean pointer into exactly `r`.
-    fn points_to(r: Region) -> AbsVal {
-        AbsVal { secret: None, pts: Rc::new(BTreeSet::from([r])) }
-    }
-
     fn join(&self, other: &AbsVal) -> AbsVal {
         let pts = if other.pts.is_subset(&self.pts) {
             self.pts.clone()
@@ -125,17 +188,18 @@ fn join_maps(into: &mut VMap, from: &VMap) -> bool {
 
 /// Memo key for a call: callee name plus the lattice shape of each
 /// argument and the region-table epoch.
-type CallKey = (String, Vec<(bool, RegionSet)>, u64);
+type CallKey<'p> = (&'p str, Vec<(bool, RegionSet)>, u64);
 
 struct IrLint<'p> {
     prog: &'p IrProgram,
-    /// Region → provenance of its secret content. Absent = clean.
+    regions: Regions,
+    /// Region id → provenance of its secret content. `None` = clean.
     /// `State` is pinned secret at construction.
-    content: BTreeMap<Region, Rc<str>>,
+    content: Vec<Option<Rc<str>>>,
     /// Bumped whenever `content` grows; memo entries key on it.
     epoch: u64,
-    memo: HashMap<CallKey, AbsVal>,
-    call_stack: Vec<String>,
+    memo: HashMap<CallKey<'p>, AbsVal>,
+    call_stack: Vec<&'p str>,
     /// (rule, function, block, site) → finding; dedup across fixpoint
     /// iterations (values are monotone, so early firings stay valid).
     findings: BTreeMap<(RuleId, String, usize, usize), Finding>,
@@ -147,13 +211,10 @@ struct IrLint<'p> {
 }
 
 impl<'p> IrLint<'p> {
-    fn region_taint(&self, r: &Region) -> Option<Rc<str>> {
-        self.content.get(r).cloned()
-    }
-
-    fn taint_region(&mut self, r: Region, why: Rc<str>) {
-        if let std::collections::btree_map::Entry::Vacant(slot) = self.content.entry(r) {
-            slot.insert(why);
+    fn taint_region(&mut self, r: RegionId, why: Rc<str>) {
+        let slot = &mut self.content[r as usize];
+        if slot.is_none() {
+            *slot = Some(why);
             self.epoch += 1;
         }
     }
@@ -178,24 +239,21 @@ impl<'p> IrLint<'p> {
         });
     }
 
-    fn analyze_function(&mut self, name: &str, args: Vec<AbsVal>) -> Result<AbsVal, LintError> {
-        if self.call_stack.iter().any(|n| n == name) {
+    fn analyze_function(&mut self, name: &'p str, args: Vec<AbsVal>) -> Result<AbsVal, LintError> {
+        if self.call_stack.contains(&name) {
             return Err(LintError::Unsupported(format!(
                 "recursive call to `{name}` (call stack: {})",
                 self.call_stack.join(" -> ")
             )));
         }
-        let key: CallKey = (
-            name.to_string(),
-            args.iter().map(|a| (a.secret.is_some(), a.pts.clone())).collect(),
-            self.epoch,
-        );
+        let key: CallKey =
+            (name, args.iter().map(|a| (a.secret.is_some(), a.pts.clone())).collect(), self.epoch);
         if let Some(ret) = self.memo.get(&key) {
             self.memo_hits += 1;
             return Ok(ret.clone());
         }
         let f = self.prog.function(name).ok_or_else(|| LintError::NoEntry(name.to_string()))?;
-        self.call_stack.push(name.to_string());
+        self.call_stack.push(name);
         let t0 = std::time::Instant::now();
         let result = self.function_fixpoint(f, args);
         parfait_telemetry::metrics::Metrics::global()
@@ -216,6 +274,7 @@ impl<'p> IrLint<'p> {
         for (i, &p) in f.params.iter().enumerate() {
             entry[p as usize] = Some(args.get(i).cloned().unwrap_or_default());
         }
+        let frames = self.regions.frames.get(&f.name).cloned().unwrap_or_default();
         let nb = f.blocks.len();
         let mut in_states: Vec<Option<VMap>> = vec![None; nb];
         in_states[0] = Some(entry);
@@ -224,7 +283,7 @@ impl<'p> IrLint<'p> {
         while let Some(bi) = work.pop() {
             self.fixpoint_iters += 1;
             let Some(mut st) = in_states[bi].clone() else { continue };
-            self.transfer(f, bi, &mut st)?;
+            self.transfer(f, &frames, bi, &mut st)?;
             let block = &f.blocks[bi];
             let succs: Vec<usize> = match block.term.as_ref().expect("terminated") {
                 Term::Jump(t) => vec![*t],
@@ -256,7 +315,14 @@ impl<'p> IrLint<'p> {
     }
 
     /// Abstractly execute block `bi` from `st`, recording findings.
-    fn transfer(&mut self, f: &'p IrFunction, bi: usize, st: &mut VMap) -> Result<(), LintError> {
+    /// `frames` maps `f`'s frame slots to their region ids.
+    fn transfer(
+        &mut self,
+        f: &'p IrFunction,
+        frames: &FrameIds,
+        bi: usize,
+        st: &mut VMap,
+    ) -> Result<(), LintError> {
         let block = &f.blocks[bi];
         let get = |st: &VMap, v: VReg| st[v as usize].clone().unwrap_or_default();
         for (i, inst) in block.insts.iter().enumerate() {
@@ -321,11 +387,11 @@ impl<'p> IrLint<'p> {
                             f.name
                         )));
                     } else {
-                        for r in av.pts.iter() {
-                            if let Some(why) = self.region_taint(r) {
+                        for &r in av.pts.iter() {
+                            if let Some(why) = &self.content[r as usize] {
                                 loaded.secret = Some(Rc::from(format!(
                                     "{why}, loaded from {} at {}:{line}",
-                                    r.describe(),
+                                    self.regions.all[r as usize].describe(),
                                     f.name
                                 )));
                                 break;
@@ -350,21 +416,20 @@ impl<'p> IrLint<'p> {
                     }
                     if let Some(why) = &sv.secret {
                         if av.pts.is_empty() {
-                            self.taint_region(Region::Unknown, why.clone());
+                            self.taint_region(self.regions.unknown(), why.clone());
                         }
-                        for r in av.pts.iter() {
-                            if *r != Region::State {
-                                self.taint_region(r.clone(), why.clone());
+                        for &r in av.pts.iter() {
+                            if r != STATE {
+                                self.taint_region(r, why.clone());
                             }
                         }
                     }
                 }
                 Inst::AddrOfGlobal { dst, name } => {
-                    st[*dst as usize] = Some(AbsVal::points_to(Region::Global(name.clone())));
+                    st[*dst as usize] = Some(self.regions.points_to(self.regions.globals[name]));
                 }
                 Inst::AddrOfLocal { dst, slot } => {
-                    st[*dst as usize] =
-                        Some(AbsVal::points_to(Region::Frame(f.name.clone(), *slot)));
+                    st[*dst as usize] = Some(self.regions.points_to(frames[slot]));
                 }
                 Inst::Call { dst, func, args } => {
                     let argv: Vec<AbsVal> = args.iter().map(|&a| get(st, a)).collect();
@@ -401,13 +466,16 @@ impl<'p> IrLint<'p> {
 /// Returns the sorted findings; [`LintError`] when the program is
 /// outside the analyzable fragment.
 pub fn lint_ir(prog: &IrProgram, entry: &str) -> Result<Vec<Finding>, LintError> {
-    if prog.function(entry).is_none() {
+    let Some(f) = prog.function(entry) else {
         return Err(LintError::NoEntry(entry.to_string()));
-    }
-    let mut content = BTreeMap::new();
-    content.insert(Region::State, Rc::from("secret handler state"));
+    };
+    let entry = f.name.as_str();
+    let regions = Regions::of(prog);
+    let mut content = vec![None; regions.all.len()];
+    content[STATE as usize] = Some(Rc::from("secret handler state"));
     let mut lint = IrLint {
         prog,
+        regions,
         content,
         epoch: 0,
         memo: HashMap::new(),
@@ -423,7 +491,7 @@ pub fn lint_ir(prog: &IrProgram, entry: &str) -> Result<Vec<Finding>, LintError>
         let epoch0 = lint.epoch;
         lint.findings.clear();
         lint.memo.clear();
-        let seeds = seed_args(prog, entry);
+        let seeds = seed_args(prog, entry, &lint.regions);
         lint.analyze_function(entry, seeds)?;
         if lint.epoch == epoch0 {
             break;
@@ -443,13 +511,13 @@ pub fn lint_ir(prog: &IrProgram, entry: &str) -> Result<Vec<Finding>, LintError>
 /// Abstract arguments for the handler entry: `state` points into the
 /// secret state region, `cmd` into the public command buffer, `resp`
 /// into the response buffer. Any further parameters are clean.
-fn seed_args(prog: &IrProgram, entry: &str) -> Vec<AbsVal> {
+fn seed_args(prog: &IrProgram, entry: &str, regions: &Regions) -> Vec<AbsVal> {
     let nparams = prog.function(entry).map(|f| f.params.len()).unwrap_or(0);
     (0..nparams)
         .map(|i| match i {
-            0 => AbsVal::points_to(Region::State),
-            1 => AbsVal::points_to(Region::Cmd),
-            2 => AbsVal::points_to(Region::Resp),
+            0 => regions.points_to(STATE),
+            1 => regions.points_to(CMD),
+            2 => regions.points_to(RESP),
             _ => AbsVal::default(),
         })
         .collect()
@@ -617,7 +685,7 @@ mod tests {
 
     /// Everything observable about a map: each assigned register's
     /// provenance text and points-to set.
-    type Shape = Vec<(VReg, Option<String>, Vec<Region>)>;
+    type Shape = Vec<(VReg, Option<String>, Vec<RegionId>)>;
 
     fn shape<'a>(vals: impl Iterator<Item = (VReg, &'a AbsVal)>) -> Shape {
         vals.map(|(v, a)| {
@@ -633,19 +701,13 @@ mod tests {
     #[test]
     fn dense_join_matches_the_btreemap_join() {
         let provs: Vec<Rc<str>> = ["p0", "p1", "p2"].into_iter().map(Rc::from).collect();
-        let regions = [
-            Region::State,
-            Region::Cmd,
-            Region::Global("g".into()),
-            Region::Frame("f".into(), 0),
-            Region::Unknown,
-        ];
+        let regions: [RegionId; 5] = [STATE, CMD, 3, 4, 5];
         // Shared sets (the join's pointer-equality fast path) beside
         // freshly built equal ones.
         let subsets: Vec<RegionSet> = (0..1u32 << regions.len())
             .map(|bits| {
                 let set = regions.iter().enumerate().filter(|(i, _)| bits >> i & 1 == 1);
-                Rc::new(set.map(|(_, r)| r.clone()).collect())
+                Rc::new(set.map(|(_, r)| *r).collect())
             })
             .collect();
         let mut grown = 0;

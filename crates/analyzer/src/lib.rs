@@ -41,6 +41,7 @@ use std::fmt;
 
 use parfait_littlec::codegen::OptLevel;
 use parfait_littlec::diag::Diagnostic;
+use parfait_littlec::ir::IrProgram;
 use parfait_littlec::LcError;
 use parfait_telemetry::json::Json;
 use parfait_telemetry::Telemetry;
@@ -249,25 +250,51 @@ pub fn lint_source_with(
 ) -> Result<LintReport, LintError> {
     let program = parfait_littlec::frontend(source)?;
     let ir = parfait_littlec::ir::lower(&program)?;
-    let ir_findings = {
-        let _span = tel.span("lint.ir");
-        lint_ir(&ir, HANDLER_ENTRY)?
-    };
-    let ir_insts = ir.functions.iter().map(parfait_littlec::opt::inst_count).sum();
+    let ir_layer = lint_ir_layer(&ir, tel)?;
     let asm = patch_asm(parfait_littlec::compile(&program, opt)?);
     let prog = parfait_riscv::assemble(&asm)
         .map_err(|e| LintError::Asm(format!("generated assembly does not assemble: {e}")))?;
+    lint_asm_layer(ir_layer, &prog, tel)
+}
+
+/// [`lint_source`] over `prog`, the already assembled compile of
+/// `source` (the pipeline's build memo keeps one): the same report,
+/// without compiling again.
+pub fn lint_assembled(
+    source: &str,
+    prog: &parfait_riscv::asm::Program,
+    tel: &Telemetry,
+) -> Result<LintReport, LintError> {
+    let program = parfait_littlec::frontend(source)?;
+    let ir = parfait_littlec::ir::lower(&program)?;
+    let ir_layer = lint_ir_layer(&ir, tel)?;
+    lint_asm_layer(ir_layer, prog, tel)
+}
+
+/// The IR layer's findings and the IR's size.
+fn lint_ir_layer(ir: &IrProgram, tel: &Telemetry) -> Result<(Vec<Finding>, usize), LintError> {
+    let findings = {
+        let _span = tel.span("lint.ir");
+        lint_ir(ir, HANDLER_ENTRY)?
+    };
+    Ok((findings, ir.functions.iter().map(parfait_littlec::opt::inst_count).sum()))
+}
+
+/// Add the asm layer's findings over `prog` to the IR layer's.
+fn lint_asm_layer(
+    (mut findings, ir_insts): (Vec<Finding>, usize),
+    prog: &parfait_riscv::asm::Program,
+    tel: &Telemetry,
+) -> Result<LintReport, LintError> {
     let asm_findings = {
         let _span = tel.span("lint.asm");
-        lint_asm(&prog, HANDLER_ENTRY)?
+        lint_asm(prog, HANDLER_ENTRY)?
     };
-    let asm_instrs = prog.text.len();
-    let mut findings = ir_findings;
     findings.extend(asm_findings);
     findings.sort();
     findings.dedup();
     tel.count("lint.findings", findings.len() as u64);
-    Ok(LintReport { findings, ir_insts, asm_instrs })
+    Ok(LintReport { findings, ir_insts, asm_instrs: prog.text.len() })
 }
 
 /// splitmix64: a seeded, dependency-free generator for the property
@@ -330,5 +357,30 @@ mod tests {
         let f = &report.findings[0];
         assert_eq!(f.diagnostic.code, "CT-BRANCH");
         assert!(!f.taint.is_empty());
+    }
+
+    #[test]
+    fn linting_the_assembled_program_matches_linting_the_source() {
+        let src = "
+            const u8 T[4] = {1, 2, 3, 4};
+            void handle(u8* state, u8* cmd, u8* resp) {
+                if (state[0]) { resp[0] = T[state[1] & 3]; }
+                resp[1] = (u8)(100 / (cmd[0] | 1));
+            }
+        ";
+        let tel = Telemetry::disabled();
+        for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            let program = parfait_littlec::frontend(src).unwrap();
+            let asm = parfait_littlec::compile(&program, opt).unwrap();
+            let prog = parfait_riscv::assemble(&asm).unwrap();
+            let from_source = lint_source(src, opt, &tel).unwrap();
+            let assembled = lint_assembled(src, &prog, &tel).unwrap();
+            assert!(!from_source.is_clean());
+            assert_eq!(assembled.findings, from_source.findings, "{opt}");
+            assert_eq!(
+                (assembled.ir_insts, assembled.asm_instrs),
+                (from_source.ir_insts, from_source.asm_instrs)
+            );
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! `perfstat` — the deterministic performance ratchet driver.
 //!
-//! Runs two fixed workloads with the certificate cache disabled:
+//! Runs three fixed workloads with the certificate cache disabled:
 //!
 //! 1. **lint**: the full static constant-time analysis of the hasher
 //!    at `-O2` (IR taint + sparse assembly fixpoint).
@@ -13,6 +13,12 @@
 //!    compile serves both platforms' bound keys and FPS builds, so
 //!    every lookup after the first is a hit). Each stage's wall time
 //!    is `<stage>_s`, under a ceiling.
+//! 3. **software**: the hasher's lockstep and `-O2` equivalence stages,
+//!    cold. Translation validation runs interp and IR once per
+//!    (state, command); their whole-command runs are gated lower-is-
+//!    better (asm's are not: FPS queries of the workload above turn
+//!    some into step-memo hits), the wall is `software_s`. It runs last
+//!    so the other workloads' counters never see it.
 //!
 //! It then reads the counter *deltas* off the global metrics registry,
 //! each with the direction it may move in, and gates them against
@@ -38,7 +44,7 @@ use parfait_bench::{emit_manifest, path_arg_from, write_json, App};
 use parfait_hsms::platform::Cpu;
 use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
-use parfait_pipeline::{run_cells, Cell, CertCache, Pipeline, StageSet};
+use parfait_pipeline::{run_cells, AppPipeline, Cell, CertCache, Pipeline, StageSet};
 use parfait_telemetry::metrics::{MetricKey, Metrics, MetricsSnapshot};
 use parfait_telemetry::Telemetry;
 
@@ -153,7 +159,29 @@ fn run_workloads() -> Result<Measurement, String> {
     let (hits, misses) = (grew("decode_cache_hit", &[]), grew("decode_cache_miss", &[]));
     let rate_ppm = (hits * 1_000_000).checked_div(hits + misses).unwrap_or(0);
     m.values.insert("decode_cache_hit_rate_ppm".into(), (rate_ppm, HigherIsBetter));
+
+    software_workload(&app, &mut m)?;
     Ok(m)
+}
+
+/// Workload 3: the hasher's translation-validating software stages on
+/// a fresh (cold) cache.
+fn software_workload(app: &AppPipeline, m: &mut Measurement) -> Result<(), String> {
+    let pipeline = Pipeline::new(CertCache::disabled(), Telemetry::disabled());
+    eprintln!("perfstat: lockstep and equivalence stages of {} at -O2...", app.name);
+    let before = Metrics::global().snapshot();
+    let t0 = Instant::now();
+    pipeline.lockstep_stage(app).map_err(|e| format!("software workload (lockstep): {e}"))?;
+    pipeline
+        .equivalence_stage(app, OptLevel::O2)
+        .map_err(|e| format!("software workload (equivalence): {e}"))?;
+    m.walls.insert("software_s".into(), t0.elapsed().as_secs_f64());
+    let after = Metrics::global().snapshot();
+    for (key, level) in [("validation_interp_runs", "interp"), ("validation_ir_runs", "ir")] {
+        let runs = grew(&before, &after, "pipeline_validation_runs_total", &[("level", level)]);
+        m.values.insert(key.into(), (runs, LowerIsBetter));
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {

@@ -8,11 +8,13 @@
 //! machines at all three levels are observationally equivalent by
 //! differential execution on concrete inputs.
 //!
-//! [`validate_handle`] drives the three levels' `step` functions on the
-//! same `(state, command)` pairs and demands identical `(state',
-//! response)` results; [`validate_function`] does the same for a scalar
-//! function. A mismatch is reported with the diverging level and values,
+//! [`validate_handle_levels`] drives the three levels' `step` functions
+//! on the same `(state, command)` pairs at every opt level and demands
+//! identical `(state', response)` results; [`validate_function`] does the
+//! same for a scalar function. A mismatch is reported with the diverging level and values,
 //! like a failed Knox2 equivalence check.
+
+use std::borrow::Borrow;
 
 use parfait_riscv::asm::assemble;
 use parfait_riscv::model::AsmStateMachine;
@@ -70,6 +72,13 @@ impl From<LcError> for ValidateError {
     }
 }
 
+/// Callers that report failures as text.
+impl From<ValidateError> for String {
+    fn from(e: ValidateError) -> Self {
+        e.to_string()
+    }
+}
+
 /// Build the assembly-level whole-command state machine for a program's
 /// `handle` function at the given optimization level.
 pub fn asm_machine(
@@ -121,53 +130,100 @@ pub fn validate_handle(
     response_size: usize,
     cases: &[(Vec<u8>, Vec<u8>)],
 ) -> Result<(), ValidateError> {
-    validate_handle_patched(program, opt, response_size, cases, |a| a)
+    validate_handle_levels(program, &[opt], response_size, cases, |opt| {
+        let (state, command) = cases.first().expect("at least one validation case");
+        asm_machine(program, opt, state.len(), command.len(), response_size)
+    })
+    .map(|_| ())
+    .map_err(|(_, e)| e)
 }
 
-/// [`validate_handle`] with a hook applied to the compiled assembly
-/// before the asm-level machine is built (identity in production; the
-/// mutation harness seeds codegen bugs through it).
-pub fn validate_handle_patched(
+/// Whole-command runs each level made in one validation.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LevelRuns {
+    /// `handle` runs under the Low\* interpreter.
+    pub interp: usize,
+    /// `handle` runs under the IR evaluator.
+    pub ir: usize,
+    /// Runs of the compiled `handle`, over every opt level. A step the
+    /// machine's memo already held is not a run.
+    pub asm: usize,
+}
+
+/// Validate `handle` at each opt level in `levels`, in order, on the
+/// given cases: interp, IR and asm must produce identical `(state',
+/// response)` observations.
+///
+/// The interp and IR results do not depend on the opt level, so they
+/// are computed once per case, at the first level, and compared there;
+/// each later level compares only its asm run against them. A check
+/// skipped at a later level has already passed at the first, so the
+/// first failing comparison, and the level it is reported at, are those
+/// of a level-by-level validation.
+///
+/// `asm_at` supplies each level's asm machine. A failure comes back
+/// with its level.
+pub fn validate_handle_levels<M, E>(
     program: &Program,
-    opt: OptLevel,
+    levels: &[OptLevel],
     response_size: usize,
     cases: &[(Vec<u8>, Vec<u8>)],
-    patch_asm: impl FnOnce(String) -> String,
-) -> Result<(), ValidateError> {
+    mut asm_at: impl FnMut(OptLevel) -> Result<M, E>,
+) -> Result<LevelRuns, (OptLevel, E)>
+where
+    M: Borrow<AsmStateMachine>,
+    E: From<ValidateError>,
+{
+    let mut runs = LevelRuns::default();
+    let Some(&first) = levels.first() else { return Ok(runs) };
     let interp = Interp::new(program);
-    let ir = lower(program)?;
+    let ir = lower(program).map_err(|e| (first, ValidateError::from(e).into()))?;
     let ireval = IrEval::new(&ir);
-    let first = cases.first().expect("at least one validation case");
-    let asm =
-        asm_machine_patched(program, opt, first.0.len(), first.1.len(), response_size, patch_asm)?;
-    for (state, command) in cases {
-        let a = interp
-            .step(state, command, response_size)
-            .map_err(|e| ValidateError::Exec(format!("interp: {e}")))?;
-        let b = ireval
-            .step(state, command, response_size)
-            .map_err(|e| ValidateError::Exec(format!("ireval: {e}")))?;
-        if a != b {
-            return Err(ValidateError::Diverged(Divergence {
-                levels: "interp (Low*) vs ireval (C)".into(),
-                detail: format!(
-                    "state={state:02x?} cmd={command:02x?}: {:02x?}/{:02x?} vs {:02x?}/{:02x?}",
-                    a.0, a.1, b.0, b.1
-                ),
-            }));
-        }
-        let c = asm.step(state, command).map_err(|e| ValidateError::Exec(format!("asm: {e}")))?;
-        if a != c {
-            return Err(ValidateError::Diverged(Divergence {
-                levels: "ireval (C) vs asm".into(),
-                detail: format!(
-                    "state={state:02x?} cmd={command:02x?}: {:02x?}/{:02x?} vs {:02x?}/{:02x?}",
-                    a.0, a.1, c.0, c.1
-                ),
-            }));
+    assert!(!cases.is_empty(), "at least one validation case");
+    // Each case's interp result, once it has matched IR.
+    let mut expected: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(cases.len());
+    for &level in levels {
+        let fail = |e: ValidateError| (level, E::from(e));
+        let asm = asm_at(level).map_err(|e| (level, e))?;
+        for (i, (state, command)) in cases.iter().enumerate() {
+            if i == expected.len() {
+                let a = interp
+                    .step(state, command, response_size)
+                    .map_err(|e| fail(ValidateError::Exec(format!("interp: {e}"))))?;
+                runs.interp += 1;
+                let b = ireval
+                    .step(state, command, response_size)
+                    .map_err(|e| fail(ValidateError::Exec(format!("ireval: {e}"))))?;
+                runs.ir += 1;
+                if a != b {
+                    return Err(fail(ValidateError::Diverged(Divergence {
+                        levels: "interp (Low*) vs ireval (C)".into(),
+                        detail: format!(
+                            "state={state:02x?} cmd={command:02x?}: {:02x?}/{:02x?} vs {:02x?}/{:02x?}",
+                            a.0, a.1, b.0, b.1
+                        ),
+                    })));
+                }
+                expected.push(a);
+            }
+            let a = &expected[i];
+            let (c, ran) = asm
+                .borrow()
+                .step_uncounted(state, command)
+                .map_err(|e| fail(ValidateError::Exec(format!("asm: {e}"))))?;
+            runs.asm += usize::from(ran);
+            if *a != c {
+                return Err(fail(ValidateError::Diverged(Divergence {
+                    levels: "ireval (C) vs asm".into(),
+                    detail: format!(
+                        "state={state:02x?} cmd={command:02x?}: {:02x?}/{:02x?} vs {:02x?}/{:02x?}",
+                        a.0, a.1, c.0, c.1
+                    ),
+                })));
+            }
         }
     }
-    Ok(())
+    Ok(runs)
 }
 
 /// Validate a scalar function across all three levels on argument tuples.

@@ -1,7 +1,10 @@
 //! Property-based compiler fuzzing: random expression programs must
 //! produce identical results at every level of the pipeline (interp,
 //! IR, and assembly at all three optimization levels) — randomized
-//! translation validation.
+//! translation validation. The interp level is also held to the
+//! AST-walking oracle it replaced.
+
+mod oracle;
 
 use proptest::prelude::*;
 
@@ -82,7 +85,9 @@ fn run_all_levels(src: &str, args: &[u32]) -> Vec<u32> {
     let p = frontend(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
     let mut outs = Vec::new();
     let interp = Interp::new(&p);
-    outs.push(interp.call("f", args).unwrap_or_else(|e| panic!("{e}\n{src}")));
+    let got = interp.call("f", args);
+    assert_eq!(got, oracle::OracleInterp::new(&p).call("f", args), "oracle on {src}");
+    outs.push(got.unwrap_or_else(|e| panic!("{e}\n{src}")));
     let ir = lower(&p).unwrap();
     let ev = IrEval::new(&ir);
     outs.push(ev.call("f", args).unwrap());
@@ -160,7 +165,9 @@ proptest! {
         let p = frontend(&src).unwrap();
         let interp = Interp::new(&p);
         let st = vec![data[15]; 4];
-        let (s1, r1) = interp.step(&st, &data[..8], 4).unwrap();
+        let got = interp.step(&st, &data[..8], 4);
+        prop_assert_eq!(&got, &oracle::OracleInterp::new(&p).step(&st, &data[..8], 4));
+        let (s1, r1) = got.unwrap();
         let ir = lower(&p).unwrap();
         let ev = IrEval::new(&ir);
         let (s2, r2) = ev.step(&st, &data[..8], 4).unwrap();

@@ -123,6 +123,9 @@ pub struct AppPipeline {
     /// Fingerprint of the Starling configuration (part of the lockstep
     /// stage's input hash — a changed config must re-verify).
     pub starling_fingerprint: String,
+    /// The encoded (state, input) pairs the lockstep stage runs `handle`
+    /// on at the Low\* level, in the order it runs them.
+    pub lockstep_cases: Vec<(Vec<u8>, Vec<u8>)>,
     /// Observe the spec's behavior over the sample set.
     pub spec_probe: Box<dyn Fn() -> SpecTrace + Send + Sync>,
     /// Run the Starling software verification.
@@ -188,6 +191,12 @@ where
     let workload = codec.encode_command(&workload);
     let opt_levels = config.opt_levels.clone();
     let opts: Vec<String> = config.opt_levels.iter().map(|o| o.to_string()).collect();
+    let inputs = parfait_starling::lockstep_inputs(&codec, &config, &commands);
+    let mut lockstep_cases = Vec::new();
+    for st in &states {
+        let si = codec.encode_state(st);
+        lockstep_cases.extend(inputs.iter().map(|i| (si.clone(), i.clone())));
+    }
     let starling_fingerprint = format!(
         "adversarial={} seed={:#x} opts={}",
         config.adversarial_inputs,
@@ -255,6 +264,7 @@ where
         workload,
         opt_levels,
         starling_fingerprint,
+        lockstep_cases,
         spec_probe,
         starling,
         tamper: None,

@@ -1,15 +1,17 @@
 //! The build memo: one compile per (app source, system software, opt).
 //!
-//! Three stages read compiled text. ctcheck's input id hashes the
-//! lowered IR and the app's assembly, bound's hashes the linked
-//! firmware text (which its analysis then reads), and FPS simulates
-//! the ROM image assembled from that text against the app's asm-level
-//! spec machine. All of it is a deterministic function of the clean
-//! compile inputs, so this process-wide memo compiles each (app
-//! source, system-software source, opt level) once and keeps only
-//! what the stages read again: the linked text, the ROM image, the
-//! shared spec machine and the stage input ids. No AST, IR or app
-//! assembly stays in an entry.
+//! Five stages read compiled code. ctcheck's input id hashes the
+//! lowered IR and the app's assembly, and its lint reads the assembled
+//! app; bound's id hashes the linked firmware text (which its analysis
+//! then reads); FPS simulates the ROM image assembled from that text
+//! against the app's asm-level spec machine; and the equivalence stage
+//! validates that same machine at its own opt level (so FPS's spec
+//! queries on the validation grid are step-memo hits). All of it is a
+//! deterministic function of the clean compile inputs, so this
+//! process-wide memo compiles each (app source, system-software
+//! source, opt level) once and keeps only what the stages read again:
+//! the linked text, the ROM image, the shared spec machine and the
+//! stage input ids. No AST, IR or app assembly text stays in an entry.
 //!
 //! A lookup is a `hit` in `pipeline_firmware_builds_total{outcome}`
 //! when it compiled nothing and a `miss` when it compiled: a new entry,
@@ -19,7 +21,8 @@
 //!
 //! Tampered apps never touch the memo: a [`Tamper`](crate::Tamper)'s
 //! patch is a closure the key cannot see, so they derive their patched
-//! text, ROM image and ids on every call.
+//! text, ROM image and ids on every call (and the equivalence stage and
+//! the lint their patched compiles).
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -49,9 +52,12 @@ pub type FpsBuild = (Firmware, Arc<AsmStateMachine>);
 struct Made {
     /// The linked firmware text, which bound keys on and analyses.
     linked: Result<Arc<str>, String>,
-    /// The ROM image assembled from `linked` and the app's spec machine,
-    /// shared by both platforms (and so is its step memo).
-    fps: Result<FpsBuild, String>,
+    /// The ROM image assembled from `linked`.
+    rom: Result<Firmware, String>,
+    /// The app's asm-level machine, shared by both platforms' FPS and
+    /// the equivalence stage (and so is its step memo). It depends on
+    /// the app alone, so a system-software link failure leaves it be.
+    spec: Result<Arc<AsmStateMachine>, String>,
 }
 
 /// A stage input id's key within a build: the app slug, plus the cpu
@@ -148,6 +154,7 @@ impl Build {
         let sizes = app.sizes;
         let spec = compiled.as_ref().map_err(Clone::clone).and_then(|(_, asm)| {
             asm_machine_of(asm, sizes.state, sizes.command, sizes.response)
+                .map(Arc::new)
                 .map_err(|e| e.to_string())
         });
         let ctcheck = compiled.map(|(id, _)| id);
@@ -158,11 +165,9 @@ impl Build {
         let linked = link_asm(&self.source, &self.syssw, self.opt, |a| a)
             .map(Arc::from)
             .map_err(|e| e.to_string());
-        let fps = linked.clone().and_then(|text| {
-            let fw = firmware_from_asm(&text).map_err(|e| e.to_string())?;
-            Ok((fw, Arc::new(spec?)))
-        });
-        Made { linked, fps }
+        let rom =
+            linked.clone().and_then(|text| firmware_from_asm(&text).map_err(|e| e.to_string()));
+        Made { linked, rom, spec }
     }
 
     /// The id keyed `(slug, cpu)`, derived and kept on first use.
@@ -291,13 +296,35 @@ pub fn bound_inputs(
 pub fn fps_build(app: &AppPipeline, opt: OptLevel, metrics: &Metrics) -> Result<FpsBuild, String> {
     if app.tamper.is_some() {
         let fw = firmware_from_asm(&tampered_link(app, opt)?).map_err(|e| e.to_string())?;
-        let sizes = app.sizes;
-        let program = parfait_littlec::frontend(&app.source).map_err(|e| e.to_string())?;
-        let spec = asm_machine(&program, opt, sizes.state, sizes.command, sizes.response)
-            .map_err(|e| e.to_string())?;
-        return Ok((fw, Arc::new(spec)));
+        return Ok((fw, clean_spec(app, opt)?));
     }
     let (build, compiled) = lookup(app, opt);
     count(metrics, compiled);
-    build.made().fps.clone()
+    let made = build.made();
+    Ok((made.rom.clone()?, made.spec.clone()?))
+}
+
+/// The asm-level machine of `app`'s clean compile at `opt`: the memo's
+/// shared one, whose step memo FPS's spec queries consult. A tampered
+/// app gets a fresh one of its own.
+pub fn spec_machine(
+    app: &AppPipeline,
+    opt: OptLevel,
+    metrics: &Metrics,
+) -> Result<Arc<AsmStateMachine>, String> {
+    if app.tamper.is_some() {
+        return clean_spec(app, opt);
+    }
+    let (build, compiled) = lookup(app, opt);
+    count(metrics, compiled);
+    build.made().spec.clone()
+}
+
+/// A fresh asm-level machine of `app`'s clean compile, outside the memo.
+fn clean_spec(app: &AppPipeline, opt: OptLevel) -> Result<Arc<AsmStateMachine>, String> {
+    let sizes = app.sizes;
+    let program = parfait_littlec::frontend(&app.source).map_err(|e| e.to_string())?;
+    asm_machine(&program, opt, sizes.state, sizes.command, sizes.response)
+        .map(Arc::new)
+        .map_err(|e| e.to_string())
 }

@@ -20,6 +20,7 @@
 //! therefore compiles nothing. [`Pipeline::run_fps`] is the one place a
 //! real and an ideal SoC are constructed and driven.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parfait::levels::Level;
@@ -27,7 +28,10 @@ use parfait_hsms::platform::{make_soc_with, Cpu};
 use parfait_hsms::syssw;
 use parfait_knox2::{check_fps_traced, CircuitEmulator, FpsConfig, FpsObserver, FpsReport};
 use parfait_littlec::codegen::OptLevel;
-use parfait_littlec::validate::validate_handle_patched;
+use parfait_littlec::validate::{
+    asm_machine, asm_machine_patched, validate_handle_levels, LevelRuns,
+};
+use parfait_riscv::model::AsmStateMachine;
 use parfait_soc::Soc;
 use parfait_telemetry::Telemetry;
 
@@ -217,6 +221,7 @@ impl Pipeline {
         let claim = (Level::Spec.label(None), Level::LowStar.label(None));
         self.run_stage(StageKind::Lockstep, &app.slug, claim, inputs, || {
             let report = (app.starling)(&self.tel)?;
+            self.count_runs(StageKind::Lockstep, report.runs);
             Ok((
                 vec![
                     ("lockstep_cases".into(), report.lockstep_cases as i64),
@@ -231,7 +236,7 @@ impl Pipeline {
     /// The deterministic (state, command) grid the equivalence stage
     /// validates on: both provisioned and default states, each against
     /// the workload, an all-invalid command, and all-zeros.
-    fn equivalence_cases(app: &AppPipeline) -> Vec<(Vec<u8>, Vec<u8>)> {
+    pub fn equivalence_cases(app: &AppPipeline) -> Vec<(Vec<u8>, Vec<u8>)> {
         let commands =
             [app.workload.clone(), vec![0xEE; app.sizes.command], vec![0u8; app.sizes.command]];
         let mut cases = Vec::new();
@@ -244,9 +249,13 @@ impl Pipeline {
     }
 
     /// `equivalence` — compiler equivalence: translation validation of
-    /// `handle` across all four levels (interp, IR, asm) at every
-    /// opt level the app's verification covers (plus the target
-    /// level), over the deterministic case grid.
+    /// `handle` across the three levels (interp, IR, asm) at every opt
+    /// level the app's verification covers (plus the target level),
+    /// over the deterministic case grid, in one validator call: interp
+    /// and IR run once per case, asm at every level. A clean app's asm
+    /// at the target level is the build memo's machine, the one FPS
+    /// queries, so FPS's spec queries on the grid replay its steps. A
+    /// tampered app validates its patched compile at every level.
     pub fn equivalence_stage(
         &self,
         app: &AppPipeline,
@@ -279,17 +288,23 @@ impl Pipeline {
         let claim = (Level::LowStar.label(None), Level::Asm.label(Some(&opt_label)));
         self.run_stage(StageKind::Equivalence, &app.slug, claim, inputs, || {
             let program = parfait_littlec::frontend(&app.source).map_err(|e| e.to_string())?;
-            let patch = app.tamper.as_ref().and_then(|t| t.patch_asm.clone());
-            for level in &levels {
-                let patch = patch.clone();
-                validate_handle_patched(&program, *level, app.sizes.response, &cases, |a| {
-                    match patch {
-                        Some(p) => p(a),
-                        None => a,
+            let patch = app.tamper.as_ref().and_then(|t| t.patch_asm.as_ref());
+            let (state, command) = (cases[0].0.len(), cases[0].1.len());
+            let response = app.sizes.response;
+            // Each level's machine, over the grid's buffer sizes.
+            let asm_at = |level: OptLevel| -> Result<Arc<AsmStateMachine>, String> {
+                let asm = match patch {
+                    Some(p) => {
+                        asm_machine_patched(&program, level, state, command, response, |a| p(a))
                     }
-                })
-                .map_err(|e| format!("{level}: {e}"))?;
-            }
+                    None if level == opt => return build::spec_machine(app, opt, self.metrics()),
+                    None => asm_machine(&program, level, state, command, response),
+                };
+                Ok(Arc::new(asm?))
+            };
+            let runs = validate_handle_levels(&program, &levels, response, &cases, asm_at)
+                .map_err(|(level, e)| format!("{level}: {e}"))?;
+            self.count_runs(StageKind::Equivalence, runs);
             Ok((
                 vec![
                     ("cases".into(), cases.len() as i64),
@@ -298,6 +313,20 @@ impl Pipeline {
                 None,
             ))
         })
+    }
+
+    /// Count a validation's whole-command runs per level into
+    /// `pipeline_validation_runs_total{stage, level}`. The counts come
+    /// from the checker's report; no certificate carries them.
+    fn count_runs(&self, stage: StageKind, runs: LevelRuns) {
+        for (level, n) in [("interp", runs.interp), ("ir", runs.ir), ("asm", runs.asm)] {
+            self.metrics()
+                .counter_with(
+                    "pipeline_validation_runs_total",
+                    &[("stage", stage.as_str()), ("level", level)],
+                )
+                .add(n as u64);
+        }
     }
 
     /// `ctcheck` — static constant-time lint: secret-taint analysis over
@@ -319,12 +348,24 @@ impl Pipeline {
         let asm_level = Level::Asm.label(Some(&opt_label));
         let claim = (asm_level.clone(), asm_level);
         self.run_stage(StageKind::CtCheck, &app.slug, claim, inputs, || {
-            let report =
-                parfait_analyzer::lint_source_with(&app.source, opt, &self.tel, |a| match patch {
-                    Some(p) => p(a),
-                    None => a,
-                })
-                .map_err(|e| e.to_string())?;
+            // A clean app lints the build memo's assembled program; a
+            // tampered one (or a clean one the memo could not assemble)
+            // compiles its own.
+            let memo = match app.tamper {
+                None => build::spec_machine(app, opt, self.metrics()).ok(),
+                Some(_) => None,
+            };
+            let patched = |a| match patch {
+                Some(p) => p(a),
+                None => a,
+            };
+            let report = match memo {
+                Some(spec) => {
+                    parfait_analyzer::lint_assembled(&app.source, spec.program(), &self.tel)
+                }
+                None => parfait_analyzer::lint_source_with(&app.source, opt, &self.tel, patched),
+            }
+            .map_err(|e| e.to_string())?;
             if !report.is_clean() {
                 let mut msg = format!("{} constant-time violation(s):", report.findings.len());
                 for f in &report.findings {

@@ -128,22 +128,36 @@ impl AsmStateMachine {
     /// within the fuel budget, so later *lowering* `self.fuel` does not
     /// retroactively turn recorded completions into `OutOfFuel`.
     pub fn step(&self, state: &[u8], command: &[u8]) -> Result<(Vec<u8>, Vec<u8>), RunError> {
+        let (out, ran) = self.step_uncounted(state, command)?;
+        let counter = if ran { &self.memo.misses } else { &self.memo.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(out)
+    }
+
+    /// [`step`](Self::step) that leaves the memo's hit/miss counters to
+    /// the queries they measure (FPS's spec queries drain them) and
+    /// says instead whether it ran `handle` (`false` on a memo hit).
+    /// Translation validation steps a machine FPS later queries, and
+    /// counts its own runs.
+    pub fn step_uncounted(
+        &self,
+        state: &[u8],
+        command: &[u8],
+    ) -> Result<(StepBytes, bool), RunError> {
         let key = (state.to_vec(), command.to_vec());
         if let Some(hit) = self.memo.map.lock().unwrap().get(&key) {
-            self.memo.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.clone());
+            return Ok((hit.clone(), false));
         }
         let (mut m, state_ptr, _command_ptr, response_ptr) = self.prepare(state, command);
         m.run(self.fuel)?;
         let new_state = m.loadbytes(state_ptr, self.state_size);
         let response = m.loadbytes(response_ptr, self.response_size);
-        self.memo.misses.fetch_add(1, Ordering::Relaxed);
         let mut map = self.memo.map.lock().unwrap();
         if map.len() >= MEMO_CAP {
             map.clear();
         }
         map.insert(key, (new_state.clone(), response.clone()));
-        Ok((new_state, response))
+        Ok(((new_state, response), true))
     }
 
     /// Drain the whole-command memo's (hits, misses) counters, shared
@@ -230,6 +244,18 @@ mod tests {
         let cloned = clone.step(&s, &[2]).unwrap();
         assert_eq!(cloned, first);
         assert_eq!(sm.take_memo_stats(), (2, 0), "hit via original and via clone");
+    }
+
+    #[test]
+    fn uncounted_steps_share_the_memo_but_not_its_counters() {
+        let sm = AsmStateMachine::new(assemble(TOY).unwrap(), 4, 1, 4).unwrap();
+        let s = vec![7, 0, 0, 0];
+        let (first, ran) = sm.step_uncounted(&s, &[2]).unwrap();
+        assert!(ran, "a cold step runs `handle`");
+        assert_eq!(sm.step_uncounted(&s, &[2]).unwrap(), (first.clone(), false));
+        assert_eq!(sm.take_memo_stats(), (0, 0), "uncounted steps leave the counters alone");
+        assert_eq!(sm.step(&s, &[2]).unwrap(), first);
+        assert_eq!(sm.take_memo_stats(), (1, 0), "a counted query hits the recorded step");
     }
 
     #[test]

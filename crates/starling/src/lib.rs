@@ -24,4 +24,6 @@
 pub mod machines;
 pub mod verify;
 
-pub use verify::{verify_app, verify_app_traced, StarlingConfig, StarlingError, StarlingReport};
+pub use verify::{
+    lockstep_inputs, verify_app, verify_app_traced, StarlingConfig, StarlingError, StarlingReport,
+};

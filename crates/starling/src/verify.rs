@@ -1,5 +1,8 @@
 //! The Starling verification driver.
 
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -10,7 +13,7 @@ use parfait::world::{check_ipr, Op};
 use parfait::StateMachine;
 use parfait_littlec::codegen::OptLevel;
 use parfait_littlec::ir::lower;
-use parfait_littlec::validate::asm_machine;
+use parfait_littlec::validate::{asm_machine, LevelRuns};
 use parfait_telemetry::Telemetry;
 
 use crate::machines::{AsmMachine, InterpMachine, IrMachine};
@@ -50,10 +53,17 @@ impl Default for StarlingConfig {
 pub struct StarlingReport {
     /// Lockstep (state, input) pairs checked.
     pub lockstep_cases: usize,
-    /// Translation-validation executions across levels.
+    /// Translation-validation comparisons: two per (opt level, state,
+    /// input). It counted executions when every level re-ran interp and
+    /// IR; they now run once per (state, input), but the count is kept
+    /// so the lockstep certificate, which carries it, stays the same.
     pub validation_cases: usize,
     /// IPR world-equivalence operations checked.
     pub ipr_operations: usize,
+    /// Whole-command runs per level (obligations 2–4; asm steps its
+    /// machines' memos replayed are not runs). Not part of any
+    /// certificate.
+    pub runs: LevelRuns,
 }
 
 /// A Starling verification failure.
@@ -147,27 +157,13 @@ where
             .map_err(StarlingError::Lockstep)?;
     }
 
-    // Build the input set: encoded valid commands + adversarial inputs.
-    let mut inputs: Vec<Vec<u8>> = spec_commands.iter().map(|c| codec.encode_command(c)).collect();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    for _ in 0..config.adversarial_inputs {
-        let mut buf = vec![0u8; config.command_size];
-        rng.fill(&mut buf[..]);
-        inputs.push(buf);
-    }
-    // Mutations of valid commands (bit flips), which often hit the
-    // decode boundary cases.
-    for c in spec_commands {
-        let mut enc = codec.encode_command(c);
-        let i = rng.random_range(0..enc.len());
-        enc[i] ^= 1u8 << rng.random_range(0..8u8);
-        inputs.push(enc);
-    }
+    let inputs = lockstep_inputs(codec, config, spec_commands);
 
-    // Build the littlec levels.
+    // Build the littlec levels. The interp level remembers its results:
+    // obligation 3 compares against obligation 2's runs.
     let program = parfait_littlec::frontend_traced(app_source, tel)
         .map_err(|e| StarlingError::Build(e.to_string()))?;
-    let interp = InterpMachine::new(&program, config.response_size);
+    let interp = Remembered::new(InterpMachine::new(&program, config.response_size));
     let ir = lower(&program).map_err(|e| StarlingError::Build(e.to_string()))?;
     let irm = IrMachine::new(&ir, config.response_size);
 
@@ -180,9 +176,14 @@ where
     report.lockstep_cases = spec_states.len() * inputs.len();
     tel.count("starling.lockstep_cases", report.lockstep_cases as u64);
 
-    // Obligation 3: translation validation across the pipeline.
+    // Obligation 3: translation validation across the pipeline. Interp
+    // and IR do not depend on the opt level, so IR is compared with the
+    // interp results at the first level only; every level runs asm.
+    // The comparisons skipped at later levels passed at the first, so
+    // the first failure is the one a level-by-level check reports.
     let translation_span = tel.span("starling.translation");
-    for opt in &config.opt_levels {
+    let mut machines: Vec<(OptLevel, AsmMachine)> = Vec::new();
+    for (k, opt) in config.opt_levels.iter().enumerate() {
         let asm = asm_machine(
             &program,
             *opt,
@@ -196,11 +197,14 @@ where
             let si = codec.encode_state(st);
             for input in &inputs {
                 let a = interp.step(&si, input);
-                let b = irm.step(&si, input);
-                if a != b {
-                    return Err(StarlingError::Translation(format!(
-                        "interp vs IR diverge on input {input:02x?}"
-                    )));
+                if k == 0 {
+                    let b = irm.step(&si, input);
+                    report.runs.ir += 1;
+                    if a != b {
+                        return Err(StarlingError::Translation(format!(
+                            "interp vs IR diverge on input {input:02x?}"
+                        )));
+                    }
                 }
                 let c = asmm.step(&si, input);
                 if a != c {
@@ -211,6 +215,7 @@ where
                 report.validation_cases += 2;
             }
         }
+        machines.push((*opt, asmm));
     }
     drop(translation_span);
     tel.count("starling.validation_cases", report.validation_cases as u64);
@@ -218,15 +223,22 @@ where
     let _ipr_span = tel.span("starling.ipr");
     // Obligation 4: end-to-end IPR between spec and the O2 assembly with
     // the lockstep-derived driver/emulator, over a mixed adversarial
-    // trace.
-    let asm = asm_machine(
-        &program,
-        OptLevel::O2,
-        config.state_size,
-        config.command_size,
-        config.response_size,
-    )
-    .map_err(|e| StarlingError::Build(e.to_string()))?;
+    // trace. The O2 machine is obligation 3's when it validated one.
+    let asm = match machines.iter().find(|(opt, _)| *opt == OptLevel::O2) {
+        Some((_, m)) => m.model().clone(),
+        None => {
+            let asm = asm_machine(
+                &program,
+                OptLevel::O2,
+                config.state_size,
+                config.command_size,
+                config.response_size,
+            )
+            .map_err(|e| StarlingError::Build(e.to_string()))?;
+            machines.push((OptLevel::O2, AsmMachine::new(asm.clone())));
+            asm
+        }
+    };
     let asmm = AsmWithInit { inner: AsmMachine::new(asm), init: codec.encode_state(&spec.init()) };
     let spec_with_init = SpecRef(spec);
     let driver = LockstepDriver(codec);
@@ -245,7 +257,80 @@ where
     tel.count("starling.ipr_operations", report.ipr_operations as u64);
     check_ipr(&spec_with_init, &asmm, &driver, &mut emu, &ops)
         .map_err(|ce| StarlingError::Ipr(ce.to_string()))?;
+    report.runs.interp = interp.runs.get();
+    // The machines' memos are Starling's own: their misses are its runs.
+    report.runs.asm = machines.iter().map(|(_, m)| m.model().take_memo_stats().1 as usize).sum();
     Ok(report)
+}
+
+/// A pair of byte buffers: `(state, command)` or `(state', response)`.
+type BufPair = (Vec<u8>, Vec<u8>);
+
+/// A whole-command machine that runs each distinct (state, command)
+/// once and replays its result after.
+struct Remembered<M> {
+    inner: M,
+    seen: RefCell<HashMap<BufPair, BufPair>>,
+    /// Steps `inner` ran.
+    runs: Cell<usize>,
+}
+
+impl<M> Remembered<M> {
+    fn new(inner: M) -> Self {
+        Remembered { inner, seen: RefCell::default(), runs: Cell::new(0) }
+    }
+}
+
+impl<M> StateMachine for Remembered<M>
+where
+    M: StateMachine<State = Vec<u8>, Command = Vec<u8>, Response = Vec<u8>>,
+{
+    type State = Vec<u8>;
+    type Command = Vec<u8>;
+    type Response = Vec<u8>;
+
+    fn init(&self) -> Vec<u8> {
+        self.inner.init()
+    }
+
+    fn step(&self, s: &Vec<u8>, c: &Vec<u8>) -> (Vec<u8>, Vec<u8>) {
+        let key = (s.clone(), c.clone());
+        if let Some(hit) = self.seen.borrow().get(&key) {
+            return hit.clone();
+        }
+        let out = self.inner.step(s, c);
+        self.runs.set(self.runs.get() + 1);
+        self.seen.borrow_mut().insert(key, out.clone());
+        out
+    }
+}
+
+/// The implementation inputs Starling checks from every spec state:
+/// each spec command's encoding, then `config.adversarial_inputs`
+/// seeded random buffers, then one seeded bit flip of each command's
+/// encoding (flips often hit the decode boundary cases).
+pub fn lockstep_inputs<C>(
+    codec: &C,
+    config: &StarlingConfig,
+    spec_commands: &[<C::Spec as StateMachine>::Command],
+) -> Vec<Vec<u8>>
+where
+    C: Codec<CI = Vec<u8>>,
+{
+    let mut inputs: Vec<Vec<u8>> = spec_commands.iter().map(|c| codec.encode_command(c)).collect();
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    for _ in 0..config.adversarial_inputs {
+        let mut buf = vec![0u8; config.command_size];
+        rng.fill(&mut buf[..]);
+        inputs.push(buf);
+    }
+    for c in spec_commands {
+        let mut enc = codec.encode_command(c);
+        let i = rng.random_range(0..enc.len());
+        enc[i] ^= 1u8 << rng.random_range(0..8u8);
+        inputs.push(enc);
+    }
+    inputs
 }
 
 /// Adapter fixing the asm machine's initial state to the encoded spec
@@ -385,8 +470,39 @@ mod tests {
         )
         .unwrap();
         assert!(report.lockstep_cases > 0);
-        assert!(report.validation_cases > 0);
         assert!(report.ipr_operations > 0);
+        // Interp and IR run once per (state, input); the validation
+        // count stays two per (opt level, state, input).
+        assert_eq!(report.runs.interp, report.lockstep_cases);
+        assert_eq!(report.runs.ir, report.lockstep_cases);
+        assert_eq!(report.validation_cases, 2 * 3 * report.lockstep_cases);
+        assert!(report.runs.asm >= report.lockstep_cases, "{:?}", report.runs);
+    }
+
+    #[test]
+    fn reports_an_interp_ir_disagreement_at_its_first_input() {
+        // Sibling blocks reuse the interpreter's stack addresses; the IR
+        // gives each frame slot its own. The leaked address is 0x7000_0000
+        // to the interpreter, so the lockstep check (interp vs spec)
+        // passes, and translation validation must name the first input.
+        let leaky = COUNTER_LC
+            .replace(
+                "u32* s = (u32*)state;",
+                "if (1) { u32 a[4]; a[0] = 1; }
+            u32 b[4];
+            b[0] = 0;
+            u32* s = (u32*)state;",
+            )
+            .replace("r[0] = 0;", "r[0] = ((u32)b) & 0xFF;");
+        let commands = [CounterCmd::Add(7), CounterCmd::Get];
+        let err =
+            verify_app(&CounterCodec, &counter_spec(), &leaky, &config(), &[5], &commands, &[0])
+                .unwrap_err();
+        let first = CounterCodec.encode_command(&commands[0]);
+        assert_eq!(
+            err.to_string(),
+            format!("translation validation failed: interp vs IR diverge on input {first:02x?}")
+        );
     }
 
     #[test]

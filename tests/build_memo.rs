@@ -301,3 +301,35 @@ fn a_warm_serve_request_compiles_nothing() {
     assert_eq!(grew("miss"), 0, "a warm request compiled");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn fps_replays_the_equivalence_stages_step_on_the_memo_machine() {
+    let _memo = memo_lock();
+    // A fresh build, so its spec machine's step memo starts empty.
+    let mut app = StdApp::Hasher.pipeline();
+    app.source.push_str("\n// spec-memo variant\n");
+    let opt = OptLevel::O2;
+    let pipeline = Pipeline::new(CertCache::disabled_with(Metrics::new()), Telemetry::disabled());
+    let spec = build::spec_machine(&app, opt, pipeline.metrics()).unwrap();
+    let secret_workload = (app.secret_state.clone(), app.workload.clone());
+    assert!(Pipeline::equivalence_cases(&app).contains(&secret_workload), "on the grid");
+
+    pipeline.equivalence_stage(&app, opt).unwrap();
+    // The stage stepped the shared machine but left its counters to FPS.
+    assert_eq!(spec.take_memo_stats(), (0, 0));
+    let (_, ran) = spec.step_uncounted(&secret_workload.0, &secret_workload.1).unwrap();
+    assert!(!ran, "the equivalence stage recorded (secret state, workload)");
+
+    let spec_memo = |outcome| {
+        Metrics::global().snapshot().counter("spec_step_memo_total", &[("outcome", outcome)])
+    };
+    let before = (spec_memo("hit").unwrap_or(0), spec_memo("miss").unwrap_or(0));
+    let timeout = parfait_knox2::FpsConfig::default_timeout();
+    let obs = parfait_knox2::FpsObserver::default();
+    let (report, _) = pipeline.run_fps(&app, Cpu::Ibex, opt, &obs, timeout).unwrap();
+    let after = (spec_memo("hit").unwrap_or(0), spec_memo("miss").unwrap_or(0));
+    // Its first spec query, (secret state, workload), is a hit; so is
+    // the invalid command's, which is on the grid as well.
+    assert_eq!(report.spec_queries, 2);
+    assert_eq!((after.0 - before.0, after.1 - before.1), (2, 0));
+}

@@ -5,7 +5,7 @@
 //! stack and reloads them, codegen materializes addresses. This module
 //! re-checks the constant-time rules on the final instruction words,
 //! recovering control flow with [`parfait_riscv::decode`] and running
-//! a per-instruction dataflow fixpoint.
+//! a dataflow fixpoint over basic blocks.
 //!
 //! The abstract machine tracks, per register: secrecy (with
 //! provenance) and a *kind* — known constant, stack-pointer offset,
@@ -20,6 +20,20 @@
 //! system work across frames. Indirect jumps other than the
 //! `jalr x0, ra, 0` return idiom are outside the fragment and reported
 //! as [`LintError::Unsupported`].
+//!
+//! # Block-level states
+//!
+//! Each function fixpoint keeps an abstract state only at basic-block
+//! heads: the function's entry, every branch target and fall-through,
+//! and every `jal x0` target ([`predecode`] finds them once per lint).
+//! A popped head's state is stepped through its straight-line code in
+//! place, a call's joined return state included, and the state that
+//! leaves the block is joined into its successor heads. Every other
+//! instruction has exactly one predecessor, the one before it, so its
+//! state is the one stepping in place hands it, and the fixpoint joins
+//! only where control flow merges. The per-instruction fixpoint this
+//! replaced is kept as a test oracle, and the tests hold the two to
+//! the same findings, region-content table and escape flag.
 //!
 //! # The sparse interprocedural fixpoint
 //!
@@ -629,10 +643,52 @@ struct MemoEntry {
     epoch_at: u64,
 }
 
+/// Where control goes after one abstract instruction step, with the
+/// state it carries.
+enum Flow {
+    /// To the next instruction; after a call, with the callee's joined
+    /// return state.
+    Next(MState),
+    /// A conditional branch: to its target and to the next instruction.
+    Branch(u32, MState),
+    /// `jal x0`: to its target only.
+    Jump(u32, MState),
+    /// Back to the caller.
+    Return(MState),
+    /// Nowhere: a halt, or a call from which no path returns.
+    Halt,
+}
+
+/// One function fixpoint's tables: the states it keeps by address, the
+/// address-ordered worklist (for the compiler's layout this
+/// approximates reverse postorder, which converges in far fewer visits
+/// than LIFO order), and the join of the states it returns.
+struct Worklist {
+    states: HashMap<u32, MState>,
+    work: BTreeSet<u32>,
+    ret: Option<MState>,
+}
+
+impl Worklist {
+    fn new(entry: u32, st: MState) -> Worklist {
+        Worklist { states: HashMap::from([(entry, st)]), work: BTreeSet::from([entry]), ret: None }
+    }
+}
+
+/// The pre-decoded text section, parallel to `prog.text`.
+struct Text {
+    /// Each word's decode; errors are kept per word and surface only
+    /// if control flow reaches them.
+    code: Vec<Result<Instr, String>>,
+    /// Whether the word starts a basic block: a branch's target or
+    /// fall-through, or a `jal x0` target.
+    heads: Vec<bool>,
+}
+
 struct AsmLint<'p> {
     prog: &'p Program,
-    /// Pre-decoded text section (parallel to `prog.text`).
-    code: Vec<Result<Instr, String>>,
+    /// The decoded text and its block heads.
+    text: Text,
     /// Function symbols (text labels not starting with `.`), sorted by
     /// address; used to name findings.
     funcs: Vec<(u32, String)>,
@@ -683,19 +739,24 @@ struct AsmLint<'p> {
     /// through the frame effect list.
     entry_states: Vec<MState>,
     findings: BTreeMap<(RuleId, u32), Finding>,
-    /// Worklist pops across every function fixpoint (flushed to the
-    /// metrics registry by [`lint_asm`], not per-pop).
+    /// Abstract instruction steps across every function fixpoint
+    /// (flushed to the metrics registry by [`lint_asm`], not per step).
     fixpoint_iters: u64,
+    /// Joins into a state the fixpoints already keep.
+    state_joins: u64,
     /// Summary-memo hits in `analyze_function`.
     memo_hits: u64,
     /// Every call's entry address and state, in analysis order: the
     /// memo-key differential tests compare them pairwise.
     #[cfg(test)]
     calls: Vec<(u32, MState)>,
+    /// Run the per-instruction oracle instead of the block fixpoint.
+    #[cfg(test)]
+    per_instruction: bool,
 }
 
 impl<'p> AsmLint<'p> {
-    fn new(prog: &'p Program, code: Vec<Result<Instr, String>>, reuse: bool) -> AsmLint<'p> {
+    fn new(prog: &'p Program, text: Text, reuse: bool) -> AsmLint<'p> {
         let text_end = prog.text_base + 4 * prog.text.len() as u32;
         let mut funcs: Vec<(u32, String)> = prog
             .symbols
@@ -733,7 +794,7 @@ impl<'p> AsmLint<'p> {
         let state_secret: Rc<str> = Rc::from("secret handler state");
         AsmLint {
             prog,
-            code,
+            text,
             funcs,
             regions,
             sets,
@@ -751,9 +812,12 @@ impl<'p> AsmLint<'p> {
             entry_states: Vec::new(),
             findings: BTreeMap::new(),
             fixpoint_iters: 0,
+            state_joins: 0,
             memo_hits: 0,
             #[cfg(test)]
             calls: Vec::new(),
+            #[cfg(test)]
+            per_instruction: false,
         }
     }
 
@@ -812,15 +876,16 @@ impl<'p> AsmLint<'p> {
     }
 
     fn fetch(&self, addr: u32) -> Result<Instr, LintError> {
-        if addr < self.prog.text_base || !addr.is_multiple_of(4) {
-            return Err(LintError::Asm(format!("control flow leaves text at {addr:#010x}")));
-        }
-        let idx = ((addr - self.prog.text_base) / 4) as usize;
-        match self.code.get(idx) {
+        match word_index(self.prog, addr).and_then(|i| self.text.code.get(i)) {
             Some(Ok(i)) => Ok(*i),
             Some(Err(e)) => Err(LintError::Asm(format!("undecodable word at {addr:#010x}: {e}"))),
             None => Err(LintError::Asm(format!("control flow leaves text at {addr:#010x}"))),
         }
+    }
+
+    /// Whether the word at `addr` starts a basic block.
+    fn is_head(&self, addr: u32) -> bool {
+        word_index(self.prog, addr).and_then(|i| self.text.heads.get(i)).is_some_and(|&h| h)
     }
 
     // --- effect emission (applied first-writer-wins, recorded into
@@ -1125,54 +1190,106 @@ impl<'p> AsmLint<'p> {
         Ok(ret)
     }
 
+    /// The function's fixpoint over basic blocks: pop the lowest head,
+    /// step its state through the block in place up to the next head,
+    /// join what leaves the block into its successor heads. Returns the
+    /// join of its return states.
     fn function_fixpoint(&mut self, entry: u32, st: MState) -> Result<Option<MState>, LintError> {
-        let mut states: HashMap<u32, MState> = HashMap::new();
-        states.insert(entry, st);
-        // Address-ordered worklist: for the compiler's layout this
-        // approximates reverse postorder, which converges in far fewer
-        // visits than LIFO order. Per-instruction states double as an
-        // early propagation cutoff — a re-entered path stops as soon as
-        // its join stops changing.
-        let mut work: BTreeSet<u32> = BTreeSet::from([entry]);
-        let mut ret: Option<MState> = None;
-        while let Some(addr) = work.pop_first() {
-            self.fixpoint_iters += 1;
-            let Some(st) = states.get(&addr).cloned() else { continue };
-            let (succs, returned) = self.step(addr, st)?;
-            if let Some(r) = returned {
-                match &mut ret {
-                    Some(acc) => {
-                        join_state(acc, &r, &mut self.sets);
+        #[cfg(test)]
+        if self.per_instruction {
+            return self.instruction_fixpoint(entry, st);
+        }
+        let mut wl = Worklist::new(entry, st);
+        while let Some(head) = wl.work.pop_first() {
+            let (mut addr, mut st) = (head, wl.states[&head].clone());
+            loop {
+                self.fixpoint_iters += 1;
+                let next = addr.wrapping_add(4);
+                let out = match self.step(addr, st)? {
+                    Flow::Next(out) => out,
+                    Flow::Branch(taken, out) => {
+                        self.join_at(&mut wl, taken, out.clone());
+                        out
                     }
-                    None => ret = Some(r),
+                    Flow::Jump(dest, out) => {
+                        self.join_at(&mut wl, dest, out);
+                        break;
+                    }
+                    Flow::Return(out) => {
+                        self.join_return(&mut wl, out);
+                        break;
+                    }
+                    Flow::Halt => break,
+                };
+                if next == entry || self.is_head(next) {
+                    self.join_at(&mut wl, next, out);
+                    break;
                 }
-            }
-            for (succ, out) in succs {
-                match states.get_mut(&succ) {
-                    Some(old) => {
-                        if join_state(old, &out, &mut self.sets) {
-                            work.insert(succ);
-                        }
-                    }
-                    None => {
-                        states.insert(succ, out);
-                        work.insert(succ);
-                    }
-                }
+                (addr, st) = (next, out);
             }
         }
-        Ok(ret)
+        Ok(wl.ret)
     }
 
-    /// Execute one instruction abstractly. Returns the successor
-    /// states within this function and, for return paths, the state
-    /// handed back to the caller.
-    #[allow(clippy::type_complexity)]
-    fn step(
+    /// The fixpoint the block one replaced, kept as its oracle: a state
+    /// at every instruction, each step's out-state joined into its
+    /// successors' (a re-entered path stops where its join stops
+    /// changing).
+    #[cfg(test)]
+    fn instruction_fixpoint(
         &mut self,
-        addr: u32,
-        mut st: MState,
-    ) -> Result<(Vec<(u32, MState)>, Option<MState>), LintError> {
+        entry: u32,
+        st: MState,
+    ) -> Result<Option<MState>, LintError> {
+        let mut wl = Worklist::new(entry, st);
+        while let Some(addr) = wl.work.pop_first() {
+            self.fixpoint_iters += 1;
+            let next = addr.wrapping_add(4);
+            match self.step(addr, wl.states[&addr].clone())? {
+                Flow::Next(out) => self.join_at(&mut wl, next, out),
+                Flow::Branch(taken, out) => {
+                    self.join_at(&mut wl, taken, out.clone());
+                    self.join_at(&mut wl, next, out);
+                }
+                Flow::Jump(dest, out) => self.join_at(&mut wl, dest, out),
+                Flow::Return(out) => self.join_return(&mut wl, out),
+                Flow::Halt => {}
+            }
+        }
+        Ok(wl.ret)
+    }
+
+    /// Join `out` into the function's return state.
+    fn join_return(&mut self, wl: &mut Worklist, out: MState) {
+        match &mut wl.ret {
+            Some(acc) => {
+                self.state_joins += 1;
+                join_state(acc, &out, &mut self.sets);
+            }
+            None => wl.ret = Some(out),
+        }
+    }
+
+    /// Join `out` into the state kept at `succ`, queueing `succ` when
+    /// that state is new or grows.
+    fn join_at(&mut self, wl: &mut Worklist, succ: u32, out: MState) {
+        match wl.states.get_mut(&succ) {
+            Some(old) => {
+                self.state_joins += 1;
+                if join_state(old, &out, &mut self.sets) {
+                    wl.work.insert(succ);
+                }
+            }
+            None => {
+                wl.states.insert(succ, out);
+                wl.work.insert(succ);
+            }
+        }
+    }
+
+    /// Execute one instruction abstractly: where control goes next,
+    /// with the state it carries.
+    fn step(&mut self, addr: u32, mut st: MState) -> Result<Flow, LintError> {
         let instr = self.fetch(addr)?;
         let next = addr.wrapping_add(4);
         match instr {
@@ -1244,13 +1361,12 @@ impl<'p> AsmLint<'p> {
                         "branch on secret-derived value",
                     );
                 }
-                let taken = addr.wrapping_add(off as u32);
-                return Ok((vec![(taken, st.clone()), (next, st)], None));
+                return Ok(Flow::Branch(addr.wrapping_add(off as u32), st));
             }
             Instr::Jal { rd, off } => {
                 let dest = addr.wrapping_add(off as u32);
                 if rd == Reg::ZERO {
-                    return Ok((vec![(dest, st)], None));
+                    return Ok(Flow::Jump(dest, st));
                 }
                 if rd == Reg::RA {
                     st.set_reg(Reg::RA, AVal::konst(next));
@@ -1265,9 +1381,9 @@ impl<'p> AsmLint<'p> {
                             if let Kind::Sp(s) = ret_state.reg(Reg::SP).kind {
                                 ret_state.stack.prune_below(s);
                             }
-                            Ok((vec![(next, ret_state)], None))
+                            Ok(Flow::Next(ret_state))
                         }
-                        None => Ok((vec![], None)),
+                        None => Ok(Flow::Halt),
                     };
                 }
                 return Err(LintError::Unsupported(format!(
@@ -1277,7 +1393,7 @@ impl<'p> AsmLint<'p> {
             Instr::Jalr { rd, rs1, off } => {
                 if rd == Reg::ZERO && rs1 == Reg::RA && off == 0 {
                     self.check_callee_saved(addr, instr, &st);
-                    return Ok((vec![], Some(st)));
+                    return Ok(Flow::Return(st));
                 }
                 return Err(LintError::Unsupported(format!(
                     "indirect jump `{instr}` at {addr:#010x}"
@@ -1285,9 +1401,9 @@ impl<'p> AsmLint<'p> {
             }
             Instr::Fence => {}
             // Halt conventions: no successor.
-            Instr::Ecall | Instr::Ebreak => return Ok((vec![], None)),
+            Instr::Ecall | Instr::Ebreak => return Ok(Flow::Halt),
         }
-        Ok((vec![(next, st)], None))
+        Ok(Flow::Next(st))
     }
 
     /// `CT-ABI`: at a return point, every register the RISC-V calling
@@ -1379,10 +1495,34 @@ fn store_width(op: StoreOp) -> u8 {
     }
 }
 
-/// Pre-decode the text section; decode errors are kept per word and
-/// surface only if control flow reaches them.
-fn predecode(prog: &Program) -> Vec<Result<Instr, String>> {
-    prog.text.iter().map(|&w| decode(w).map_err(|e| format!("{e:?}"))).collect()
+/// The index of the text word at `addr`, if `addr` is word-aligned and
+/// not below the text (it may be past its end).
+fn word_index(prog: &Program, addr: u32) -> Option<usize> {
+    (addr >= prog.text_base && addr.is_multiple_of(4))
+        .then(|| ((addr - prog.text_base) / 4) as usize)
+}
+
+/// Pre-decode the text section and mark its basic-block heads.
+fn predecode(prog: &Program) -> Text {
+    let code: Vec<Result<Instr, String>> =
+        prog.text.iter().map(|&w| decode(w).map_err(|e| format!("{e:?}"))).collect();
+    let mut heads = vec![false; code.len()];
+    for (i, instr) in code.iter().enumerate() {
+        let addr = prog.text_base + 4 * i as u32;
+        let targets = match instr {
+            Ok(Instr::Branch { off, .. }) => {
+                [Some(addr.wrapping_add(*off as u32)), Some(addr.wrapping_add(4))]
+            }
+            Ok(Instr::Jal { rd: Reg::ZERO, off }) => [Some(addr.wrapping_add(*off as u32)), None],
+            _ => continue,
+        };
+        for t in targets.into_iter().flatten() {
+            if let Some(head) = word_index(prog, t).and_then(|j| heads.get_mut(j)) {
+                *head = true;
+            }
+        }
+    }
+    Text { code, heads }
 }
 
 /// The shared driver behind the public entry points: the outer
@@ -1393,13 +1533,13 @@ fn predecode(prog: &Program) -> Vec<Result<Instr, String>> {
 /// every pass recomputes the world (the differential oracle).
 fn lint_asm_driver(prog: &Program, entry: &str, reuse: bool) -> Result<Vec<Finding>, LintError> {
     let entry_addr = prog.address_of(entry).ok_or_else(|| LintError::NoEntry(entry.to_string()))?;
-    let code = predecode(prog);
-    let mut lint = AsmLint::new(prog, code, reuse);
+    let mut lint = AsmLint::new(prog, predecode(prog), reuse);
     lint.run(entry_addr)?;
     let metrics = parfait_telemetry::metrics::Metrics::global();
     metrics
         .counter_with("analyzer_fixpoint_iterations_total", &[("layer", "asm")])
         .add(lint.fixpoint_iters);
+    metrics.counter_with("analyzer_state_joins_total", &[("layer", "asm")]).add(lint.state_joins);
     metrics.counter_with("analyzer_memo_hits_total", &[("layer", "asm")]).add(lint.memo_hits);
     let mut findings: Vec<Finding> = lint.findings.into_values().collect();
     findings.sort();
@@ -1459,123 +1599,138 @@ mod tests {
         r
     }
 
+    const MASKED_SELECT: &str = "void handle(u8* state, u8* cmd, u8* resp) {
+        u32 s = state[0];
+        u32 m = 0 - (cmd[0] & 1);
+        resp[0] = (u8)(s & m);
+    }";
+
     #[test]
     fn masked_select_is_clean_at_both_opt_levels() {
-        let src = "void handle(u8* state, u8* cmd, u8* resp) {
-            u32 s = state[0];
-            u32 m = 0 - (cmd[0] & 1);
-            resp[0] = (u8)(s & m);
-        }";
         for opt in [OptLevel::O0, OptLevel::O2] {
-            let f = lint_src(src, opt);
+            let f = lint_src(MASKED_SELECT, opt);
             assert!(f.is_empty(), "{opt:?}: {f:#?}");
         }
     }
 
+    const SECRET_BRANCH: &str = "void handle(u8* state, u8* cmd, u8* resp) {
+        if (state[0]) { resp[0] = 1; }
+    }";
+
     #[test]
     fn secret_branch_fires_with_function_name() {
-        let f = lint_src(
-            "void handle(u8* state, u8* cmd, u8* resp) {
-                if (state[0]) { resp[0] = 1; }
-            }",
-            OptLevel::O2,
-        );
+        let f = lint_src(SECRET_BRANCH, OptLevel::O2);
         assert_eq!(rules(&f), vec![RuleId::SecretBranch]);
         assert_eq!(f[0].diagnostic.span.function, "handle");
         assert_eq!(f[0].layer, Layer::Asm);
     }
 
+    const SECRET_TABLE_INDEX: &str = "const u8 T[4] = {7, 7, 7, 7};
+    void handle(u8* state, u8* cmd, u8* resp) {
+        resp[0] = T[state[0] & 3];
+    }";
+
     #[test]
     fn secret_index_into_global_table_fires() {
-        let f = lint_src(
-            "const u8 T[4] = {7, 7, 7, 7};
-            void handle(u8* state, u8* cmd, u8* resp) {
-                resp[0] = T[state[0] & 3];
-            }",
-            OptLevel::O2,
-        );
+        let f = lint_src(SECRET_TABLE_INDEX, OptLevel::O2);
         assert_eq!(rules(&f), vec![RuleId::SecretIndex]);
     }
 
+    const PUBLIC_TABLE_INDEX: &str = "const u8 T[4] = {7, 7, 7, 7};
+    void handle(u8* state, u8* cmd, u8* resp) {
+        u32 i = 0;
+        u32 acc = state[0];
+        while (i < 4) { acc = acc + T[i]; i = i + 1; }
+        resp[0] = (u8)acc;
+    }";
+
     #[test]
     fn public_index_into_global_table_is_clean() {
-        let f = lint_src(
-            "const u8 T[4] = {7, 7, 7, 7};
-            void handle(u8* state, u8* cmd, u8* resp) {
-                u32 i = 0;
-                u32 acc = state[0];
-                while (i < 4) { acc = acc + T[i]; i = i + 1; }
-                resp[0] = (u8)acc;
-            }",
-            OptLevel::O2,
-        );
+        let f = lint_src(PUBLIC_TABLE_INDEX, OptLevel::O2);
         assert!(f.is_empty(), "{f:#?}");
     }
 
+    // Enough live values to force register pressure at -O0.
+    const SECRET_DIVISOR: &str = "void handle(u8* state, u8* cmd, u8* resp) {
+        u32 s = state[0];
+        resp[0] = (u8)(100 / (s + 1));
+    }";
+
     #[test]
     fn division_by_secret_fires_through_spills() {
-        // Enough live values to force register pressure at -O0.
-        let f = lint_src(
-            "void handle(u8* state, u8* cmd, u8* resp) {
-                u32 s = state[0];
-                resp[0] = (u8)(100 / (s + 1));
-            }",
-            OptLevel::O0,
-        );
+        let f = lint_src(SECRET_DIVISOR, OptLevel::O0);
         assert_eq!(rules(&f), vec![RuleId::SecretLatency]);
     }
 
+    const CALL_AND_STACK_ROUNDTRIP: &str = "u32 pick(u8* p) { return p[0]; }
+    void handle(u8* state, u8* cmd, u8* resp) {
+        u32 buf[2];
+        buf[0] = pick(state);
+        buf[1] = pick(cmd);
+        if (buf[0]) { resp[0] = 1; }
+    }";
+
     #[test]
     fn taint_survives_call_and_stack_roundtrip() {
-        let f = lint_src(
-            "u32 pick(u8* p) { return p[0]; }
-            void handle(u8* state, u8* cmd, u8* resp) {
-                u32 buf[2];
-                buf[0] = pick(state);
-                buf[1] = pick(cmd);
-                if (buf[0]) { resp[0] = 1; }
-            }",
-            OptLevel::O2,
-        );
+        let f = lint_src(CALL_AND_STACK_ROUNDTRIP, OptLevel::O2);
         assert_eq!(rules(&f), vec![RuleId::SecretBranch]);
     }
+
+    // `spill` writes a secret into a global that `use_it` read as clean
+    // on the first pass — the cross-pass invalidation must re-analyze
+    // `use_it` (its footprint includes the global) and the branch must
+    // fire.
+    const GLOBAL_TAINT_ACROSS_PASSES: &str = "static u8 G[4];
+    u32 use_it(u8* cmd) { return G[0] + cmd[0]; }
+    void spill(u8* state) { G[0] = state[0]; }
+    void handle(u8* state, u8* cmd, u8* resp) {
+        u32 a = use_it(cmd);
+        spill(state);
+        u32 b = use_it(cmd);
+        if (b) { resp[0] = (u8)a; }
+    }";
 
     #[test]
     fn global_taint_feeds_an_earlier_load_across_passes() {
-        // `spill` writes a secret into a global that `use_it` read as
-        // clean on the first pass — the cross-pass invalidation must
-        // re-analyze `use_it` (its footprint includes the global) and
-        // the branch must fire.
-        let f = lint_src(
-            "static u8 G[4];
-            u32 use_it(u8* cmd) { return G[0] + cmd[0]; }
-            void spill(u8* state) { G[0] = state[0]; }
-            void handle(u8* state, u8* cmd, u8* resp) {
-                u32 a = use_it(cmd);
-                spill(state);
-                u32 b = use_it(cmd);
-                if (b) { resp[0] = (u8)a; }
-            }",
-            OptLevel::O2,
-        );
+        let f = lint_src(GLOBAL_TAINT_ACROSS_PASSES, OptLevel::O2);
         assert_eq!(rules(&f), vec![RuleId::SecretBranch]);
-    }
-
-    /// Compile, apply an asm-level patch (the adversary's codegen-fault
-    /// shape), assemble, lint.
-    fn lint_patched(
-        src: &str,
-        opt: OptLevel,
-        patch: impl FnOnce(String) -> String,
-    ) -> Vec<Finding> {
-        let program = parfait_littlec::frontend(src).unwrap();
-        let asm = patch(parfait_littlec::compile(&program, opt).unwrap());
-        lint_prog(&parfait_riscv::assemble(&asm).unwrap())
     }
 
     const ABI_SRC: &str = "void handle(u8* state, u8* cmd, u8* resp) {
         resp[0] = (u8)(state[0] & cmd[0] & 0);
     }";
+
+    /// Every source the tests above lint.
+    const SEEDED: [&str; 8] = [
+        MASKED_SELECT,
+        SECRET_BRANCH,
+        SECRET_TABLE_INDEX,
+        PUBLIC_TABLE_INDEX,
+        SECRET_DIVISOR,
+        CALL_AND_STACK_ROUNDTRIP,
+        GLOBAL_TAINT_ACROSS_PASSES,
+        ABI_SRC,
+    ];
+
+    // The adversary's codegen-fault shapes, as asm patches: each is
+    // inserted at the entry of `ABI_SRC`'s compiled handler.
+    const S3_CLOBBER: &str = "    li s3, 42\n";
+    const S3_SAVED: &str = "    addi sp, sp, -4\n    sw s3, 0(sp)\n    li s3, 42\n    \
+                            lw s3, 0(sp)\n    addi sp, sp, 4\n";
+    const RA_CLOBBER: &str = "    li ra, 0\n";
+
+    /// `ABI_SRC` compiled at `opt`, with `patch` inserted at the
+    /// handler's entry, assembled.
+    fn patched(opt: OptLevel, patch: &str) -> Program {
+        let program = parfait_littlec::frontend(ABI_SRC).unwrap();
+        let asm = parfait_littlec::compile(&program, opt).unwrap();
+        parfait_riscv::assemble(&asm.replacen("handle:\n", &format!("handle:\n{patch}"), 1))
+            .unwrap()
+    }
+
+    fn lint_patched(opt: OptLevel, patch: &str) -> Vec<Finding> {
+        lint_prog(&patched(opt, patch))
+    }
 
     #[test]
     fn callee_saved_clobber_fires_at_the_return_point() {
@@ -1583,9 +1738,7 @@ mod tests {
         // an s-register as scratch without saving it. Output-identical,
         // timing-identical — only the ABI contract is broken.
         for opt in [OptLevel::O0, OptLevel::O2] {
-            let f = lint_patched(ABI_SRC, opt, |asm| {
-                asm.replacen("handle:\n", "handle:\n    li s3, 42\n", 1)
-            });
+            let f = lint_patched(opt, S3_CLOBBER);
             assert_eq!(rules(&f), vec![RuleId::CalleeSaved], "{opt:?}");
             assert!(
                 f[0].diagnostic.message.contains("`s3`"),
@@ -1600,22 +1753,13 @@ mod tests {
         // The conforming version of the same clobber: spill, scratch,
         // reload. The byte-precise stack model reconstructs the entry
         // value, so the return-point comparison passes.
-        let f = lint_patched(ABI_SRC, OptLevel::O2, |asm| {
-            asm.replacen(
-                "handle:\n",
-                "handle:\n    addi sp, sp, -4\n    sw s3, 0(sp)\n    li s3, 42\n    \
-                 lw s3, 0(sp)\n    addi sp, sp, 4\n",
-                1,
-            )
-        });
+        let f = lint_patched(OptLevel::O2, S3_SAVED);
         assert!(f.is_empty(), "{f:#?}");
     }
 
     #[test]
     fn clobbered_ra_fires() {
-        let f = lint_patched(ABI_SRC, OptLevel::O2, |asm| {
-            asm.replacen("handle:\n", "handle:\n    li ra, 0\n", 1)
-        });
+        let f = lint_patched(OptLevel::O2, RA_CLOBBER);
         assert_eq!(rules(&f), vec![RuleId::CalleeSaved]);
         assert!(f[0].diagnostic.message.contains("`ra`"), "{f:#?}");
     }
@@ -2004,5 +2148,149 @@ mod tests {
     #[test]
     fn memo_hits_decide_as_the_old_key_on_ecdsa() {
         check_app("ecdsa", &parfait_hsms::firmware::ecdsa_app_source());
+    }
+
+    /// What a lint decides: its findings, the final region-content table
+    /// (region → provenance text) and the escape flag's provenance.
+    type Outcome = (Vec<Finding>, BTreeMap<String, String>, Option<String>);
+
+    /// A sparse lint of `prog`'s handler, through the block fixpoint or
+    /// the per-instruction oracle.
+    fn outcome(prog: &Program, per_instruction: bool) -> Result<Outcome, LintError> {
+        let mut lint = AsmLint::new(prog, predecode(prog), true);
+        lint.per_instruction = per_instruction;
+        lint.run(prog.address_of("handle").unwrap())?;
+        let text = |p: Prov| lint.provs[p as usize].to_string();
+        let content = lint.content.iter().map(|(&r, &p)| (lint.describe(r), text(p))).collect();
+        let escaped = lint.escaped.map(text);
+        let mut findings: Vec<Finding> = lint.findings.into_values().collect();
+        findings.sort();
+        Ok((findings, content, escaped))
+    }
+
+    /// The block fixpoint decides what the per-instruction oracle does:
+    /// equal findings, content table and escape flag, or the same error.
+    fn check_oracle(what: &str, prog: &Program) -> Result<Outcome, LintError> {
+        let block = outcome(prog, false);
+        assert_eq!(block, outcome(prog, true), "{what}: the block fixpoint left its oracle");
+        block
+    }
+
+    /// A bottom-tested loop, hand-written: littlec's loops test at the
+    /// top, so its branches all go forward. Here the loop's exit is a
+    /// backward branch's fall-through, and `t5` turns secret (from
+    /// `state`) only on the loop's second pass: the branch after the
+    /// loop names `t5`'s provenance only if the exit is stepped after
+    /// the loop has converged, else `t4`'s.
+    const BOTTOM_TESTED_LOOP: &str = ".text\nhandle:\n    lbu t3, 0(a1)\n    lw t4, 0(zero)\n    \
+        li t1, 3\n.Lloop:\n    mv t5, t3\n    lbu t3, 1(a0)\n    addi t1, t1, -1\n    \
+        bnez t1, .Lloop\n    or t6, t5, t4\n    beqz t6, .Ldone\n.Ldone:\n    ret\n";
+
+    /// Hand-written merges of a path that falls through and a path
+    /// that jumps: a loop head entered from the code before it and by a
+    /// back edge `j`, and the end of an `if` without `else`, reached by
+    /// a branch and by its fall-through block. The pointer `t0` is a
+    /// stack address on one path and `resp` on the other, so where they
+    /// meet it joins to unknown and the secret stored through it
+    /// escapes. A merge point that was not a head would see each path's
+    /// pointer on its own, and nothing would escape.
+    const MERGES: [(&str, &str); 2] = [
+        (
+            "loop entered by fall-through",
+            ".text\nhandle:\n    addi sp, sp, -16\n    mv t0, sp\n    li t1, 3\n.Lhead:\n    \
+             lbu t2, 0(a0)\n    sb t2, 0(t0)\n    mv t0, a2\n    addi t1, t1, -1\n    \
+             beqz t1, .Ldone\n    j .Lhead\n.Ldone:\n    addi sp, sp, 16\n    ret\n",
+        ),
+        (
+            "if without else",
+            ".text\nhandle:\n    addi sp, sp, -16\n    mv t0, sp\n    lbu t1, 0(a1)\n    \
+             beqz t1, .Ljoin\n    mv t0, a2\n.Ljoin:\n    lbu t2, 0(a0)\n    sb t2, 0(t0)\n    \
+             addi sp, sp, 16\n    ret\n",
+        ),
+    ];
+
+    #[test]
+    fn block_fixpoint_equals_the_per_instruction_oracle_on_seeded_code() {
+        let prog = parfait_riscv::assemble(BOTTOM_TESTED_LOOP).unwrap();
+        let (f, _, _) = check_oracle("bottom-tested loop", &prog).expect("the loop lints");
+        assert_eq!(f.len(), 1, "{f:#?}");
+        assert_eq!(f[0].taint[0], "secret handler state, loaded from state");
+        for (what, asm) in MERGES {
+            let prog = parfait_riscv::assemble(asm).unwrap();
+            let (_, _, escaped) = check_oracle(what, &prog).expect("the merge lints");
+            let escaped = escaped.unwrap_or_else(|| panic!("{what}: nothing escaped"));
+            assert!(escaped.ends_with("escaped via untracked store"), "{what}: {escaped}");
+        }
+        let mut findings = 0;
+        for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            for (i, src) in SEEDED.iter().chain(CORPUS).enumerate() {
+                let (f, _, _) =
+                    check_oracle(&format!("source {i} {opt:?}"), &assemble_src(src, opt))
+                        .expect("seeded sources lint");
+                findings += f.len();
+            }
+            for patch in [S3_CLOBBER, S3_SAVED, RA_CLOBBER] {
+                check_oracle(&format!("patch {patch:?} {opt:?}"), &patched(opt, patch))
+                    .expect("patched handlers lint");
+            }
+        }
+        assert!(findings > 0, "the seeded code must produce findings to compare");
+    }
+
+    fn check_oracle_on_app(app: &str, src: &str) {
+        for opt in [OptLevel::O0, OptLevel::O2] {
+            let (f, _, _) = check_oracle(&format!("{app} {opt:?}"), &assemble_src(src, opt))
+                .expect("production apps lint");
+            assert!(f.is_empty(), "{app} {opt:?}: {f:#?}");
+        }
+    }
+
+    #[test]
+    fn block_fixpoint_equals_the_per_instruction_oracle_on_the_hasher() {
+        check_oracle_on_app("hasher", &parfait_hsms::firmware::hasher_app_source());
+    }
+
+    #[test]
+    fn block_fixpoint_equals_the_per_instruction_oracle_on_totp() {
+        check_oracle_on_app("totp", &parfait_hsms::totp::totp_app_source());
+    }
+
+    #[test]
+    fn block_fixpoint_equals_the_per_instruction_oracle_on_ecdsa() {
+        check_oracle_on_app("ecdsa", &parfait_hsms::firmware::ecdsa_app_source());
+    }
+
+    #[test]
+    fn block_fixpoint_fails_where_and_as_the_oracle_does() {
+        // Each fault follows a loop, in the block its branch falls
+        // through to, which the loop reaches only after converging.
+        let handler = |fault: &str| {
+            let asm = format!(
+                ".text\nhandle:\n    li t1, 3\n.Lloop:\n    addi t1, t1, -1\n    \
+                 bnez t1, .Lloop\n    addi t2, t1, 1\n{fault}"
+            );
+            parfait_riscv::assemble(&asm).unwrap()
+        };
+        let mut undecodable = handler("    addi t2, t2, 1\n    ret\n");
+        undecodable.text[4] = 0;
+        for (prog, want) in [
+            (
+                handler("    call handle\n    ret\n"),
+                LintError::Unsupported("recursive call to `handle`".into()),
+            ),
+            (
+                handler("    jr t0\n"),
+                LintError::Unsupported("indirect jump `jalr zero, 0(t0)` at 0x00000010".into()),
+            ),
+            (
+                handler("    jal t0, handle\n    ret\n"),
+                LintError::Unsupported("jal with link register t0 at 0x00000010".into()),
+            ),
+            (undecodable, LintError::Asm("undecodable word at 0x00000010: DecodeError(0)".into())),
+            (handler(""), LintError::Asm("control flow leaves text at 0x00000010".into())),
+        ] {
+            let got = check_oracle(&format!("{want:?}"), &prog).unwrap_err();
+            assert_eq!(got, want);
+        }
     }
 }

@@ -79,6 +79,8 @@ struct Regions {
     all: Vec<Region>,
     /// Id → the set holding just it, shared by every pointer into it.
     singletons: Vec<RegionSet>,
+    /// The empty set, shared by every value that points nowhere.
+    empty: RegionSet,
     globals: HashMap<String, RegionId>,
     /// Function → (frame slot → id).
     frames: HashMap<String, Rc<FrameIds>>,
@@ -113,12 +115,18 @@ impl Regions {
         }
         let frames = frames.into_iter().map(|(f, ids)| (f, Rc::new(ids))).collect();
         let singletons = (0..all.len() as RegionId).map(|r| Rc::new(BTreeSet::from([r]))).collect();
-        Regions { all, singletons, globals, frames }
+        Regions { all, singletons, empty: RegionSet::default(), globals, frames }
     }
 
     /// A clean pointer into exactly `r`.
     fn points_to(&self, r: RegionId) -> AbsVal {
         AbsVal { secret: None, pts: self.singletons[r as usize].clone() }
+    }
+
+    /// A clean value that points nowhere: a constant, or a register no
+    /// path has assigned.
+    fn clean(&self) -> AbsVal {
+        AbsVal { secret: None, pts: self.empty.clone() }
     }
 
     fn unknown(&self) -> RegionId {
@@ -127,7 +135,7 @@ impl Regions {
 }
 
 /// The abstract value of a virtual register.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct AbsVal {
     /// `Some(provenance)` when the value may be secret-derived.
     /// Shared: provenance strings are cloned on every read and join.
@@ -272,14 +280,14 @@ impl<'p> IrLint<'p> {
     ) -> Result<AbsVal, LintError> {
         let mut entry: VMap = vec![None; f.nvregs as usize];
         for (i, &p) in f.params.iter().enumerate() {
-            entry[p as usize] = Some(args.get(i).cloned().unwrap_or_default());
+            entry[p as usize] = Some(args.get(i).cloned().unwrap_or_else(|| self.regions.clean()));
         }
         let frames = self.regions.frames.get(&f.name).cloned().unwrap_or_default();
         let nb = f.blocks.len();
         let mut in_states: Vec<Option<VMap>> = vec![None; nb];
         in_states[0] = Some(entry);
         let mut work = vec![0usize];
-        let mut ret = AbsVal::default();
+        let mut ret = self.regions.clean();
         while let Some(bi) = work.pop() {
             self.fixpoint_iters += 1;
             let Some(mut st) = in_states[bi].clone() else { continue };
@@ -324,12 +332,13 @@ impl<'p> IrLint<'p> {
         st: &mut VMap,
     ) -> Result<(), LintError> {
         let block = &f.blocks[bi];
-        let get = |st: &VMap, v: VReg| st[v as usize].clone().unwrap_or_default();
+        let clean = self.regions.clean();
+        let get = |st: &VMap, v: VReg| st[v as usize].clone().unwrap_or_else(|| clean.clone());
         for (i, inst) in block.insts.iter().enumerate() {
             let line = block.line_of(i);
             match inst {
                 Inst::Const { dst, .. } => {
-                    st[*dst as usize] = Some(AbsVal::default());
+                    st[*dst as usize] = Some(clean.clone());
                 }
                 Inst::Copy { dst, src } => {
                     let v = get(st, *src);
@@ -339,7 +348,7 @@ impl<'p> IrLint<'p> {
                     let va = get(st, *a);
                     let vb = match b {
                         Operand::Reg(r) => get(st, *r),
-                        Operand::Imm(_) => AbsVal::default(),
+                        Operand::Imm(_) => clean.clone(),
                     };
                     // IR division lowers to the machine div/rem class;
                     // it is a `CT-LATENCY` sink only while some core's
@@ -380,7 +389,7 @@ impl<'p> IrLint<'p> {
                             vec![why.to_string(), format!("load address at {}:{line}", f.name)],
                         );
                     }
-                    let mut loaded = AbsVal::default();
+                    let mut loaded = clean.clone();
                     if av.pts.is_empty() {
                         loaded.secret = Some(Rc::from(format!(
                             "load via untracked pointer at {}:{line}",
@@ -518,7 +527,7 @@ fn seed_args(prog: &IrProgram, entry: &str, regions: &Regions) -> Vec<AbsVal> {
             0 => regions.points_to(STATE),
             1 => regions.points_to(CMD),
             2 => regions.points_to(RESP),
-            _ => AbsVal::default(),
+            _ => regions.clean(),
         })
         .collect()
 }

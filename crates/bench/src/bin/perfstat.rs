@@ -91,9 +91,11 @@ fn run_workloads() -> Result<Measurement, String> {
     }
     let after = snapshot();
     // The sparse asm-analyzer fixpoint and the IR taint pass, and each
-    // layer's call-summary memo.
+    // layer's call-summary memo; the asm fixpoint joins only at block
+    // heads.
     for (key, name, layer, better) in [
         ("lint_asm_fixpoint_iters", "analyzer_fixpoint_iterations_total", "asm", LowerIsBetter),
+        ("lint_asm_joins", "analyzer_state_joins_total", "asm", LowerIsBetter),
         ("lint_ir_fixpoint_iters", "analyzer_fixpoint_iterations_total", "ir", LowerIsBetter),
         ("lint_asm_memo_hits", "analyzer_memo_hits_total", "asm", HigherIsBetter),
         ("lint_ir_memo_hits", "analyzer_memo_hits_total", "ir", HigherIsBetter),

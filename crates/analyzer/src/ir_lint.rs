@@ -288,9 +288,12 @@ impl<'p> IrLint<'p> {
         in_states[0] = Some(entry);
         let mut work = vec![0usize];
         let mut ret = self.regions.clean();
+        // One scratch map serves every pop, refilled in place.
+        let mut st: VMap = Vec::new();
         while let Some(bi) = work.pop() {
             self.fixpoint_iters += 1;
-            let Some(mut st) = in_states[bi].clone() else { continue };
+            let Some(entry) = &in_states[bi] else { continue };
+            st.clone_from(entry);
             self.transfer(f, &frames, bi, &mut st)?;
             let block = &f.blocks[bi];
             let succs: Vec<usize> = match block.term.as_ref().expect("terminated") {

@@ -17,8 +17,11 @@
 //!    cold. Translation validation runs interp and IR once per
 //!    (state, command); their whole-command runs are gated lower-is-
 //!    better (asm's are not: FPS queries of the workload above turn
-//!    some into step-memo hits), the wall is `software_s`. It runs last
-//!    so the other workloads' counters never see it.
+//!    some into step-memo hits), and so are the app compiles the two
+//!    stages make (`software_compiles`: both take every level's
+//!    machine from the build memo, whose `-O2` build the workload
+//!    above made). The wall is `software_s`. It runs last so the other
+//!    workloads' counters never see it.
 //!
 //! It then reads the counter *deltas* off the global metrics registry,
 //! each with the direction it may move in, and gates them against
@@ -71,10 +74,6 @@ fn grew(
 }
 
 fn run_workloads() -> Result<Measurement, String> {
-    // The gate's counters assume the decode cache is live; pin the
-    // knob so an ambient `PARFAIT_DECODE_CACHE=0` (or a future default
-    // flip) can't make the gate compare different configurations.
-    std::env::set_var("PARFAIT_DECODE_CACHE", "1");
     let mut m = Measurement::default();
     let tel = Telemetry::disabled();
     let snapshot = || Metrics::global().snapshot();
@@ -183,6 +182,8 @@ fn software_workload(app: &AppPipeline, m: &mut Measurement) -> Result<(), Strin
         let runs = grew(&before, &after, "pipeline_validation_runs_total", &[("level", level)]);
         m.values.insert(key.into(), (runs, LowerIsBetter));
     }
+    let compiles = grew(&before, &after, "littlec_compiles_total", &[]);
+    m.values.insert("software_compiles".into(), (compiles, LowerIsBetter));
     Ok(())
 }
 

@@ -75,12 +75,14 @@ pub fn compile_ir(ir: IrProgram, opt: OptLevel) -> String {
     compile_ir_traced(ir, opt, &parfait_telemetry::Telemetry::disabled())
 }
 
-/// [`compile_ir`] with per-pass telemetry spans.
+/// [`compile_ir`] with per-pass telemetry spans. Every compile, through
+/// any entry point, counts once in the global `littlec_compiles_total`.
 pub fn compile_ir_traced(
     mut ir: IrProgram,
     opt: OptLevel,
     tel: &parfait_telemetry::Telemetry,
 ) -> String {
+    parfait_telemetry::metrics::Metrics::global().counter("littlec_compiles_total").inc();
     {
         let _span = tel.span("littlec.opt");
         for f in &mut ir.functions {

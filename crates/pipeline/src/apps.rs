@@ -18,7 +18,7 @@ use parfait_hsms::platform::AppSizes;
 use parfait_hsms::{ecdsa, hasher, totp};
 use parfait_knox2::HostOp;
 use parfait_littlec::codegen::OptLevel;
-use parfait_starling::{verify_app_traced, StarlingConfig, StarlingReport};
+use parfait_starling::{verify_app_with, AsmSource, StarlingConfig, StarlingReport};
 use parfait_telemetry::Telemetry;
 
 use crate::artifact::{ArtifactHasher, ArtifactId};
@@ -56,8 +56,10 @@ impl SpecTrace {
     }
 }
 
-/// A closure running the Starling software verification.
-pub type StarlingRunner = Box<dyn Fn(&Telemetry) -> Result<StarlingReport, String> + Send + Sync>;
+/// A closure running the Starling software verification, taking each
+/// opt level's asm machine from the given source (the build memo).
+pub type StarlingRunner =
+    Box<dyn Fn(&Telemetry, AsmSource<'_>) -> Result<StarlingReport, String> + Send + Sync>;
 
 /// A seeded rewrite of the compiled assembly text ([`Tamper::patch_asm`]).
 pub type AsmPatch = Arc<dyn Fn(String) -> String + Send + Sync>;
@@ -197,6 +199,10 @@ where
         let si = codec.encode_state(st);
         lockstep_cases.extend(inputs.iter().map(|i| (si.clone(), i.clone())));
     }
+    // The memo's machines have the app's buffer sizes; a configuration
+    // with others compiles its own.
+    let memo_sizes = (config.state_size, config.command_size, config.response_size)
+        == (sizes.state, sizes.command, sizes.response);
     let starling_fingerprint = format!(
         "adversarial={} seed={:#x} opts={}",
         config.adversarial_inputs,
@@ -240,8 +246,8 @@ where
     });
 
     let run = Arc::clone(&shared);
-    let starling = Box::new(move |tel: &Telemetry| {
-        verify_app_traced(
+    let starling = Box::new(move |tel: &Telemetry, asm_at: AsmSource<'_>| {
+        verify_app_with(
             &run.codec,
             &run.spec,
             &run.source,
@@ -250,6 +256,7 @@ where
             &run.commands,
             &run.responses,
             tel,
+            memo_sizes.then_some(asm_at),
         )
         .map_err(|e| e.to_string())
     });

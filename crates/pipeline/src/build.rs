@@ -5,19 +5,28 @@
 //! app; bound's id hashes the linked firmware text (which its analysis
 //! then reads); FPS simulates the ROM image assembled from that text
 //! against the app's asm-level spec machine; and the equivalence stage
-//! validates that same machine at its own opt level (so FPS's spec
-//! queries on the validation grid are step-memo hits). All of it is a
-//! deterministic function of the clean compile inputs, so this
-//! process-wide memo compiles each (app source, system-software
-//! source, opt level) once and keeps only what the stages read again:
-//! the linked text, the ROM image, the shared spec machine and the
-//! stage input ids. No AST, IR or app assembly text stays in an entry.
+//! and Starling's obligations 3 and 4 validate that same machine at
+//! each of their opt levels (so FPS's spec queries on the validation
+//! grid are step-memo hits). All of it is a deterministic function of
+//! the clean compile inputs, so this process-wide memo compiles each
+//! (app source, system-software source, opt level) once and keeps only
+//! what the stages read again: the spec machine, the linked text, the
+//! ROM image and the stage input ids. No AST, IR or app assembly text
+//! stays in an entry.
+//!
+//! An entry's parts are made when first asked for. A machine-only
+//! level (the validators' −O0 and −O1) compiles the app alone; the
+//! first lookup that reads the firmware or an input id also links the
+//! app with its system software and assembles the ROM image. The app's
+//! compile derives ctcheck's id for the app that asked in passing, as
+//! the entry keeps no assembly to hash later (keeping it cost more
+//! memory than the hashing costs time).
 //!
 //! A lookup is a `hit` in `pipeline_firmware_builds_total{outcome}`
-//! when it compiled nothing and a `miss` when it compiled: a new entry,
+//! when it compiled nothing and a `miss` when it compiled: a new part,
 //! or the ctcheck id of a second app slug over the same source (the
-//! ids hash the slug, and the memo keeps no assembly to rehash). A
-//! warm request therefore neither compiles nor rehashes compiled text.
+//! ids hash the slug). A warm request therefore neither compiles nor
+//! rehashes compiled text.
 //!
 //! Tampered apps never touch the memo: a [`Tamper`](crate::Tamper)'s
 //! patch is a closure the key cannot see, so they derive their patched
@@ -48,23 +57,19 @@ pub const CAPACITY: usize = 32;
 /// The ROM image FPS simulates and the spec machine it checks against.
 pub type FpsBuild = (Firmware, Arc<AsmStateMachine>);
 
-/// What one clean compile yields.
-struct Made {
+/// The app linked with its system software.
+struct Linked {
     /// The linked firmware text, which bound keys on and analyses.
-    linked: Result<Arc<str>, String>,
-    /// The ROM image assembled from `linked`.
+    text: Result<Arc<str>, String>,
+    /// The ROM image assembled from `text`.
     rom: Result<Firmware, String>,
-    /// The app's asm-level machine, shared by both platforms' FPS and
-    /// the equivalence stage (and so is its step memo). It depends on
-    /// the app alone, so a system-software link failure leaves it be.
-    spec: Result<Arc<AsmStateMachine>, String>,
 }
 
 /// A stage input id's key within a build: the app slug, plus the cpu
 /// for bound's (ctcheck's has none).
 type IdKey = (String, Option<Cpu>);
 
-/// One memo entry: the clean compile inputs and, once made, what
+/// One memo entry: the clean compile inputs and, once made, the parts
 /// they compile to. The system-software source is generated from the
 /// app's buffer sizes and names all three, so it also fixes the sizes
 /// the spec machine is built with.
@@ -72,7 +77,12 @@ struct Build {
     source: String,
     syssw: String,
     opt: OptLevel,
-    made: OnceLock<Made>,
+    /// The app compiled alone: its asm-level machine, shared by both
+    /// platforms' FPS, the equivalence stage and Starling (and so is
+    /// its step memo). It depends on the app alone, so a
+    /// system-software link failure leaves it be.
+    spec: OnceLock<Result<Arc<AsmStateMachine>, String>>,
+    linked: OnceLock<Linked>,
     /// Stage input ids over compiled text.
     ids: Mutex<Vec<(IdKey, Result<ArtifactId, String>)>>,
 }
@@ -95,79 +105,73 @@ pub fn len() -> usize {
     MEMO.lock().expect("a build memo lookup panicked").slots.len()
 }
 
-/// The build of a clean `app` at `opt`, made on first use, and
-/// whether this call compiled it.
-fn lookup(app: &AppPipeline, opt: OptLevel) -> (Arc<Build>, bool) {
+/// The entry of a clean `app` at `opt`, made empty on first use.
+fn lookup(app: &AppPipeline, opt: OptLevel) -> Arc<Build> {
     let syssw = syssw_source(app);
     let mut h = DefaultHasher::new();
     (app.source.as_str(), syssw.as_str(), opt).hash(&mut h);
     let hash = h.finish();
-    let build = {
-        let mut memo = MEMO.lock().expect("a build memo lookup panicked");
-        memo.tick += 1;
-        let tick = memo.tick;
-        let found = memo.slots.iter_mut().find(|s| {
-            let b = &s.build;
-            s.hash == hash && b.opt == opt && b.syssw == syssw && b.source == app.source
-        });
-        match found {
-            Some(slot) => {
-                slot.used = tick;
-                Arc::clone(&slot.build)
-            }
-            None => {
-                if memo.slots.len() >= CAPACITY {
-                    let lru = (0..memo.slots.len()).min_by_key(|&i| memo.slots[i].used);
-                    memo.slots.swap_remove(lru.expect("a full memo has a slot"));
-                }
-                let build = Arc::new(Build {
-                    source: app.source.clone(),
-                    syssw,
-                    opt,
-                    made: OnceLock::new(),
-                    ids: Mutex::new(Vec::new()),
-                });
-                memo.slots.push(Slot { hash, used: tick, build: Arc::clone(&build) });
-                build
-            }
-        }
-    };
-    // Compile outside the memo's lock; a concurrent lookup of the same
-    // build waits here for this one's products.
-    let mut compiled = false;
-    build.made.get_or_init(|| {
-        compiled = true;
-        build.make(app)
+    let mut memo = MEMO.lock().expect("a build memo lookup panicked");
+    memo.tick += 1;
+    let tick = memo.tick;
+    let found = memo.slots.iter_mut().find(|s| {
+        let b = &s.build;
+        s.hash == hash && b.opt == opt && b.syssw == syssw && b.source == app.source
     });
-    (build, compiled)
+    if let Some(slot) = found {
+        slot.used = tick;
+        return Arc::clone(&slot.build);
+    }
+    if memo.slots.len() >= CAPACITY {
+        let lru = (0..memo.slots.len()).min_by_key(|&i| memo.slots[i].used);
+        memo.slots.swap_remove(lru.expect("a full memo has a slot"));
+    }
+    let build = Arc::new(Build {
+        source: app.source.clone(),
+        syssw,
+        opt,
+        spec: OnceLock::new(),
+        linked: OnceLock::new(),
+        ids: Mutex::new(Vec::new()),
+    });
+    memo.slots.push(Slot { hash, used: tick, build: Arc::clone(&build) });
+    build
 }
 
+// Parts are made outside the memo's lock; a concurrent lookup of the
+// same part waits for this one's. `made` is set when this call made it.
 impl Build {
-    fn made(&self) -> &Made {
-        self.made.get().expect("a looked-up build is made")
-    }
-
-    /// Compile the app alone (ctcheck's id, the spec machine) and with
-    /// its system software (the linked text, the ROM image).
-    fn make(&self, app: &AppPipeline) -> Made {
-        let compiled = ctcheck_id(app, self.opt);
-        let sizes = app.sizes;
-        let spec = compiled.as_ref().map_err(Clone::clone).and_then(|(_, asm)| {
-            asm_machine_of(asm, sizes.state, sizes.command, sizes.response)
+    /// The app compiled alone, and ctcheck's id for `app`'s slug.
+    fn spec(&self, app: &AppPipeline, made: &mut bool) -> &Result<Arc<AsmStateMachine>, String> {
+        self.spec.get_or_init(|| {
+            *made = true;
+            let compiled = ctcheck_id(app, self.opt);
+            let id = compiled.as_ref().map(|(id, _)| *id).map_err(Clone::clone);
+            self.ids
+                .lock()
+                .expect("a stage id derivation panicked")
+                .push(((app.slug.clone(), None), id));
+            let sizes = app.sizes;
+            asm_machine_of(&compiled?.1, sizes.state, sizes.command, sizes.response)
                 .map(Arc::new)
                 .map_err(|e| e.to_string())
-        });
-        let ctcheck = compiled.map(|(id, _)| id);
-        self.ids
-            .lock()
-            .expect("a stage id derivation panicked")
-            .push(((app.slug.clone(), None), ctcheck));
-        let linked = link_asm(&self.source, &self.syssw, self.opt, |a| a)
-            .map(Arc::from)
-            .map_err(|e| e.to_string());
-        let rom =
-            linked.clone().and_then(|text| firmware_from_asm(&text).map_err(|e| e.to_string()));
-        Made { linked, rom, spec }
+        })
+    }
+
+    /// The app linked with its system software and the ROM image; the
+    /// app alone too, so every part a cell's hardware stages read is
+    /// made by the first lookup that reads any.
+    fn linked(&self, app: &AppPipeline, made: &mut bool) -> &Linked {
+        self.spec(app, made);
+        self.linked.get_or_init(|| {
+            *made = true;
+            let text = link_asm(&self.source, &self.syssw, self.opt, |a| a)
+                .map(Arc::from)
+                .map_err(|e| e.to_string());
+            let rom =
+                text.clone().and_then(|text| firmware_from_asm(&text).map_err(|e| e.to_string()));
+            Linked { text, rom }
+        })
     }
 
     /// The id keyed `(slug, cpu)`, derived and kept on first use.
@@ -260,12 +264,14 @@ pub fn ctcheck_inputs(
     if app.tamper.is_some() {
         return ctcheck_id(app, opt).map(|(id, _)| id);
     }
-    let (build, mut compiled) = lookup(app, opt);
+    let build = lookup(app, opt);
+    let mut made = false;
+    build.linked(app, &mut made);
     let id = build.id(&app.slug, None, || {
-        compiled = true;
+        made = true;
         ctcheck_id(app, opt).map(|(id, _)| id)
     });
-    count(metrics, compiled);
+    count(metrics, made);
     id
 }
 
@@ -281,9 +287,11 @@ pub fn bound_inputs(
         let linked = tampered_link(app, opt)?;
         return Ok((bound_id(app, cpu, opt, &linked), Arc::from(linked)));
     }
-    let (build, compiled) = lookup(app, opt);
-    count(metrics, compiled);
-    let linked = build.made().linked.clone()?;
+    let build = lookup(app, opt);
+    let mut made = false;
+    let linked = build.linked(app, &mut made).text.clone();
+    count(metrics, made);
+    let linked = linked?;
     let id = build.id(&app.slug, Some(cpu), || Ok(bound_id(app, cpu, opt, &linked)))?;
     Ok((id, linked))
 }
@@ -298,15 +306,18 @@ pub fn fps_build(app: &AppPipeline, opt: OptLevel, metrics: &Metrics) -> Result<
         let fw = firmware_from_asm(&tampered_link(app, opt)?).map_err(|e| e.to_string())?;
         return Ok((fw, clean_spec(app, opt)?));
     }
-    let (build, compiled) = lookup(app, opt);
-    count(metrics, compiled);
-    let made = build.made();
-    Ok((made.rom.clone()?, made.spec.clone()?))
+    let build = lookup(app, opt);
+    let mut made = false;
+    let rom = build.linked(app, &mut made).rom.clone();
+    count(metrics, made);
+    Ok((rom?, build.spec(app, &mut made).clone()?))
 }
 
 /// The asm-level machine of `app`'s clean compile at `opt`: the memo's
-/// shared one, whose step memo FPS's spec queries consult. A tampered
-/// app gets a fresh one of its own.
+/// shared one, whose step memo FPS's spec queries consult. Made alone
+/// when no lookup has read the build before: a level that only
+/// validates compiles the app and nothing else. A tampered app gets a
+/// fresh one of its own.
 pub fn spec_machine(
     app: &AppPipeline,
     opt: OptLevel,
@@ -315,9 +326,11 @@ pub fn spec_machine(
     if app.tamper.is_some() {
         return clean_spec(app, opt);
     }
-    let (build, compiled) = lookup(app, opt);
-    count(metrics, compiled);
-    build.made().spec.clone()
+    let build = lookup(app, opt);
+    let mut made = false;
+    let spec = build.spec(app, &mut made).clone();
+    count(metrics, made);
+    spec
 }
 
 /// A fresh asm-level machine of `app`'s clean compile, outside the memo.

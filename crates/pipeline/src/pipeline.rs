@@ -28,9 +28,7 @@ use parfait_hsms::platform::{make_soc_with, Cpu};
 use parfait_hsms::syssw;
 use parfait_knox2::{check_fps_traced, CircuitEmulator, FpsConfig, FpsObserver, FpsReport};
 use parfait_littlec::codegen::OptLevel;
-use parfait_littlec::validate::{
-    asm_machine, asm_machine_patched, validate_handle_levels, LevelRuns,
-};
+use parfait_littlec::validate::{asm_machine_patched, validate_handle_levels, LevelRuns};
 use parfait_riscv::model::AsmStateMachine;
 use parfait_soc::Soc;
 use parfait_telemetry::Telemetry;
@@ -220,7 +218,8 @@ impl Pipeline {
         });
         let claim = (Level::Spec.label(None), Level::LowStar.label(None));
         self.run_stage(StageKind::Lockstep, &app.slug, claim, inputs, || {
-            let report = (app.starling)(&self.tel)?;
+            let report =
+                (app.starling)(&self.tel, &|opt| build::spec_machine(app, opt, self.metrics()))?;
             self.count_runs(StageKind::Lockstep, report.runs);
             Ok((
                 vec![
@@ -253,9 +252,10 @@ impl Pipeline {
     /// level the app's verification covers (plus the target level),
     /// over the deterministic case grid, in one validator call: interp
     /// and IR run once per case, asm at every level. A clean app's asm
-    /// at the target level is the build memo's machine, the one FPS
-    /// queries, so FPS's spec queries on the grid replay its steps. A
-    /// tampered app validates its patched compile at every level.
+    /// at every level is the build memo's machine, which Starling steps
+    /// too; the target level's is the one FPS queries, so FPS's spec
+    /// queries on the grid replay its steps. A tampered app validates
+    /// its patched compile at every level.
     pub fn equivalence_stage(
         &self,
         app: &AppPipeline,
@@ -293,14 +293,14 @@ impl Pipeline {
             let response = app.sizes.response;
             // Each level's machine, over the grid's buffer sizes.
             let asm_at = |level: OptLevel| -> Result<Arc<AsmStateMachine>, String> {
-                let asm = match patch {
+                match patch {
                     Some(p) => {
                         asm_machine_patched(&program, level, state, command, response, |a| p(a))
+                            .map(Arc::new)
+                            .map_err(|e| e.to_string())
                     }
-                    None if level == opt => return build::spec_machine(app, opt, self.metrics()),
-                    None => asm_machine(&program, level, state, command, response),
-                };
-                Ok(Arc::new(asm?))
+                    None => build::spec_machine(app, level, self.metrics()),
+                }
             };
             let runs = validate_handle_levels(&program, &levels, response, &cases, asm_at)
                 .map_err(|(level, e)| format!("{level}: {e}"))?;

@@ -32,6 +32,7 @@ pub mod isa;
 pub mod machine;
 pub mod model;
 pub mod predecode;
+mod uop;
 
 pub use asm::{assemble, AsmError, Program};
 pub use isa::{Instr, Reg};

@@ -13,12 +13,12 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::asm::Program;
-use crate::decode::decode;
-use crate::isa::{Instr, Reg};
-use crate::predecode::DecodeCache;
+use crate::isa::{AluOp, Instr, Reg};
+use crate::uop::{Code, Text, Uop};
 
 const PAGE_BITS: u32 = 12;
 const PAGE_SIZE: u32 = 1 << PAGE_BITS;
@@ -26,8 +26,8 @@ const PAGE_SIZE: u32 = 1 << PAGE_BITS;
 /// Multiplicative hasher for page indices. Page numbers are small,
 /// dense, attacker-independent integers, so the default SipHash's
 /// collision resistance buys nothing while its cost lands on every
-/// memory access of the interpreter; one xor-rotate-multiply round
-/// (the fxhash recipe) spreads them across the table just as well.
+/// page-map lookup; one xor-rotate-multiply round (the fxhash recipe)
+/// spreads them across the table just as well.
 #[derive(Default)]
 struct PageHasher(u64);
 
@@ -47,7 +47,36 @@ impl Hasher for PageHasher {
     }
 }
 
-type PageMap = HashMap<u32, Box<[u8; PAGE_SIZE as usize]>, BuildHasherDefault<PageHasher>>;
+/// Page number → index into [`Memory::pages`].
+type PageMap = HashMap<u32, u32, BuildHasherDefault<PageHasher>>;
+
+type PageBytes = [u8; PAGE_SIZE as usize];
+
+/// One page of memory. A machine's own pages are `Owned`; after
+/// [`Memory::share`] they are `Shared` with every clone, and the first
+/// store into a shared page copies it into an owned one, so a clone of
+/// a loaded image costs a reference count per page.
+#[derive(Clone)]
+enum Page {
+    Owned(Box<PageBytes>),
+    Shared(Arc<PageBytes>),
+}
+
+impl Page {
+    fn bytes(&self) -> &PageBytes {
+        match self {
+            Page::Owned(b) => b,
+            Page::Shared(a) => a,
+        }
+    }
+}
+
+/// The resolved-page shortcut has one entry per 512 MiB region of the
+/// address space (address bits 31..29), so the image, data, heap and
+/// stack regions of the memory map never evict each other.
+const REGIONS: usize = 8;
+/// No page number (they have 20 bits) matches this entry.
+const NO_PAGE: u64 = u64::MAX;
 
 /// Base of the bump-allocated heap used by [`Machine::alloc`].
 pub const HEAP_BASE: u32 = 0x4000_0000;
@@ -56,38 +85,148 @@ pub const STACK_TOP: u32 = 0x7FFF_F000;
 
 /// Sparse paged byte-addressable memory.
 ///
-/// Word and multi-byte accesses that stay within one page resolve the
-/// page once and then index the page array directly; only accesses
-/// spanning a page boundary fall back to byte-at-a-time resolution.
-/// Either path reads unwritten memory as zero.
-#[derive(Clone, Default)]
+/// Each region of the address space remembers the page it resolved
+/// last, so a repeated access to a page skips the page-map hash; word
+/// and multi-byte accesses that stay within one page index the page
+/// directly, and only accesses spanning a page boundary go byte by
+/// byte. Unwritten memory reads as zero.
+///
+/// A memory may hold the decoded text of the program it was loaded
+/// with ([`Machine::load_program`]); any store into that range detaches
+/// it, so the table always equals what memory holds.
 pub struct Memory {
-    pages: PageMap,
+    index: PageMap,
+    pages: Vec<Page>,
+    /// Per region: `page << 32 | slot` of the page resolved last.
+    /// Relaxed atomics so `&self` loads can refresh it; every entry
+    /// ever written names a page of this memory, which never moves.
+    recent: [AtomicU64; REGIONS],
+    text: Option<Arc<Text>>,
+}
+
+impl Clone for Memory {
+    fn clone(&self) -> Self {
+        Memory {
+            index: self.index.clone(),
+            pages: self.pages.clone(),
+            recent: std::array::from_fn(|i| AtomicU64::new(self.recent[i].load(Relaxed))),
+            text: self.text.clone(),
+        }
+    }
+}
+
+impl Default for Memory {
+    fn default() -> Self {
+        Memory {
+            index: PageMap::default(),
+            pages: Vec::new(),
+            recent: std::array::from_fn(|_| AtomicU64::new(NO_PAGE)),
+            text: None,
+        }
+    }
 }
 
 impl Memory {
-    fn page_mut(&mut self, idx: u32) -> &mut [u8; PAGE_SIZE as usize] {
-        self.pages.entry(idx).or_insert_with(|| Box::new([0; PAGE_SIZE as usize]))
+    /// The slot of page `page`, if it was ever written.
+    #[inline]
+    fn slot(&self, page: u32) -> Option<usize> {
+        let recent = &self.recent[(page >> (29 - PAGE_BITS)) as usize];
+        let e = recent.load(Relaxed);
+        if (e >> 32) as u32 == page {
+            return Some(e as u32 as usize);
+        }
+        let slot = *self.index.get(&page)?;
+        recent.store(u64::from(page) << 32 | u64::from(slot), Relaxed);
+        Some(slot as usize)
+    }
+
+    #[inline]
+    fn page(&self, page: u32) -> Option<&PageBytes> {
+        self.slot(page).map(|s| self.pages[s].bytes())
+    }
+
+    /// Page `page`, writable.
+    #[inline(always)]
+    fn page_mut(&mut self, page: u32) -> &mut PageBytes {
+        let slot = match self.slot(page) {
+            Some(s) if matches!(self.pages[s], Page::Owned(_)) => s,
+            _ => self.own(page),
+        };
+        match &mut self.pages[slot] {
+            Page::Owned(b) => b,
+            Page::Shared(_) => unreachable!("own() made it owned"),
+        }
+    }
+
+    /// The slot of page `page` made writable: a zero page on first
+    /// touch, a copy of a shared page on the first store into it.
+    #[cold]
+    fn own(&mut self, page: u32) -> usize {
+        let Some(slot) = self.slot(page) else {
+            self.pages.push(Page::Owned(Box::new([0; PAGE_SIZE as usize])));
+            self.index.insert(page, self.pages.len() as u32 - 1);
+            return self.pages.len() - 1;
+        };
+        if let Page::Shared(a) = &self.pages[slot] {
+            self.pages[slot] = Page::Owned(Box::new(**a));
+        }
+        slot
+    }
+
+    /// The text-store barrier: a store to `len` bytes at `addr` (within
+    /// one page) that reaches the decoded text detaches it.
+    #[inline]
+    fn stored(&mut self, addr: u32, len: u32) {
+        if self.text.as_ref().is_some_and(|t| t.overlaps(addr, len)) {
+            self.text = None;
+        }
+    }
+
+    /// Serve fetches in `text`'s range from its decoded words. The
+    /// caller has just stored exactly `text`'s image there.
+    fn attach_text(&mut self, text: Arc<Text>) {
+        self.text = Some(text);
+    }
+
+    /// Whether this memory holds a loaded program's decoded text: no
+    /// store has reached it since it was loaded.
+    pub fn text_attached(&self) -> bool {
+        self.text.is_some()
+    }
+
+    /// Share every page with this memory's future clones (see [`Page`]).
+    pub fn share(&mut self) {
+        self.pages = std::mem::take(&mut self.pages)
+            .into_iter()
+            .map(|p| match p {
+                Page::Owned(b) => Page::Shared(Arc::from(b)),
+                shared => shared,
+            })
+            .collect();
     }
 
     /// Read one byte; unwritten memory reads as zero.
+    #[inline]
     pub fn load_u8(&self, addr: u32) -> u8 {
-        match self.pages.get(&(addr >> PAGE_BITS)) {
+        match self.page(addr >> PAGE_BITS) {
             Some(p) => p[(addr & (PAGE_SIZE - 1)) as usize],
             None => 0,
         }
     }
 
     /// Write one byte.
+    #[inline(always)]
     pub fn store_u8(&mut self, addr: u32, val: u8) {
+        self.stored(addr, 1);
         self.page_mut(addr >> PAGE_BITS)[(addr & (PAGE_SIZE - 1)) as usize] = val;
     }
 
     /// Read a little-endian 32-bit word (byte-wise; no alignment demand).
+    #[inline]
     pub fn load_u32(&self, addr: u32) -> u32 {
         let off = (addr & (PAGE_SIZE - 1)) as usize;
         if off <= PAGE_SIZE as usize - 4 {
-            return match self.pages.get(&(addr >> PAGE_BITS)) {
+            return match self.page(addr >> PAGE_BITS) {
                 Some(p) => u32::from_le_bytes([p[off], p[off + 1], p[off + 2], p[off + 3]]),
                 None => 0,
             };
@@ -101,9 +240,11 @@ impl Memory {
     }
 
     /// Write a little-endian 32-bit word.
+    #[inline(always)]
     pub fn store_u32(&mut self, addr: u32, val: u32) {
         let off = (addr & (PAGE_SIZE - 1)) as usize;
         if off <= PAGE_SIZE as usize - 4 {
+            self.stored(addr, 4);
             self.page_mut(addr >> PAGE_BITS)[off..off + 4].copy_from_slice(&val.to_le_bytes());
             return;
         }
@@ -120,7 +261,7 @@ impl Memory {
         while remaining > 0 {
             let off = (addr & (PAGE_SIZE - 1)) as usize;
             let n = (PAGE_SIZE as usize - off).min(remaining);
-            match self.pages.get(&(addr >> PAGE_BITS)) {
+            match self.page(addr >> PAGE_BITS) {
                 Some(p) => out.extend_from_slice(&p[off..off + n]),
                 None => out.resize(out.len() + n, 0),
             }
@@ -137,6 +278,7 @@ impl Memory {
         while !bytes.is_empty() {
             let off = (addr & (PAGE_SIZE - 1)) as usize;
             let n = (PAGE_SIZE as usize - off).min(bytes.len());
+            self.stored(addr, n as u32);
             self.page_mut(addr >> PAGE_BITS)[off..off + n].copy_from_slice(&bytes[..n]);
             addr = addr.wrapping_add(n as u32);
             bytes = &bytes[n..];
@@ -189,18 +331,14 @@ pub struct Machine {
     pub regs: [u32; 32],
     /// Program counter.
     pub pc: u32,
-    /// Byte-addressable sparse memory.
+    /// Byte-addressable sparse memory, with the loaded program's
+    /// decoded text while no store has reached it.
     pub mem: Memory,
     /// Retired-instruction counter.
     pub instret: u64,
     /// Whether an `ebreak` has halted the machine.
     pub halted: bool,
     heap_next: u32,
-    /// Pre-decoded text image, installed by [`Machine::load_program`]
-    /// and shared process-wide by image bytes. Fetch verifies every hit
-    /// against live memory (see [`Machine::next_instr`]), so the cache
-    /// is a pure decode memo, never a source of truth.
-    fetch: Option<Arc<DecodeCache>>,
 }
 
 impl Default for Machine {
@@ -219,7 +357,6 @@ impl Machine {
             instret: 0,
             halted: false,
             heap_next: HEAP_BASE,
-            fetch: None,
         }
     }
 
@@ -234,16 +371,15 @@ impl Machine {
 
     /// Copy a program's text and data images into memory and set the PC.
     ///
-    /// Also installs the process-shared pre-decoded cache for the text
-    /// image, so every machine spun up over the same program (one per
-    /// whole-command spec query) decodes each text word once per
-    /// process instead of once per fetch.
+    /// Also attaches the text decoded once (clones of this machine
+    /// share it), so fetch reads no memory while the text is intact.
+    /// The data image is stored after, so a data section laid over the
+    /// text detaches it like any other store.
     pub fn load_program(&mut self, program: &Program) {
-        let text = program.text_bytes();
-        self.mem.store_bytes(program.text_base, &text);
+        self.mem.store_bytes(program.text_base, &program.text_bytes());
+        self.mem.attach_text(Arc::new(Text::new(program.text_base, &program.text)));
         self.mem.store_bytes(program.data_base, &program.data);
         self.pc = program.text_base;
-        self.fetch = Some(DecodeCache::shared(program.text_base, &text));
     }
 
     /// Point `sp` at the abstract stack region.
@@ -285,122 +421,169 @@ impl Machine {
         }
     }
 
-    /// The instruction the machine would execute next, if decodable.
-    ///
-    /// Fetch always reads the live memory word; the pre-decoded cache
-    /// is consulted only as a decode memo, and only when its recorded
-    /// word still equals the word in memory (the same verify-on-hit
-    /// protocol as the cores' exec stage). A store into the text region
-    /// simply stops matching, so even self-modifying code sees exact
-    /// uncached semantics.
-    pub fn next_instr(&self) -> Result<Instr, TrapCause> {
-        let pc = self.pc;
+    /// The operation at `pc`: from the decoded text while it is
+    /// attached, without reading memory; else decoded from the live
+    /// memory word. The text-store barrier (see [`Memory`]) detaches the
+    /// decoded text at the first store into it, so self-modifying code
+    /// sees exact uncached semantics.
+    #[inline(always)]
+    fn fetch(&self, pc: u32) -> Result<Uop, TrapCause> {
         if pc & 3 != 0 {
             return Err(TrapCause::MisalignedFetch { pc });
         }
-        let word = self.mem.load_u32(pc);
-        match self.fetch.as_deref().and_then(|c| c.entry(pc)) {
-            Some(&(cached_word, decoded)) if cached_word == word => decoded,
-            _ => decode(word),
+        match self.mem.text.as_ref().and_then(|t| t.uop(pc)) {
+            Some(u) => Ok(u),
+            None => Ok(Uop::decode(self.mem.load_u32(pc))),
         }
-        .map_err(|e| TrapCause::IllegalInstruction { pc, word: e.0 })
     }
 
     /// Execute one instruction.
     pub fn step(&mut self) -> Result<StepOutcome, TrapCause> {
-        let instr = self.next_instr()?;
-        self.execute(instr)
-    }
-
-    /// Execute a pre-decoded instruction as if fetched at the current PC.
-    pub fn execute(&mut self, instr: Instr) -> Result<StepOutcome, TrapCause> {
-        use crate::isa::{LoadOp, StoreOp};
-        let pc = self.pc;
-        let mut next_pc = pc.wrapping_add(4);
-        let mut outcome = StepOutcome::Continue;
-        match instr {
-            Instr::Lui { rd, imm } => self.set_reg(rd, (imm as u32) << 12),
-            Instr::Auipc { rd, imm } => self.set_reg(rd, pc.wrapping_add((imm as u32) << 12)),
-            Instr::Jal { rd, off } => {
-                self.set_reg(rd, next_pc);
-                next_pc = pc.wrapping_add(off as u32);
-            }
-            Instr::Jalr { rd, rs1, off } => {
-                let target = self.reg(rs1).wrapping_add(off as u32) & !1;
-                self.set_reg(rd, next_pc);
-                next_pc = target;
-            }
-            Instr::Branch { op, rs1, rs2, off } => {
-                if op.taken(self.reg(rs1), self.reg(rs2)) {
-                    next_pc = pc.wrapping_add(off as u32);
-                }
-            }
-            Instr::Load { op, rd, rs1, off } => {
-                let addr = self.reg(rs1).wrapping_add(off as u32);
-                let v = match op {
-                    LoadOp::Lb => self.mem.load_u8(addr) as i8 as i32 as u32,
-                    LoadOp::Lbu => self.mem.load_u8(addr) as u32,
-                    LoadOp::Lh | LoadOp::Lhu => {
-                        if addr & 1 != 0 {
-                            return Err(TrapCause::MisalignedAccess { pc, addr });
-                        }
-                        let h = u16::from_le_bytes([
-                            self.mem.load_u8(addr),
-                            self.mem.load_u8(addr.wrapping_add(1)),
-                        ]);
-                        if op == LoadOp::Lh {
-                            h as i16 as i32 as u32
-                        } else {
-                            h as u32
-                        }
-                    }
-                    LoadOp::Lw => {
-                        if addr & 3 != 0 {
-                            return Err(TrapCause::MisalignedAccess { pc, addr });
-                        }
-                        self.mem.load_u32(addr)
-                    }
-                };
-                self.set_reg(rd, v);
-            }
-            Instr::Store { op, rs1, rs2, off } => {
-                let addr = self.reg(rs1).wrapping_add(off as u32);
-                let v = self.reg(rs2);
-                match op {
-                    StoreOp::Sb => self.mem.store_u8(addr, v as u8),
-                    StoreOp::Sh => {
-                        if addr & 1 != 0 {
-                            return Err(TrapCause::MisalignedAccess { pc, addr });
-                        }
-                        self.mem.store_u8(addr, v as u8);
-                        self.mem.store_u8(addr.wrapping_add(1), (v >> 8) as u8);
-                    }
-                    StoreOp::Sw => {
-                        if addr & 3 != 0 {
-                            return Err(TrapCause::MisalignedAccess { pc, addr });
-                        }
-                        self.mem.store_u32(addr, v);
-                    }
-                }
-            }
-            Instr::OpImm { op, rd, rs1, imm } => {
-                let v = op.eval(self.reg(rs1), imm as u32);
-                self.set_reg(rd, v);
-            }
-            Instr::Op { op, rd, rs1, rs2 } => {
-                let v = op.eval(self.reg(rs1), self.reg(rs2));
-                self.set_reg(rd, v);
-            }
-            Instr::Fence => {}
-            Instr::Ecall => outcome = StepOutcome::Ecall,
-            Instr::Ebreak => {
-                self.halted = true;
-                outcome = StepOutcome::Break;
-            }
-        }
+        let (next_pc, outcome) = self.exec(self.fetch(self.pc)?, self.pc)?;
         self.pc = next_pc;
         self.instret += 1;
         Ok(outcome)
+    }
+
+    /// Register `r` (register 0 reads zero).
+    #[inline(always)]
+    fn x(&self, r: u8) -> u32 {
+        if r == 0 {
+            0
+        } else {
+            self.regs[(r & 31) as usize]
+        }
+    }
+
+    /// Write register `rd` (writes to register 0 are discarded).
+    #[inline(always)]
+    fn set_x(&mut self, rd: u8, v: u32) {
+        if rd != 0 {
+            self.regs[(rd & 31) as usize] = v;
+        }
+    }
+
+    /// The semantics of every operation, one dispatch per instruction:
+    /// `u` executed at `pc` yields the next PC. A trap changes nothing.
+    #[inline(always)]
+    fn exec(&mut self, u: Uop, pc: u32) -> Result<(u32, StepOutcome), TrapCause> {
+        let mut next_pc = pc.wrapping_add(4);
+        let (a, b, imm) = (self.x(u.rs1), self.x(u.rs2), u.imm as u32);
+        let addr = a.wrapping_add(imm);
+        let misaligned = || Err(TrapCause::MisalignedAccess { pc, addr });
+        let alu = |op: AluOp, b| op.eval(a, b);
+        let v = match u.code {
+            Code::Lui => imm,
+            Code::Auipc => pc.wrapping_add(imm),
+            Code::Jal => {
+                next_pc = pc.wrapping_add(imm);
+                pc.wrapping_add(4)
+            }
+            Code::Jalr => {
+                next_pc = addr & !1;
+                pc.wrapping_add(4)
+            }
+            Code::Beq | Code::Bne | Code::Blt | Code::Bge | Code::Bltu | Code::Bgeu => {
+                let taken = match u.code {
+                    Code::Beq => a == b,
+                    Code::Bne => a != b,
+                    Code::Blt => (a as i32) < (b as i32),
+                    Code::Bge => (a as i32) >= (b as i32),
+                    Code::Bltu => a < b,
+                    _ => a >= b,
+                };
+                if taken {
+                    next_pc = pc.wrapping_add(imm);
+                }
+                return Ok((next_pc, StepOutcome::Continue));
+            }
+            Code::Lb => self.mem.load_u8(addr) as i8 as i32 as u32,
+            Code::Lbu => self.mem.load_u8(addr) as u32,
+            Code::Lh | Code::Lhu => {
+                if addr & 1 != 0 {
+                    return misaligned();
+                }
+                let h = u16::from_le_bytes([
+                    self.mem.load_u8(addr),
+                    self.mem.load_u8(addr.wrapping_add(1)),
+                ]);
+                if u.code == Code::Lh {
+                    h as i16 as i32 as u32
+                } else {
+                    h as u32
+                }
+            }
+            Code::Lw => {
+                if addr & 3 != 0 {
+                    return misaligned();
+                }
+                self.mem.load_u32(addr)
+            }
+            Code::Sb | Code::Sh | Code::Sw => {
+                match u.code {
+                    Code::Sb => self.mem.store_u8(addr, b as u8),
+                    Code::Sh => {
+                        if addr & 1 != 0 {
+                            return misaligned();
+                        }
+                        self.mem.store_u8(addr, b as u8);
+                        self.mem.store_u8(addr.wrapping_add(1), (b >> 8) as u8);
+                    }
+                    _ => {
+                        if addr & 3 != 0 {
+                            return misaligned();
+                        }
+                        self.mem.store_u32(addr, b);
+                    }
+                }
+                return Ok((next_pc, StepOutcome::Continue));
+            }
+            Code::AddI => alu(AluOp::Add, imm),
+            Code::SubI => alu(AluOp::Sub, imm),
+            Code::SllI => alu(AluOp::Sll, imm),
+            Code::SltI => alu(AluOp::Slt, imm),
+            Code::SltuI => alu(AluOp::Sltu, imm),
+            Code::XorI => alu(AluOp::Xor, imm),
+            Code::SrlI => alu(AluOp::Srl, imm),
+            Code::SraI => alu(AluOp::Sra, imm),
+            Code::OrI => alu(AluOp::Or, imm),
+            Code::AndI => alu(AluOp::And, imm),
+            Code::MulI => alu(AluOp::Mul, imm),
+            Code::MulhI => alu(AluOp::Mulh, imm),
+            Code::MulhsuI => alu(AluOp::Mulhsu, imm),
+            Code::MulhuI => alu(AluOp::Mulhu, imm),
+            Code::DivI => alu(AluOp::Div, imm),
+            Code::DivuI => alu(AluOp::Divu, imm),
+            Code::RemI => alu(AluOp::Rem, imm),
+            Code::RemuI => alu(AluOp::Remu, imm),
+            Code::Add => alu(AluOp::Add, b),
+            Code::Sub => alu(AluOp::Sub, b),
+            Code::Sll => alu(AluOp::Sll, b),
+            Code::Slt => alu(AluOp::Slt, b),
+            Code::Sltu => alu(AluOp::Sltu, b),
+            Code::Xor => alu(AluOp::Xor, b),
+            Code::Srl => alu(AluOp::Srl, b),
+            Code::Sra => alu(AluOp::Sra, b),
+            Code::Or => alu(AluOp::Or, b),
+            Code::And => alu(AluOp::And, b),
+            Code::Mul => alu(AluOp::Mul, b),
+            Code::Mulh => alu(AluOp::Mulh, b),
+            Code::Mulhsu => alu(AluOp::Mulhsu, b),
+            Code::Mulhu => alu(AluOp::Mulhu, b),
+            Code::Div => alu(AluOp::Div, b),
+            Code::Divu => alu(AluOp::Divu, b),
+            Code::Rem => alu(AluOp::Rem, b),
+            Code::Remu => alu(AluOp::Remu, b),
+            Code::Fence => return Ok((next_pc, StepOutcome::Continue)),
+            Code::Ecall => return Ok((next_pc, StepOutcome::Ecall)),
+            Code::Ebreak => {
+                self.halted = true;
+                return Ok((next_pc, StepOutcome::Break));
+            }
+            Code::Illegal => return Err(TrapCause::IllegalInstruction { pc, word: imm }),
+        };
+        self.set_x(u.rd, v);
+        Ok((next_pc, StepOutcome::Continue))
     }
 
     /// Run until `ebreak`, a trap, or `max_steps` instructions retire.
@@ -408,18 +591,30 @@ impl Machine {
     /// Returns the number of instructions retired. An error is returned on
     /// a trap or if the step budget is exhausted before `ebreak`.
     pub fn run(&mut self, max_steps: u64) -> Result<u64, RunError> {
-        let start = self.instret;
-        while !self.halted {
-            if self.instret - start >= max_steps {
-                return Err(RunError::OutOfFuel { steps: max_steps, pc: self.pc });
-            }
-            match self.step() {
-                Ok(StepOutcome::Break) => break,
-                Ok(_) => {}
-                Err(t) => return Err(RunError::Trap(t)),
-            }
+        if self.halted {
+            return Ok(0);
         }
-        Ok(self.instret - start)
+        // The PC and the count live in locals until the run ends.
+        let mut pc = self.pc;
+        let mut n = 0;
+        let result = loop {
+            if n >= max_steps {
+                break Err(RunError::OutOfFuel { steps: max_steps, pc });
+            }
+            match self.fetch(pc).and_then(|u| self.exec(u, pc)) {
+                Ok((next_pc, outcome)) => {
+                    pc = next_pc;
+                    n += 1;
+                    if outcome == StepOutcome::Break {
+                        break Ok(n);
+                    }
+                }
+                Err(t) => break Err(RunError::Trap(t)),
+            }
+        };
+        self.pc = pc;
+        self.instret += n;
+        result
     }
 
     /// Call the function at `entry` with up to 8 arguments in `a0..a7`,
@@ -474,6 +669,7 @@ impl std::error::Error for RunError {}
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use crate::isa::AluOp;
 
     fn run_and_get_a0(src: &str) -> u32 {
         let p = assemble(src).unwrap();
@@ -629,6 +825,51 @@ mod tests {
         assert_eq!(m.load_bytes(0x0FFD, 6), vec![1, 2, 3, 4, 5, 6]);
         // Unwritten tails still read as zero across the boundary.
         assert_eq!(m.load_bytes(0x1FFE, 4), vec![0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn a_store_that_wraps_into_the_text_detaches_it() {
+        // Text at address 0; a word stored at 0xFFFF_FFFE wraps and
+        // rewrites the low half of the first instruction.
+        let p = assemble("li a0, 1\n ebreak").unwrap();
+        let mut m = Machine::with_program(&p);
+        let add = crate::encode::encode(Instr::OpImm {
+            op: AluOp::Add,
+            rd: Reg::A0,
+            rs1: Reg::ZERO,
+            imm: 7,
+        });
+        let old = m.mem.load_u32(0);
+        m.mem.store_u32(0xFFFF_FFFE, (add & 0xFFFF) << 16);
+        assert!(!m.mem.text_attached(), "the wrapped store reached the text");
+        assert_eq!(m.mem.load_u32(0), old & 0xFFFF_0000 | add & 0xFFFF);
+        m.mem.store_u32(0, add);
+        m.run(10).unwrap();
+        assert_eq!(m.reg(Reg::A0), 7);
+    }
+
+    #[test]
+    fn a_store_that_starts_below_the_text_detaches_it() {
+        let layout = crate::asm::Layout { text_base: 0x100, data_base: 0x2000_0000 };
+        let p = crate::asm::assemble_with("li a0, 1\n ebreak", layout).unwrap();
+        let mut m = Machine::with_program(&p);
+        m.mem.store_bytes(0xFC, &[0; 8]);
+        assert!(!m.mem.text_attached(), "the store reached the first text word");
+        let e = m.run(10).unwrap_err();
+        assert_eq!(e, RunError::Trap(TrapCause::IllegalInstruction { pc: 0x100, word: 0 }));
+    }
+
+    #[test]
+    fn clones_of_a_shared_image_keep_their_own_stores() {
+        let p = assemble(".data\nbuf: .zero 8").unwrap();
+        let mut template = Machine::with_program(&p);
+        template.mem.store_u32(p.data_base, 5);
+        template.mem.share();
+        let (mut a, b) = (template.clone(), template.clone());
+        a.mem.store_u32(p.data_base, 6);
+        assert_eq!(a.mem.load_u32(p.data_base), 6);
+        assert_eq!(b.mem.load_u32(p.data_base), 5, "a sibling clone");
+        assert_eq!(template.mem.load_u32(p.data_base), 5, "the template");
     }
 
     #[test]

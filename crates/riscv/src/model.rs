@@ -10,8 +10,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::asm::Program;
-use crate::isa::Reg;
-use crate::machine::{Machine, RunError};
+use crate::encode::encode;
+use crate::isa::{Instr, Reg};
+use crate::machine::{Machine, RunError, STACK_TOP};
 
 /// Entries the whole-command memo holds before it is dropped wholesale.
 /// States and commands are tens of bytes, so this bounds the memo to a
@@ -41,11 +42,17 @@ type StepBytes = (Vec<u8>, Vec<u8>);
 /// copies the state and command into machine memory, points `a0`/`a1`/`a2`
 /// at the state, command, and response buffers per the RISC-V calling
 /// convention, runs `handle` to completion, and reads the updated state
-/// and the response back out — exactly the pseudocode of fig. 8.
+/// and the response back out — exactly the pseudocode of fig. 8. The
+/// fresh machine is a clone of one template made at construction, so
+/// a step neither stores the program again nor looks its decoded text
+/// up.
 #[derive(Clone)]
 pub struct AsmStateMachine {
     program: Program,
     handle_addr: u32,
+    /// The program's text and data loaded, `sp` set and `ra` at a
+    /// sentinel `ebreak`; its pages are shared with every step's clone.
+    template: Machine,
     /// Size in bytes of the state buffer.
     pub state_size: usize,
     /// Size in bytes of the command buffer.
@@ -69,9 +76,16 @@ impl AsmStateMachine {
         response_size: usize,
     ) -> Option<Self> {
         let handle_addr = program.address_of("handle")?;
+        let mut template = Machine::with_program(&program);
+        // `handle` returns to a sentinel ebreak.
+        let sentinel = STACK_TOP.wrapping_add(0x100);
+        template.mem.store_u32(sentinel, encode(Instr::Ebreak));
+        template.set_reg(Reg::RA, sentinel);
+        template.mem.share();
         Some(AsmStateMachine {
             program,
             handle_addr,
+            template,
             state_size,
             command_size,
             response_size,
@@ -97,9 +111,7 @@ impl AsmStateMachine {
     pub fn prepare(&self, state: &[u8], command: &[u8]) -> (Machine, u32, u32, u32) {
         assert_eq!(state.len(), self.state_size, "state buffer size");
         assert_eq!(command.len(), self.command_size, "command buffer size");
-        let mut m = Machine::new();
-        m.load_program(&self.program);
-        m.setup_stack();
+        let mut m = self.template.clone();
         let state_ptr = m.alloc(self.state_size as u32);
         m.storebytes(state_ptr, state);
         let command_ptr = m.alloc(self.command_size as u32);
@@ -108,10 +120,6 @@ impl AsmStateMachine {
         m.set_reg(Reg::A0, state_ptr);
         m.set_reg(Reg::A1, command_ptr);
         m.set_reg(Reg::A2, response_ptr);
-        // Return to a sentinel ebreak.
-        let sentinel = crate::machine::STACK_TOP.wrapping_add(0x100);
-        m.mem.store_u32(sentinel, crate::encode::encode(crate::isa::Instr::Ebreak));
-        m.set_reg(Reg::RA, sentinel);
         m.pc = self.handle_addr;
         (m, state_ptr, command_ptr, response_ptr)
     }

@@ -227,18 +227,14 @@ impl Soc {
     /// secrets, and the taint tracker reports any flow of these values
     /// into control state.
     pub fn new(core: Box<dyn Core>, firmware: Firmware, fram_image: &[u8]) -> Soc {
-        let cache = if parfait_telemetry::env::decode_cache_loud() {
-            Some(DecodeCache::shared(ROM_BASE, &firmware.rom))
-        } else {
-            None
-        };
-        Soc::new_with_decode_cache(core, firmware, fram_image, cache)
+        let cache = DecodeCache::shared(ROM_BASE, &firmware.rom);
+        Soc::new_with_decode_cache(core, firmware, fram_image, Some(cache))
     }
 
-    /// [`Soc::new`] with an explicit decode cache (or `None` for the
-    /// uncached bus fetch + live decode path), bypassing the
-    /// `PARFAIT_DECODE_CACHE` knob. The differential tests use this to
-    /// run cached and uncached worlds side by side in one process.
+    /// [`Soc::new`] with an explicit decode cache, or `None` for the
+    /// uncached bus fetch + live decode path. The differential tests use
+    /// this to run cached and uncached worlds side by side in one
+    /// process.
     pub fn new_with_decode_cache(
         mut core: Box<dyn Core>,
         firmware: Firmware,

@@ -1,5 +1,8 @@
 //! Whole-command state-machine adapters for the littlec pipeline levels.
 
+use std::cell::Cell;
+use std::sync::Arc;
+
 use parfait::StateMachine;
 use parfait_littlec::ast::Program;
 use parfait_littlec::interp::Interp;
@@ -69,18 +72,27 @@ impl StateMachine for IrMachine<'_> {
 /// The "App Impl \[Asm\]" level: compiled `handle` under the Riscette
 /// machine (fig. 8).
 pub struct AsmMachine {
-    model: AsmStateMachine,
+    model: Arc<AsmStateMachine>,
+    /// Steps that ran `handle`; the model's memo replayed the others.
+    runs: Cell<usize>,
 }
 
 impl AsmMachine {
-    /// Wrap a whole-command assembly model.
-    pub fn new(model: AsmStateMachine) -> Self {
-        AsmMachine { model }
+    /// Wrap a whole-command assembly model, possibly one shared with
+    /// other checkers (whose steps then replay through its memo).
+    pub fn new(model: impl Into<Arc<AsmStateMachine>>) -> Self {
+        AsmMachine { model: model.into(), runs: Cell::new(0) }
     }
 
     /// The underlying model.
-    pub fn model(&self) -> &AsmStateMachine {
+    pub fn model(&self) -> &Arc<AsmStateMachine> {
         &self.model
+    }
+
+    /// How many of this wrapper's steps ran `handle`. Counted here, not
+    /// off the model's memo counters, which FPS's spec queries own.
+    pub fn runs(&self) -> usize {
+        self.runs.get()
     }
 }
 
@@ -94,6 +106,11 @@ impl StateMachine for AsmMachine {
     }
 
     fn step(&self, state: &Vec<u8>, cmd: &Vec<u8>) -> (Vec<u8>, Vec<u8>) {
-        self.model.step(state, cmd).unwrap_or_else(|e| panic!("asm-level handle failed: {e}"))
+        let (out, ran) = self
+            .model
+            .step_uncounted(state, cmd)
+            .unwrap_or_else(|e| panic!("asm-level handle failed: {e}"));
+        self.runs.set(self.runs.get() + usize::from(ran));
+        out
     }
 }

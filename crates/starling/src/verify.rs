@@ -2,6 +2,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -14,6 +15,7 @@ use parfait::StateMachine;
 use parfait_littlec::codegen::OptLevel;
 use parfait_littlec::ir::lower;
 use parfait_littlec::validate::{asm_machine, LevelRuns};
+use parfait_riscv::model::AsmStateMachine;
 use parfait_telemetry::Telemetry;
 
 use crate::machines::{AsmMachine, InterpMachine, IrMachine};
@@ -148,6 +150,44 @@ where
     <C::Spec as StateMachine>::Command: Clone + PartialEq + std::fmt::Debug,
     <C::Spec as StateMachine>::State: Clone,
 {
+    verify_app_with(
+        codec,
+        spec,
+        app_source,
+        config,
+        spec_states,
+        spec_commands,
+        spec_responses,
+        tel,
+        None,
+    )
+}
+
+/// Each opt level's asm machine of `handle`, over the configured buffer
+/// sizes, for [`verify_app_with`].
+pub type AsmSource<'a> = &'a (dyn Fn(OptLevel) -> Result<Arc<AsmStateMachine>, String> + 'a);
+
+/// [`verify_app_traced`] that takes each opt level's asm machine from
+/// `asm_at` (a build memo's, whose step memo other checkers share)
+/// instead of compiling its own; `None` compiles them. Obligations 3
+/// and 4 count as runs only the steps that ran `handle`.
+#[allow(clippy::too_many_arguments)]
+pub fn verify_app_with<C>(
+    codec: &C,
+    spec: &C::Spec,
+    app_source: &str,
+    config: &StarlingConfig,
+    spec_states: &[<C::Spec as StateMachine>::State],
+    spec_commands: &[<C::Spec as StateMachine>::Command],
+    spec_responses: &[<C::Spec as StateMachine>::Response],
+    tel: &Telemetry,
+    asm_at: Option<AsmSource<'_>>,
+) -> Result<StarlingReport, StarlingError>
+where
+    C: Codec<CI = Vec<u8>, RI = Vec<u8>, SI = Vec<u8>>,
+    <C::Spec as StateMachine>::Command: Clone + PartialEq + std::fmt::Debug,
+    <C::Spec as StateMachine>::State: Clone,
+{
     let _run_span = tel.span("starling.verify");
     let mut report = StarlingReport::default();
     // Obligation 1: codec inversion.
@@ -166,6 +206,17 @@ where
     let interp = Remembered::new(InterpMachine::new(&program, config.response_size));
     let ir = lower(&program).map_err(|e| StarlingError::Build(e.to_string()))?;
     let irm = IrMachine::new(&ir, config.response_size);
+    let asm_at = |opt: OptLevel| -> Result<AsmMachine, StarlingError> {
+        match asm_at {
+            Some(asm_at) => asm_at(opt),
+            None => {
+                let (s, c, r) = (config.state_size, config.command_size, config.response_size);
+                asm_machine(&program, opt, s, c, r).map(Arc::new).map_err(|e| e.to_string())
+            }
+        }
+        .map(AsmMachine::new)
+        .map_err(StarlingError::Build)
+    };
 
     // Obligation 2: lockstep simulation at the interp (Low*) level.
     {
@@ -182,17 +233,15 @@ where
     // The comparisons skipped at later levels passed at the first, so
     // the first failure is the one a level-by-level check reports.
     let translation_span = tel.span("starling.translation");
+    // Every level's machine is fetched before any is stepped, the last
+    // level first: the equivalence stage takes the same build memo's
+    // machines from the first level up on another thread, so the two
+    // build different levels at once. A level that does not build
+    // still fails where the level-by-level loop reaches it.
+    let mut fetched: Vec<_> = config.opt_levels.iter().rev().map(|&opt| asm_at(opt)).collect();
     let mut machines: Vec<(OptLevel, AsmMachine)> = Vec::new();
     for (k, opt) in config.opt_levels.iter().enumerate() {
-        let asm = asm_machine(
-            &program,
-            *opt,
-            config.state_size,
-            config.command_size,
-            config.response_size,
-        )
-        .map_err(|e| StarlingError::Build(e.to_string()))?;
-        let asmm = AsmMachine::new(asm);
+        let asmm = fetched.pop().expect("one machine per level")?;
         for st in spec_states {
             let si = codec.encode_state(st);
             for input in &inputs {
@@ -225,18 +274,10 @@ where
     // the lockstep-derived driver/emulator, over a mixed adversarial
     // trace. The O2 machine is obligation 3's when it validated one.
     let asm = match machines.iter().find(|(opt, _)| *opt == OptLevel::O2) {
-        Some((_, m)) => m.model().clone(),
+        Some((_, m)) => Arc::clone(m.model()),
         None => {
-            let asm = asm_machine(
-                &program,
-                OptLevel::O2,
-                config.state_size,
-                config.command_size,
-                config.response_size,
-            )
-            .map_err(|e| StarlingError::Build(e.to_string()))?;
-            machines.push((OptLevel::O2, AsmMachine::new(asm.clone())));
-            asm
+            machines.push((OptLevel::O2, asm_at(OptLevel::O2)?));
+            Arc::clone(machines[machines.len() - 1].1.model())
         }
     };
     let asmm = AsmWithInit { inner: AsmMachine::new(asm), init: codec.encode_state(&spec.init()) };
@@ -258,8 +299,7 @@ where
     check_ipr(&spec_with_init, &asmm, &driver, &mut emu, &ops)
         .map_err(|ce| StarlingError::Ipr(ce.to_string()))?;
     report.runs.interp = interp.runs.get();
-    // The machines' memos are Starling's own: their misses are its runs.
-    report.runs.asm = machines.iter().map(|(_, m)| m.model().take_memo_stats().1 as usize).sum();
+    report.runs.asm = machines.iter().map(|(_, m)| m.runs()).sum::<usize>() + asmm.inner.runs();
     Ok(report)
 }
 

@@ -25,7 +25,6 @@ pub const KNOBS: &[&str] = &[
     "PARFAIT_VCD_WINDOW",
     "PARFAIT_VCD_DIR",
     "PARFAIT_TRACE",
-    "PARFAIT_DECODE_CACHE",
     "PARFAIT_SOCKET",
 ];
 
@@ -132,25 +131,6 @@ pub fn cache_dir_loud() -> Option<PathBuf> {
     loud(parse_cache_dir(read("PARFAIT_CACHE_DIR").as_deref()))
 }
 
-/// `PARFAIT_DECODE_CACHE`: the pre-decoded instruction cache escape
-/// hatch. `on`/`1`/`true` (and unset) enable it, `off`/`0`/`false`
-/// disable it so a suspected cache bug can be bisected at runtime.
-pub fn parse_decode_cache(raw: Option<&str>) -> Result<bool, String> {
-    match raw {
-        None => Ok(true),
-        Some(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "on" | "1" | "true" => Ok(true),
-            "off" | "0" | "false" => Ok(false),
-            _ => Err(format!("PARFAIT_DECODE_CACHE expects on|off, got {v:?}")),
-        },
-    }
-}
-
-/// Loud reader for [`parse_decode_cache`].
-pub fn decode_cache_loud() -> bool {
-    loud(parse_decode_cache(read("PARFAIT_DECODE_CACHE").as_deref()))
-}
-
 /// `PARFAIT_SOCKET`: path for the serve daemon's Unix socket; unset or
 /// empty means "stdin/stdout only".
 pub fn parse_socket(raw: Option<&str>) -> Result<Option<PathBuf>, String> {
@@ -196,20 +176,6 @@ mod tests {
         assert_eq!(parse_heartbeat(Some("250_000")), Ok(250_000));
         let e = parse_heartbeat(Some("fast")).unwrap_err();
         assert!(e.contains("PARFAIT_HEARTBEAT expects"), "{e}");
-    }
-
-    #[test]
-    fn decode_cache_grammar() {
-        assert_eq!(parse_decode_cache(None), Ok(true));
-        for on in ["on", "1", "true", " ON "] {
-            assert_eq!(parse_decode_cache(Some(on)), Ok(true), "{on}");
-        }
-        for off in ["off", "0", "false", "OFF"] {
-            assert_eq!(parse_decode_cache(Some(off)), Ok(false), "{off}");
-        }
-        let e = parse_decode_cache(Some("maybe")).unwrap_err();
-        assert!(e.contains("PARFAIT_DECODE_CACHE expects"), "{e}");
-        assert!(e.contains("\"maybe\""), "{e}");
     }
 
     #[test]

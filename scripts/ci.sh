@@ -48,8 +48,8 @@ cargo run --release -p parfait-bench --bin lint -- --opt O1
 # Deterministic performance ratchet: hot-path counters (analyzer
 # fixpoint iterations and memo hits, the asm fixpoint's state joins,
 # FPS cycles, decode-cache hit rate, build-memo lookups that compiled
-# nothing) must not regress against perf_baseline.json; wall clock is
-# only a generous backstop.
+# nothing, the app compiles of the software stages) must not regress
+# against perf_baseline.json; wall clock is only a generous backstop.
 ./target/release/perfstat --baseline perf_baseline.json
 # Certified-resource-bound ratchet: every production cell's certified
 # WCET and stack depth may only tighten against bound_baseline.json.

@@ -4,8 +4,8 @@
 //! compiles from scratch), its linked text, ROM image and spec machine
 //! equal fresh builds, and a second lookup hands out the same `Arc`s.
 //! Tampered apps never alias the clean build, compile failures repeat
-//! verbatim, the memo stays bounded, and a warm `serve` request
-//! compiles nothing.
+//! verbatim, the memo stays bounded, a warm `serve` request compiles
+//! nothing, and a cold edit compiles the app once per opt level.
 //!
 //! The memo is process-wide, so every test here holds `MEMO_LOCK`:
 //! the capacity test would otherwise evict the warm test's builds
@@ -17,6 +17,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use parfait_adversary::catalog::catalog;
 use parfait_hsms::platform::{build_firmware_parts, Cpu};
 use parfait_hsms::syssw;
+use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
 use parfait_littlec::validate::asm_machine;
 use parfait_pipeline::serve::server::handle_session;
@@ -332,4 +333,26 @@ fn fps_replays_the_equivalence_stages_step_on_the_memo_machine() {
     // the invalid command's, which is on the grid as well.
     assert_eq!(report.spec_queries, 2);
     assert_eq!((after.0 - before.0, after.1 - before.1), (2, 0));
+}
+
+#[test]
+fn an_edited_hashers_matrix_compiles_the_app_once_per_level() {
+    let _memo = memo_lock();
+    // A source no earlier lookup has built.
+    let mut app = StdApp::Hasher.pipeline();
+    app.source.push_str("\n// edit-loop variant\n");
+    let pipeline = Pipeline::new(CertCache::disabled_with(Metrics::new()), Telemetry::disabled());
+    let compiles = || Metrics::global().snapshot().counter("littlec_compiles_total", &[]);
+    let before = compiles().unwrap_or(0);
+    let obs = FpsObserver::default();
+    let cells = pipeline.verify_matrix(&app, &[Cpu::Ibex, Cpu::Pico], OptLevel::O2, &obs, 2);
+    for (cpu, cell) in &cells {
+        assert!(cell.is_ok(), "{cpu}: {:?}", cell.as_ref().err());
+    }
+    // Starling and the equivalence stage validate -O0, -O1 and -O2 on
+    // the memo's machines, ctcheck lints the -O2 one, and bound and FPS
+    // read the -O2 app linked with its system software: one compile
+    // per level, and one link.
+    assert_eq!(app.opt_levels, [OptLevel::O0, OptLevel::O1, OptLevel::O2]);
+    assert_eq!(compiles().unwrap_or(0) - before, app.opt_levels.len() as u64 + 1);
 }

@@ -20,7 +20,7 @@ use parfait_rtl::Circuit;
 use parfait_soc::{Firmware, Soc, ROM_BASE};
 
 /// A token-HSM SoC with the decode cache explicitly disabled — the
-/// live bus-fetch + decode path, regardless of `PARFAIT_DECODE_CACHE`.
+/// live bus-fetch + decode path.
 fn make_soc_uncached(fw: Firmware, initial_state: &[u8]) -> Soc {
     let fram = syssw::initial_fram(initial_state);
     let core: Box<dyn Core> = Box::new(IbexCore::with_fault(ROM_BASE, None));

@@ -231,8 +231,8 @@ impl LintReport {
 /// the lowered (unoptimized) IR, then abstract interpretation over the
 /// firmware compiled at `opt` and assembled.
 ///
-/// Emits `lint.ir` / `lint.asm` telemetry spans and a `lint.findings`
-/// counter.
+/// Emits `lint.ir` / `lint.asm` telemetry spans; the findings are the
+/// report's (the `ctcheck` certificate counts them).
 pub fn lint_source(source: &str, opt: OptLevel, tel: &Telemetry) -> Result<LintReport, LintError> {
     lint_source_with(source, opt, tel, |a| a)
 }
@@ -293,7 +293,6 @@ fn lint_asm_layer(
     findings.extend(asm_findings);
     findings.sort();
     findings.dedup();
-    tel.count("lint.findings", findings.len() as u64);
     Ok(LintReport { findings, ir_insts, asm_instrs: prog.text.len() })
 }
 

@@ -32,6 +32,11 @@ struct Case {
 }
 
 fn main() {
+    parfait_bench::check_args(
+        "bench_fps [--quick] [--threads <n>] [--json <path>] [--metrics <path>]",
+        &["--quick"],
+        &["--threads", "--json", "--metrics"],
+    );
     let quick = std::env::args().any(|a| a == "--quick");
     let threads = threads_arg();
     let apps: &[App] = if quick { &[App::Hasher] } else { &[App::Ecdsa, App::Hasher] };

@@ -20,6 +20,11 @@ use parfait_telemetry::json::Json;
 use parfait_telemetry::Telemetry;
 
 fn main() {
+    parfait_bench::check_args(
+        "bench_lint [--quick] [--json <path>] [--metrics <path>]",
+        &["--quick"],
+        &["--json", "--metrics"],
+    );
     let quick = std::env::args().any(|a| a == "--quick");
     let matrix: Vec<(App, OptLevel)> = if quick {
         vec![(App::Hasher, OptLevel::O2)]

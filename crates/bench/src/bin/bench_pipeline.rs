@@ -23,6 +23,11 @@ use parfait_pipeline::{CertCache, Pipeline};
 use parfait_telemetry::json::Json;
 
 fn main() {
+    parfait_bench::check_args(
+        "bench_pipeline [--quick] [--threads <n>] [--json <path>] [--metrics <path>]",
+        &["--quick"],
+        &["--threads", "--json", "--metrics"],
+    );
     let quick = std::env::args().any(|a| a == "--quick");
     let threads = threads_arg();
     let matrix: Vec<(App, Cpu)> = if quick {

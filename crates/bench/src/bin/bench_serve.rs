@@ -112,6 +112,11 @@ fn run_leg(label: &str, threads: usize, sessions: &[String]) -> Leg {
 }
 
 fn main() {
+    parfait_bench::check_args(
+        "bench_serve [--quick] [--threads <n>] [--json <path>] [--metrics <path>]",
+        &["--quick"],
+        &["--threads", "--json", "--metrics"],
+    );
     let quick = std::env::args().any(|a| a == "--quick");
     let threads = threads_arg();
     let mut cells: Vec<(&str, &str, &str)> =

@@ -21,6 +21,11 @@ use parfait_pipeline::{run_cells, Cell, Pipeline, StageSet};
 use parfait_telemetry::json::Json;
 
 fn main() {
+    parfait_bench::check_args(
+        "table4 [--quick] [--threads <n>] [--json <path>] [--metrics <path>]",
+        &["--quick"],
+        &["--threads", "--json", "--metrics"],
+    );
     let quick = std::env::args().any(|a| a == "--quick");
     let threads = threads_arg();
     // Platform proof sizes: emulator + checker code the platform

@@ -19,7 +19,9 @@
 //! `perf_baseline.json`) and `boundstat` (certified WCET and stack
 //! bounds against `bound_baseline.json`), which both judge through
 //! [`ratchet::gate`]. Every binary reads its path flags (`--json`,
-//! `--metrics`, `--baseline`) through [`path_arg_from`].
+//! `--metrics`, `--baseline`) through [`path_arg_from`]; `bench_fps`,
+//! `bench_lint`, `bench_pipeline`, `bench_serve` and `table4` reject any
+//! argument they do not read through [`check_args`].
 //!
 //! Criterion micro-benchmarks live in `benches/`.
 
@@ -34,6 +36,37 @@ pub use parfait_pipeline::apps::StdApp as App;
 /// The ratchet behind the `perfstat` and `boundstat` binaries and CI's
 /// `perf_baseline.json` and `bound_baseline.json` gates.
 pub mod ratchet;
+
+/// The first argument in `args` that is neither one of `switches` (a
+/// flag alone, `--quick`) nor one of `valued` (a flag taking the next
+/// argument, `--threads 2`, whose own parser judges the value).
+fn unknown_arg_from<I>(args: I, switches: &[&str], valued: &[&str]) -> Option<String>
+where
+    I: IntoIterator<Item = String>,
+{
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        if valued.contains(&a.as_str()) {
+            args.next();
+        } else if !switches.contains(&a.as_str()) {
+            return Some(a);
+        }
+    }
+    None
+}
+
+/// Reject this process's first argument that is neither one of
+/// `switches` nor one of `valued` (the value after a valued flag is its
+/// parser's to judge): print it and `usage: <usage>` and exit 1. Call it
+/// first, so a typo (`--quik`) or `--help` starts no work instead of
+/// being ignored.
+pub fn check_args(usage: &str, switches: &[&str], valued: &[&str]) {
+    if let Some(arg) = unknown_arg_from(std::env::args().skip(1), switches, valued) {
+        eprintln!("error: unknown argument {arg:?}");
+        eprintln!("usage: {usage}");
+        std::process::exit(1);
+    }
+}
 
 /// Extract `<flag> <path>` (`--json`, `--metrics`, `--baseline`) from an
 /// argument list. Distinguishes the flag being absent (`Ok(None)`) from
@@ -244,6 +277,19 @@ mod tests {
             assert_eq!(trailing, flag_like);
             assert_eq!(trailing, bare_dashes);
         }
+    }
+
+    #[test]
+    fn unknown_args_are_named_and_flag_values_are_skipped() {
+        let (switches, valued) = (&["--quick"][..], &["--threads", "--json"][..]);
+        let unknown = |list: &[&str]| unknown_arg_from(args(list), switches, valued);
+        assert_eq!(unknown(&[]), None);
+        assert_eq!(unknown(&["--quick", "--threads", "2", "--json", "out.json"]), None);
+        // A value is the flag's parser's to judge, even one like a flag.
+        assert_eq!(unknown(&["--json", "--help"]), None);
+        assert_eq!(unknown(&["--help"]).as_deref(), Some("--help"));
+        assert_eq!(unknown(&["--quick", "--quik"]).as_deref(), Some("--quik"));
+        assert_eq!(unknown(&["--threads", "2", "extra"]).as_deref(), Some("extra"));
     }
 
     #[test]

@@ -252,7 +252,7 @@ impl FpsReport {
 /// work on the per-cycle hot path.
 #[derive(Clone, Debug, Default)]
 pub struct FpsObserver {
-    /// Destination for spans, counters, gauges, and heartbeats.
+    /// Destination for spans and heartbeats.
     pub telemetry: Telemetry,
     /// Emit an `fps.heartbeat` progress event every this many simulated
     /// cycles (0 disables heartbeats).
@@ -444,10 +444,14 @@ pub fn check_fps(
     check_fps_traced(real, emu, cfg, project, script, &FpsObserver::default()).map_err(|f| f.error)
 }
 
-/// [`check_fps`] with observability: spans per script op, counters for
-/// spec queries and timeouts, periodic heartbeats, FIFO high-water
-/// gauges, and — on failure — the partial [`FpsReport`] accumulated up
-/// to that point.
+/// [`check_fps`] with observability: a `fps.run` span with one span per
+/// script op, periodic heartbeats, and — on failure — the partial
+/// [`FpsReport`] accumulated up to that point. At the end of every run,
+/// passed or failed, it adds the run's facts to `Metrics::global()`:
+/// cycles, spec queries, instructions the real core retired, timeouts
+/// and failures (`fps_*_total`), both worlds' FIFO high-water marks
+/// (`fps_fifo_high_water{world,fifo}`), and the decode and spec-memo
+/// lookups.
 ///
 /// When the `PARFAIT_VCD_DIR` environment variable is set, both worlds'
 /// observable wires are recorded and a [`FpsError::TraceDivergence`]
@@ -479,18 +483,26 @@ pub fn check_fps_traced(
         commands: dual.commands,
         spec_queries: dual.emu.queries,
     };
-    tel.count("fps.spec_queries", dual.emu.queries);
-    tel.gauge_max("soc.real.rx_fifo_hwm", dual.real.rx_fifo.high_water() as u64);
-    tel.gauge_max("soc.real.tx_fifo_hwm", dual.real.tx_fifo.high_water() as u64);
-    tel.gauge_max("soc.ideal.rx_fifo_hwm", dual.emu.soc.rx_fifo.high_water() as u64);
-    tel.gauge_max("soc.ideal.tx_fifo_hwm", dual.emu.soc.tx_fifo.high_water() as u64);
-    tel.count("soc.real.instructions_retired", dual.real.instructions_retired());
-    // Cycles accumulate in `dual` during the run (no per-cycle atomics)
-    // and flush to the registry once here; the rate gauge gets a final
-    // whole-run value so a snapshot after a fast run isn't stale.
+    // The run's facts accumulate in `dual` and its two SoCs (no
+    // per-cycle atomics) and flush to the registry once here, pass or
+    // fail; the rate gauge gets a final whole-run value so a snapshot
+    // after a fast run isn't stale.
     let metrics = parfait_telemetry::metrics::Metrics::global();
     metrics.counter("fps_cycles_total").add(dual.cycle);
     metrics.counter("fps_spec_queries_total").add(dual.emu.queries);
+    metrics.counter("fps_instructions_retired_total").add(dual.real.instructions_retired());
+    let timed_out = matches!(outcome, Err(FpsError::Timeout { .. }));
+    metrics.counter("fps_timeouts_total").add(timed_out as u64);
+    metrics.counter("fps_failures_total").add(outcome.is_err() as u64);
+    for (world, soc) in [("real", &*dual.real), ("ideal", &dual.emu.soc)] {
+        for (fifo, high_water) in
+            [("rx", soc.rx_fifo.high_water()), ("tx", soc.tx_fifo.high_water())]
+        {
+            metrics
+                .histogram_with("fps_fifo_high_water", &[("world", world), ("fifo", fifo)])
+                .record(high_water as u64);
+        }
+    }
     flush_decode_stats(dual.real, &mut dual.emu.soc);
     flush_spec_memo_stats(dual.emu);
     metrics
@@ -526,8 +538,8 @@ fn flush_spec_memo_stats(emu: &CircuitEmulator<'_>) {
     metrics.counter_with("spec_step_memo_total", &[("outcome", "miss")]).add(misses);
 }
 
-/// Failure-path telemetry: the divergence progress event, the VCD
-/// window dump into `PARFAIT_VCD_DIR`, and the failure counter.
+/// Failure-path telemetry: the divergence progress event and the VCD
+/// window dump into `PARFAIT_VCD_DIR`.
 fn report_failure(tel: &Telemetry, error: &FpsError, vcd: Option<(RingTrace, RingTrace)>) {
     if let FpsError::TraceDivergence { cycle, op_index, real_pc, ideal_pc, .. } = error {
         tel.progress(
@@ -558,7 +570,6 @@ fn report_failure(tel: &Telemetry, error: &FpsError, vcd: Option<(RingTrace, Rin
             }
         }
     }
-    tel.count("fps.failures", 1);
 }
 
 /// Drive one host operation against a circuit, mirroring the wire-level
@@ -640,7 +651,6 @@ fn run_ops(
             return Err(FpsError::Fault { world: "ideal", detail: f });
         }
         if io_result.is_err() {
-            dual.tel.count("fps.timeouts", 1);
             return Err(FpsError::Timeout { op_index });
         }
         // Refinement relation at the quiescent point after a command.

@@ -44,6 +44,4 @@ pub use fps::{
     HostOp,
 };
 pub use script::{adversarial_script, smoke_script};
-pub use sync::{
-    sync_handle_execution, sync_handle_execution_traced, SyncError, SyncPolicy, SyncStats, SyncWhen,
-};
+pub use sync::{sync_handle_execution, SyncError, SyncPolicy, SyncStats, SyncWhen};

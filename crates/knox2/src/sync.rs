@@ -17,7 +17,6 @@ use parfait_riscv::isa::Instr;
 use parfait_riscv::machine::Machine;
 use parfait_rtl::Circuit;
 use parfait_soc::{Soc, FRAM_BASE, FRAM_SIZE, RAM_BASE, RAM_SIZE, ROM_BASE};
-use parfait_telemetry::Telemetry;
 
 /// When to perform a register-file synchronization check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,21 +126,6 @@ fn is_sync_point(i: Instr) -> bool {
     )
 }
 
-/// Instruction classes reported by the per-class sync telemetry.
-const SYNC_CLASS_NAMES: [&str; 6] = ["branch", "jal", "jalr", "load", "store", "other"];
-
-/// Index of an instruction's class in [`SYNC_CLASS_NAMES`].
-fn instr_class(i: Instr) -> usize {
-    match i {
-        Instr::Branch { .. } => 0,
-        Instr::Jal { .. } => 1,
-        Instr::Jalr { .. } => 2,
-        Instr::Load { .. } => 3,
-        Instr::Store { .. } => 4,
-        _ => 5,
-    }
-}
-
 /// Build an ISA machine mirroring the SoC's current architectural state
 /// (the fig. 10 register and pointer mapping: registers map index-wise;
 /// pointers map to the identical flat addresses).
@@ -187,48 +171,6 @@ pub fn run_until_decode(soc: &mut Soc, addr: u32, max_cycles: u64) -> Result<u64
 /// the ISA machine at every hardware retirement and checking the state
 /// correspondence per `policy`.
 pub fn sync_handle_execution(soc: &mut Soc, policy: &SyncPolicy) -> Result<SyncStats, SyncError> {
-    sync_handle_execution_traced(soc, policy, &Telemetry::disabled())
-}
-
-/// [`sync_handle_execution`] with telemetry: a `sync.handle` span over
-/// the invocation, and per-instruction-class counters of sync points
-/// realized (`sync.realized.<class>`) versus skipped by the policy
-/// (`sync.skipped.<class>`) — the data behind the fig. 11 policy
-/// trade-off.
-pub fn sync_handle_execution_traced(
-    soc: &mut Soc,
-    policy: &SyncPolicy,
-    tel: &Telemetry,
-) -> Result<SyncStats, SyncError> {
-    let _span = tel.span("sync.handle");
-    // Class accounting stays in plain arrays on the hot path; it is
-    // flushed to the telemetry sink once, at the end of the invocation.
-    let mut realized = [0u64; SYNC_CLASS_NAMES.len()];
-    let mut skipped = [0u64; SYNC_CLASS_NAMES.len()];
-    let result = run_sync(soc, policy, &mut realized, &mut skipped);
-    if tel.enabled() {
-        for (i, name) in SYNC_CLASS_NAMES.iter().enumerate() {
-            if realized[i] > 0 {
-                tel.count(&format!("sync.realized.{name}"), realized[i]);
-            }
-            if skipped[i] > 0 {
-                tel.count(&format!("sync.skipped.{name}"), skipped[i]);
-            }
-        }
-        if let Ok(stats) = &result {
-            tel.count("sync.instructions", stats.instructions);
-            tel.count("sync.component_checks", stats.component_checks);
-        }
-    }
-    result
-}
-
-fn run_sync(
-    soc: &mut Soc,
-    policy: &SyncPolicy,
-    realized: &mut [u64; SYNC_CLASS_NAMES.len()],
-    skipped: &mut [u64; SYNC_CLASS_NAMES.len()],
-) -> Result<SyncStats, SyncError> {
     let mut isa = snapshot_isa_machine(soc);
     let return_addr = isa.regs[1]; // ra at handle entry
     let mut stats = SyncStats::default();
@@ -271,12 +213,6 @@ fn run_sync(
             SyncWhen::ControlAndMem => is_sync_point(instr),
             SyncWhen::Never => false,
         };
-        let class = instr_class(instr);
-        if do_sync {
-            realized[class] += 1;
-        } else {
-            skipped[class] += 1;
-        }
         if do_sync {
             stats.sync_points += 1;
             for (i, w) in soc.core.regs().iter().enumerate() {

@@ -51,56 +51,25 @@ impl std::fmt::Display for OptLevel {
 
 /// Compile a type-checked program to RV32IM assembly text.
 pub fn compile(program: &Program, opt: OptLevel) -> Result<String, LcError> {
-    compile_traced(program, opt, &parfait_telemetry::Telemetry::disabled())
+    Ok(compile_ir(lower(program)?, opt))
 }
 
-/// [`compile`] with telemetry: per-pass spans (`littlec.lower`,
-/// `littlec.opt`, `littlec.codegen` — the latter covers register
-/// allocation and emission) under a `littlec.compile` parent.
-pub fn compile_traced(
-    program: &Program,
-    opt: OptLevel,
-    tel: &parfait_telemetry::Telemetry,
-) -> Result<String, LcError> {
-    let _span = tel.span("littlec.compile");
-    let ir = {
-        let _span = tel.span("littlec.lower");
-        lower(program)?
-    };
-    Ok(compile_ir_traced(ir, opt, tel))
-}
-
-/// Compile an already-lowered IR program to assembly text.
-pub fn compile_ir(ir: IrProgram, opt: OptLevel) -> String {
-    compile_ir_traced(ir, opt, &parfait_telemetry::Telemetry::disabled())
-}
-
-/// [`compile_ir`] with per-pass telemetry spans. Every compile, through
-/// any entry point, counts once in the global `littlec_compiles_total`.
-pub fn compile_ir_traced(
-    mut ir: IrProgram,
-    opt: OptLevel,
-    tel: &parfait_telemetry::Telemetry,
-) -> String {
+/// Compile an already-lowered IR program to assembly text. Every
+/// compile, through either entry point, counts once in the global
+/// `littlec_compiles_total`.
+pub fn compile_ir(mut ir: IrProgram, opt: OptLevel) -> String {
     parfait_telemetry::metrics::Metrics::global().counter("littlec_compiles_total").inc();
-    {
-        let _span = tel.span("littlec.opt");
-        for f in &mut ir.functions {
-            prune_unreachable(f);
-        }
-        if opt == OptLevel::O2 {
-            optimize_program(&mut ir);
-        }
+    for f in &mut ir.functions {
+        prune_unreachable(f);
     }
-    let bounds = {
-        let _span = tel.span("littlec.loop_bounds");
-        crate::loop_bounds::loop_bounds(&ir)
-    };
+    if opt == OptLevel::O2 {
+        optimize_program(&mut ir);
+    }
+    let bounds = crate::loop_bounds::loop_bounds(&ir);
     let k = match opt {
         OptLevel::O0 => 0,
         _ => 20,
     };
-    let _span = tel.span("littlec.codegen");
     emit_program_with(&ir, k, opt == OptLevel::O2, &bounds)
 }
 

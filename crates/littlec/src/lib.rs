@@ -39,7 +39,7 @@ pub mod typeck;
 pub mod validate;
 
 pub use ast::Program;
-pub use codegen::{compile, compile_traced, OptLevel};
+pub use codegen::{compile, OptLevel};
 pub use interp::Interp;
 pub use parser::parse;
 pub use typeck::typecheck;

@@ -124,9 +124,8 @@ impl Pipeline {
     ) -> Result<StageOutcome, String> {
         let t0 = Instant::now();
         let _span = self.tel.span(&format!("pipeline.{stage}"));
-        let stage_labels = [("stage", stage.as_str())];
-        let wall_us = self.metrics().histogram_with("pipeline_stage_wall_us", &stage_labels);
-        let cpu_us = self.metrics().histogram_with("pipeline_stage_cpu_us", &stage_labels);
+        let wall_us =
+            self.metrics().histogram_with("pipeline_stage_wall_us", &[("stage", stage.as_str())]);
         let runs = |outcome: &str| {
             self.metrics()
                 .counter_with(
@@ -140,18 +139,15 @@ impl Pipeline {
         // leader, obligated to run the stage and publish the outcome.
         let flight = match self.cache.claim(stage, inputs) {
             Claim::Ready(certificate) => {
-                self.tel.count("pipeline.cache.hit", 1);
                 runs("hit");
                 let wall = t0.elapsed();
                 wall_us.record_duration(wall);
-                cpu_us.record_duration(wall);
                 return Ok(StageOutcome { certificate, wall, cache_hit: true, fps: None });
             }
             // The flight this claim joined failed: its leader's error.
             Claim::Failed(e) => return Err(e),
             Claim::Leader(flight) => flight,
         };
-        self.tel.count("pipeline.cache.miss", 1);
         let (stats, fps) = match run() {
             Ok(out) => out,
             Err(e) => {
@@ -165,9 +161,6 @@ impl Pipeline {
         flight.complete(&certificate);
         let wall = t0.elapsed();
         wall_us.record_duration(wall);
-        // Every stage runs on the thread that claimed it, so its CPU
-        // time is its wall time.
-        cpu_us.record_duration(wall);
         Ok(StageOutcome { certificate, wall, cache_hit: false, fps })
     }
 

@@ -25,6 +25,6 @@ pub mod machines;
 pub mod verify;
 
 pub use verify::{
-    lockstep_inputs, verify_app, verify_app_traced, verify_app_with, AsmSource, StarlingConfig,
-    StarlingError, StarlingReport,
+    lockstep_inputs, verify_app, verify_app_with, AsmSource, StarlingConfig, StarlingError,
+    StarlingReport,
 };

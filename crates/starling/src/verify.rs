@@ -117,39 +117,6 @@ where
     <C::Spec as StateMachine>::Command: Clone + PartialEq + std::fmt::Debug,
     <C::Spec as StateMachine>::State: Clone,
 {
-    verify_app_traced(
-        codec,
-        spec,
-        app_source,
-        config,
-        spec_states,
-        spec_commands,
-        spec_responses,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`verify_app`] with telemetry: one span per proof obligation
-/// (`starling.codec_inverse`, `starling.lockstep`,
-/// `starling.translation`, `starling.ipr`), littlec per-pass compile
-/// spans nested underneath, and counters for the Table 3 effort
-/// numbers.
-#[allow(clippy::too_many_arguments)]
-pub fn verify_app_traced<C>(
-    codec: &C,
-    spec: &C::Spec,
-    app_source: &str,
-    config: &StarlingConfig,
-    spec_states: &[<C::Spec as StateMachine>::State],
-    spec_commands: &[<C::Spec as StateMachine>::Command],
-    spec_responses: &[<C::Spec as StateMachine>::Response],
-    tel: &Telemetry,
-) -> Result<StarlingReport, StarlingError>
-where
-    C: Codec<CI = Vec<u8>, RI = Vec<u8>, SI = Vec<u8>>,
-    <C::Spec as StateMachine>::Command: Clone + PartialEq + std::fmt::Debug,
-    <C::Spec as StateMachine>::State: Clone,
-{
     verify_app_with(
         codec,
         spec,
@@ -158,7 +125,7 @@ where
         spec_states,
         spec_commands,
         spec_responses,
-        tel,
+        &Telemetry::disabled(),
         None,
     )
 }
@@ -167,10 +134,16 @@ where
 /// sizes, for [`verify_app_with`].
 pub type AsmSource<'a> = &'a (dyn Fn(OptLevel) -> Result<Arc<AsmStateMachine>, String> + 'a);
 
-/// [`verify_app_traced`] that takes each opt level's asm machine from
-/// `asm_at` (a build memo's, whose step memo other checkers share)
+/// [`verify_app`] with telemetry, taking each opt level's asm machine
+/// from `asm_at` (a build memo's, whose step memo other checkers share)
 /// instead of compiling its own; `None` compiles them. Obligations 3
 /// and 4 count as runs only the steps that ran `handle`.
+///
+/// Spans: `starling.verify` over the run, nesting
+/// `starling.codec_inverse`, `littlec.parse`/`littlec.typecheck`,
+/// `starling.lockstep`, `starling.translation` and `starling.ipr`. The
+/// Table 3 effort numbers are the report's (and the lockstep
+/// certificate's).
 #[allow(clippy::too_many_arguments)]
 pub fn verify_app_with<C>(
     codec: &C,
@@ -225,7 +198,6 @@ where
             .map_err(StarlingError::Lockstep)?;
     }
     report.lockstep_cases = spec_states.len() * inputs.len();
-    tel.count("starling.lockstep_cases", report.lockstep_cases as u64);
 
     // Obligation 3: translation validation across the pipeline. Interp
     // and IR do not depend on the opt level, so IR is compared with the
@@ -267,7 +239,6 @@ where
         machines.push((*opt, asmm));
     }
     drop(translation_span);
-    tel.count("starling.validation_cases", report.validation_cases as u64);
 
     let _ipr_span = tel.span("starling.ipr");
     // Obligation 4: end-to-end IPR between spec and the O2 assembly with
@@ -295,7 +266,6 @@ where
         ops.push(Op::Impl(adv.clone()));
     }
     report.ipr_operations = ops.len();
-    tel.count("starling.ipr_operations", report.ipr_operations as u64);
     check_ipr(&spec_with_init, &asmm, &driver, &mut emu, &ops)
         .map_err(|ce| StarlingError::Ipr(ce.to_string()))?;
     report.runs.interp = interp.runs.get();

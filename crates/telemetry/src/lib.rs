@@ -3,22 +3,18 @@
 //! Structured tracing, metrics, and progress reporting for the Parfait
 //! proof pipeline. Zero external dependencies.
 //!
-//! The pipeline's long-running phases (FPS simulation of tens of
-//! millions of cycles, translation validation over hundreds of
-//! state×input pairs, compilation passes) report through a shared
-//! [`Telemetry`] handle:
+//! Two APIs, one job each:
 //!
-//! - **Spans** — nested, wall-clock-timed regions
-//!   (`tel.span("fps.command")`); ended by RAII drop.
-//! - **Counters** — monotonic totals (`tel.count("fps.spec_queries", 1)`).
-//! - **Gauges / high-water marks** — instantaneous values
-//!   (`tel.gauge(...)`) and maxima that only emit on a raise
-//!   (`tel.gauge_max("soc.rx_fifo.hwm", depth)`).
-//! - **Progress** — periodic heartbeats with numeric fields
-//!   (`tel.progress("fps.heartbeat", &[("cycles", c), ...])`).
+//! - [`Telemetry`] streams what the pipeline is doing *now* to a sink:
+//!   - **spans** — nested, wall-clock-timed regions
+//!     (`tel.span("fps.command")`), ended by RAII drop;
+//!   - **progress** — heartbeats with numeric fields
+//!     (`tel.progress("fps.heartbeat", &[("cycles", c), ...])`).
+//! - [`metrics::Metrics`] accumulates every count, gauge and
+//!   histogram, which a bin snapshots into its `--metrics` manifest.
 //!
-//! Events flow to a [`Recorder`]: [`sinks`] provides a human-readable
-//! indented log and a fan-out combinator, and
+//! Telemetry events flow to a [`Recorder`]: [`sinks`] provides a
+//! human-readable indented log and a fan-out combinator, and
 //! [`progress::MatrixView`] a live per-cell view.
 //!
 //! The disabled handle (`Telemetry::disabled()`, also `Default`) is a
@@ -46,8 +42,6 @@ use std::time::Instant;
 pub enum Event<'a> {
     SpanBegin { id: u64, parent: u64, depth: usize, tid: u64, name: &'a str, t_us: u64 },
     SpanEnd { id: u64, parent: u64, depth: usize, tid: u64, name: &'a str, t_us: u64, dur_us: u64 },
-    Count { name: &'a str, delta: u64, total: u64, tid: u64, t_us: u64 },
-    Gauge { name: &'a str, value: u64, tid: u64, t_us: u64 },
     Progress { name: &'a str, fields: &'a [(&'a str, f64)], tid: u64, t_us: u64 },
 }
 
@@ -73,10 +67,6 @@ struct Inner {
 
 struct RecorderState {
     recorder: Box<dyn Recorder>,
-    /// Monotonic counter totals, keyed by counter name.
-    counters: std::collections::BTreeMap<String, u64>,
-    /// High-water marks for `gauge_max`.
-    maxima: std::collections::BTreeMap<String, u64>,
     finished: bool,
 }
 
@@ -113,12 +103,7 @@ impl Telemetry {
         Telemetry(Some(Arc::new(Inner {
             epoch: Instant::now(),
             next_span: AtomicU64::new(1),
-            recorder: Mutex::new(RecorderState {
-                recorder,
-                counters: Default::default(),
-                maxima: Default::default(),
-                finished: false,
-            }),
+            recorder: Mutex::new(RecorderState { recorder, finished: false }),
         })))
     }
 
@@ -160,46 +145,6 @@ impl Telemetry {
             state.recorder.record(&Event::SpanBegin { id, parent, depth, tid, name, t_us });
         }
         Span { tel: self.clone(), id, parent, depth, name: name.to_string(), begin_us: t_us }
-    }
-
-    /// Add `delta` to the named monotonic counter.
-    pub fn count(&self, name: &str, delta: u64) {
-        let Some(inner) = &self.0 else { return };
-        let t_us = Self::t_us(inner);
-        let tid = current_tid();
-        let mut state = inner.recorder.lock().unwrap();
-        let total = {
-            let slot = state.counters.entry(name.to_string()).or_insert(0);
-            *slot += delta;
-            *slot
-        };
-        state.recorder.record(&Event::Count { name, delta, total, tid, t_us });
-    }
-
-    /// Record an instantaneous value.
-    pub fn gauge(&self, name: &str, value: u64) {
-        let Some(inner) = &self.0 else { return };
-        let t_us = Self::t_us(inner);
-        let tid = current_tid();
-        let mut state = inner.recorder.lock().unwrap();
-        state.recorder.record(&Event::Gauge { name, value, tid, t_us });
-    }
-
-    /// Record a high-water mark: emits only when `value` exceeds the
-    /// previously recorded maximum for `name`.
-    pub fn gauge_max(&self, name: &str, value: u64) {
-        let Some(inner) = &self.0 else { return };
-        let t_us = Self::t_us(inner);
-        let tid = current_tid();
-        let mut state = inner.recorder.lock().unwrap();
-        let raised = match state.maxima.get(name) {
-            Some(&prev) => value > prev,
-            None => true,
-        };
-        if raised {
-            state.maxima.insert(name.to_string(), value);
-            state.recorder.record(&Event::Gauge { name, value, tid, t_us });
-        }
     }
 
     /// Emit a progress/heartbeat event with named numeric fields.
@@ -301,8 +246,6 @@ mod tests {
                 Event::SpanEnd { id, parent, name, depth, .. } => {
                     format!("E {name} id={id} parent={parent} depth={depth}")
                 }
-                Event::Count { name, delta, total, .. } => format!("C {name} +{delta}={total}"),
-                Event::Gauge { name, value, .. } => format!("G {name}={value}"),
                 Event::Progress { name, fields, .. } => {
                     format!("P {name} n_fields={}", fields.len())
                 }
@@ -316,9 +259,6 @@ mod tests {
         let tel = Telemetry::disabled();
         assert!(!tel.enabled());
         let _outer = tel.span("a");
-        tel.count("c", 1);
-        tel.gauge("g", 2);
-        tel.gauge_max("m", 3);
         tel.progress("p", &[("x", 1.0)]);
         tel.finish();
     }
@@ -351,18 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_gauge_max_filters() {
-        let log = Capture::default();
-        let tel = Telemetry::new(Box::new(log.clone()));
-        tel.count("q", 1);
-        tel.count("q", 4);
-        tel.gauge_max("hwm", 3);
-        tel.gauge_max("hwm", 2); // not a raise: suppressed
-        tel.gauge_max("hwm", 7);
-        assert_eq!(log.lines(), vec!["C q +1=1", "C q +4=5", "G hwm=3", "G hwm=7"]);
-    }
-
-    #[test]
     fn finish_is_idempotent() {
         struct CountFinish(std::sync::Arc<AtomicU64>);
         impl Recorder for CountFinish {
@@ -383,13 +311,13 @@ mod tests {
         let log = Capture::default();
         let tel = Telemetry::new(Box::new(log.clone()));
         let tel2 = tel.clone();
-        tel.count("a", 1);
-        tel2.count("a", 1);
+        tel.progress("a", &[]);
+        tel2.progress("b", &[("x", 1.0)]);
         tel.finish();
         assert_eq!(
             log.lines(),
-            vec!["C a +1=1", "C a +1=2"],
-            "clones must accumulate into one counter"
+            vec!["P a n_fields=0", "P b n_fields=1"],
+            "clones must feed one recorder"
         );
     }
 }

@@ -1,22 +1,18 @@
 //! parfait-observatory: the process-wide metrics registry.
 //!
 //! Where [`crate::Telemetry`] streams *events* (spans, heartbeats) to a
-//! sink as they happen, this module accumulates *aggregates* — atomic
-//! counters, gauges, and log2-bucketed latency histograms — that any
+//! sink as they happen, this module accumulates every *aggregate* —
+//! atomic counters, gauges, and log2-bucketed histograms — that any
 //! subsystem can bump at any time and any bin can snapshot at exit.
-//! The snapshot serializes two ways from one source of truth:
+//! It is the one counting API: a fact worth a number is recorded here.
 //!
-//! - **canonical JSON** ([`MetricsSnapshot::to_json`]) — embedded in
-//!   [`crate::manifest::RunManifest`] so every `BENCH_*.json` row can
-//!   carry its provenance; and
-//! - **Prometheus text exposition** ([`MetricsSnapshot::to_prometheus`])
-//!   — so the upcoming `parfait-serve` daemon can expose `/metrics`
-//!   without a new serializer.
-//!
-//! Both renderers have exact inverse parsers ([`MetricsSnapshot::
-//! from_json`], [`MetricsSnapshot::from_prometheus`]); round-tripping is
-//! tested, which is what lets CI treat the emitted snapshot as a
-//! machine contract rather than a log.
+//! A snapshot serializes as **canonical JSON**
+//! ([`MetricsSnapshot::to_json`]), the one snapshot format: it is
+//! embedded in every [`crate::manifest::RunManifest`] (so each
+//! `BENCH_*.json` row carries its provenance) and in the serve daemon's
+//! `metrics` frames. [`MetricsSnapshot::from_json`] is its exact
+//! inverse; round-tripping is tested, which is what lets CI treat the
+//! emitted snapshot as a machine contract rather than a log.
 //!
 //! Metrics are identified by a name plus a (possibly empty) sorted
 //! label set, e.g. `certcache_disk_hit{stage="fps"}`. Handles returned
@@ -41,8 +37,7 @@ use crate::json::Json;
 pub struct MetricKey {
     /// Metric name (`[a-zA-Z_][a-zA-Z0-9_]*`).
     pub name: String,
-    /// Label pairs, sorted by key. Values are arbitrary UTF-8 (escaped
-    /// by the renderers).
+    /// Label pairs, sorted by key. Values are arbitrary UTF-8.
     pub labels: Vec<(String, String)>,
 }
 
@@ -57,60 +52,10 @@ impl MetricKey {
     }
 }
 
-impl std::fmt::Display for MetricKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name)?;
-        if !self.labels.is_empty() {
-            f.write_str("{")?;
-            for (i, (k, v)) in self.labels.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(",")?;
-                }
-                write!(f, "{k}=\"{}\"", escape_label(v))?;
-            }
-            f.write_str("}")?;
-        }
-        Ok(())
-    }
-}
-
 fn valid_name(name: &str) -> bool {
     let mut chars = name.chars();
     matches!(chars.next(), Some(c) if c.is_ascii_alphabetic() || c == '_')
         && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
-}
-
-/// Escape a label value for the Prometheus text format (`\\`, `\"`,
-/// `\n`).
-fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`escape_label`].
-fn unescape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    let mut chars = v.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some(other) => out.push(other),
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
 }
 
 /// A monotonic counter handle (clone of the registry's atomic).
@@ -163,7 +108,7 @@ pub fn bucket_index(v: u64) -> usize {
     }
 }
 
-/// Inclusive upper bound of a bucket (the Prometheus `le` value).
+/// Inclusive upper bound of a bucket.
 pub fn bucket_le(i: usize) -> u64 {
     match i {
         0 => 0,
@@ -534,228 +479,6 @@ impl MetricsSnapshot {
         }
         Ok(snap)
     }
-
-    /// Prometheus text exposition format (v0.0.4): `# TYPE` comments,
-    /// one sample per line, histograms as cumulative `_bucket{le=...}`
-    /// plus `_sum`/`_count`. Only buckets whose cumulative count
-    /// changes are emitted (plus `+Inf`), which the parser reconstructs
-    /// exactly.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut last_type: Option<(String, String)> = None;
-        let mut typed = |out: &mut String, name: &str, kind: &str| {
-            if last_type.as_ref().map(|(n, k)| (n.as_str(), k.as_str())) != Some((name, kind)) {
-                out.push_str(&format!("# TYPE {name} {kind}\n"));
-                last_type = Some((name.to_string(), kind.to_string()));
-            }
-        };
-        for (key, v) in &self.counters {
-            typed(&mut out, &key.name, "counter");
-            out.push_str(&format!("{key} {v}\n"));
-        }
-        for (key, v) in &self.gauges {
-            typed(&mut out, &key.name, "gauge");
-            out.push_str(&format!("{key} {v}\n"));
-        }
-        for (key, h) in &self.hists {
-            typed(&mut out, &key.name, "histogram");
-            let with_le = |le: &str| {
-                let mut labels: Vec<(String, String)> = key.labels.clone();
-                labels.push(("le".into(), le.into()));
-                labels.sort();
-                MetricKey { name: format!("{}_bucket", key.name), labels }
-            };
-            let mut cumulative = 0u64;
-            for &(i, n) in &h.buckets {
-                cumulative += n;
-                out.push_str(&format!("{} {cumulative}\n", with_le(&bucket_le(i).to_string())));
-            }
-            out.push_str(&format!("{} {}\n", with_le("+Inf"), h.count));
-            let sum_key =
-                MetricKey { name: format!("{}_sum", key.name), labels: key.labels.clone() };
-            let count_key =
-                MetricKey { name: format!("{}_count", key.name), labels: key.labels.clone() };
-            out.push_str(&format!("{sum_key} {}\n", h.sum));
-            out.push_str(&format!("{count_key} {}\n", h.count));
-        }
-        out
-    }
-
-    /// Parse the [`to_prometheus`](Self::to_prometheus) encoding back
-    /// into a snapshot (the round-trip inverse; relies on the `# TYPE`
-    /// comments this renderer always emits).
-    pub fn from_prometheus(text: &str) -> Result<MetricsSnapshot, String> {
-        let mut kinds: BTreeMap<String, String> = BTreeMap::new();
-        let mut counters: BTreeMap<MetricKey, u64> = BTreeMap::new();
-        let mut gauges: BTreeMap<MetricKey, f64> = BTreeMap::new();
-        struct HistAcc {
-            // (bucket index, cumulative) in emission order.
-            cum: Vec<(usize, u64)>,
-            sum: u64,
-            count: u64,
-        }
-        let mut hists: BTreeMap<MetricKey, HistAcc> = BTreeMap::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |what: &str| format!("prometheus line {}: {what}", lineno + 1);
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut it = rest.split_whitespace();
-                let (Some(name), Some(kind)) = (it.next(), it.next()) else {
-                    return Err(err("malformed TYPE comment"));
-                };
-                kinds.insert(name.to_string(), kind.to_string());
-                continue;
-            }
-            if line.starts_with('#') {
-                continue;
-            }
-            let (key, value) = parse_prometheus_sample(line).map_err(|e| err(&e))?;
-            // Histogram samples use suffixed names; resolve the base.
-            let hist_base = ["_bucket", "_sum", "_count"].iter().find_map(|suffix| {
-                let base = key.name.strip_suffix(suffix)?;
-                (kinds.get(base).map(String::as_str) == Some("histogram"))
-                    .then(|| (base.to_string(), *suffix))
-            });
-            if let Some((base, suffix)) = hist_base {
-                let mut labels = key.labels.clone();
-                let le = match suffix {
-                    "_bucket" => {
-                        let pos = labels
-                            .iter()
-                            .position(|(k, _)| k == "le")
-                            .ok_or_else(|| err("bucket sample without le"))?;
-                        Some(labels.remove(pos).1)
-                    }
-                    _ => None,
-                };
-                let base_key = MetricKey { name: base, labels };
-                let acc = hists.entry(base_key).or_insert_with(|| HistAcc {
-                    cum: Vec::new(),
-                    sum: 0,
-                    count: 0,
-                });
-                let int = value.parse::<u64>().map_err(|_| err("non-integer histogram value"))?;
-                match (suffix, le) {
-                    ("_bucket", Some(le)) => {
-                        if le == "+Inf" {
-                            continue; // equals _count; nothing to reconstruct
-                        }
-                        let bound = le.parse::<u64>().map_err(|_| err("malformed le bound"))?;
-                        let index = if bound == 0 {
-                            0
-                        } else if bound == u64::MAX {
-                            64
-                        } else if (bound + 1).is_power_of_two() {
-                            (bound + 1).trailing_zeros() as usize
-                        } else {
-                            return Err(err("le bound is not a log2 boundary"));
-                        };
-                        acc.cum.push((index, int));
-                    }
-                    ("_sum", _) => acc.sum = int,
-                    ("_count", _) => acc.count = int,
-                    _ => unreachable!(),
-                }
-                continue;
-            }
-            match kinds.get(&key.name).map(String::as_str) {
-                Some("counter") => {
-                    let v = value.parse::<u64>().map_err(|_| err("non-integer counter"))?;
-                    counters.insert(key, v);
-                }
-                Some("gauge") => {
-                    let v = value.parse::<f64>().map_err(|_| err("malformed gauge"))?;
-                    gauges.insert(key, v);
-                }
-                Some(other) => return Err(err(&format!("unsupported metric type {other}"))),
-                None => return Err(err("sample before its TYPE comment")),
-            }
-        }
-        let mut snap = MetricsSnapshot {
-            counters: counters.into_iter().collect(),
-            gauges: gauges.into_iter().collect(),
-            hists: Vec::new(),
-        };
-        let mut hist_entries: Vec<(MetricKey, HistSnapshot)> = Vec::new();
-        for (key, acc) in hists {
-            let mut buckets = Vec::new();
-            let mut prev = 0u64;
-            let mut last_index = None;
-            for (index, cum) in acc.cum {
-                if last_index.is_some_and(|li| index <= li) {
-                    return Err(format!("prometheus: {key}: le bounds out of order"));
-                }
-                let n = cum
-                    .checked_sub(prev)
-                    .ok_or_else(|| format!("prometheus: {key}: non-monotone buckets"))?;
-                if n > 0 {
-                    buckets.push((index, n));
-                }
-                prev = cum;
-                last_index = Some(index);
-            }
-            hist_entries.push((key, HistSnapshot { count: acc.count, sum: acc.sum, buckets }));
-        }
-        hist_entries.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.hists = hist_entries;
-        Ok(snap)
-    }
-}
-
-/// Parse one `name{labels} value` sample line.
-fn parse_prometheus_sample(line: &str) -> Result<(MetricKey, String), String> {
-    let (name_and_labels, value) =
-        line.rsplit_once(' ').ok_or_else(|| "missing value".to_string())?;
-    let (name, labels) = match name_and_labels.split_once('{') {
-        None => (name_and_labels.trim().to_string(), Vec::new()),
-        Some((name, rest)) => {
-            let body = rest.strip_suffix('}').ok_or("unterminated label set")?;
-            let mut labels = Vec::new();
-            let mut chars = body.chars().peekable();
-            while chars.peek().is_some() {
-                let mut k = String::new();
-                for c in chars.by_ref() {
-                    if c == '=' {
-                        break;
-                    }
-                    k.push(c);
-                }
-                if chars.next() != Some('"') {
-                    return Err("label value must be quoted".into());
-                }
-                let mut raw = String::new();
-                let mut escaped = false;
-                let mut closed = false;
-                for c in chars.by_ref() {
-                    if escaped {
-                        raw.push('\\');
-                        raw.push(c);
-                        escaped = false;
-                    } else if c == '\\' {
-                        escaped = true;
-                    } else if c == '"' {
-                        closed = true;
-                        break;
-                    } else {
-                        raw.push(c);
-                    }
-                }
-                if !closed {
-                    return Err("unterminated label value".into());
-                }
-                if chars.peek() == Some(&',') {
-                    chars.next();
-                }
-                labels.push((k, unescape_label(&raw)));
-            }
-            labels.sort();
-            (name.trim().to_string(), labels)
-        }
-    };
-    Ok((MetricKey { name, labels }, value.to_string()))
 }
 
 #[cfg(test)]
@@ -829,17 +552,6 @@ mod tests {
         m.gauge("x");
     }
 
-    #[test]
-    fn prometheus_escapes_label_values() {
-        let m = Metrics::new();
-        m.counter_with("c", &[("path", "a\\b\"c\nd")]).inc();
-        let text = m.snapshot().to_prometheus();
-        assert!(text.contains(r#"c{path="a\\b\"c\nd"} 1"#), "{text}");
-        // And the escaping is invertible.
-        let back = MetricsSnapshot::from_prometheus(&text).unwrap();
-        assert_eq!(back.counter("c", &[("path", "a\\b\"c\nd")]), Some(1));
-    }
-
     fn demo_snapshot() -> MetricsSnapshot {
         let m = Metrics::new();
         m.counter_with("certcache_disk_hit", &[("stage", "fps")]).add(5);
@@ -861,31 +573,6 @@ mod tests {
         assert_eq!(back, snap);
         // Canonical: equal snapshots render to identical bytes.
         assert_eq!(back.to_json().to_string(), text);
-    }
-
-    #[test]
-    fn snapshot_roundtrips_through_prometheus() {
-        let snap = demo_snapshot();
-        let text = snap.to_prometheus();
-        let back = MetricsSnapshot::from_prometheus(&text).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(back.to_prometheus(), text);
-    }
-
-    #[test]
-    fn prometheus_histogram_text_is_cumulative_with_inf() {
-        let m = Metrics::new();
-        let h = m.histogram("lat_us");
-        h.record(1);
-        h.record(1);
-        h.record(300);
-        let text = m.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE lat_us histogram"), "{text}");
-        assert!(text.contains(r#"lat_us_bucket{le="1"} 2"#), "{text}");
-        assert!(text.contains(r#"lat_us_bucket{le="511"} 3"#), "{text}");
-        assert!(text.contains(r#"lat_us_bucket{le="+Inf"} 3"#), "{text}");
-        assert!(text.contains("lat_us_sum 302"), "{text}");
-        assert!(text.contains("lat_us_count 3"), "{text}");
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Recorder implementations: a human-readable log, a fan-out
-//! combinator, and an in-memory buffer for tests. The live matrix view
-//! (`progress::MatrixView`) is the other sink the binaries use.
+//! Recorder implementations for the span and heartbeat stream: a
+//! human-readable log, a fan-out combinator, and an in-memory buffer
+//! for tests. The live matrix view (`progress::MatrixView`) is the
+//! other sink the binaries use. Counts are not events: they live in
+//! [`crate::metrics`] and reach a bin's `--metrics` manifest.
 //!
 //! Sinks swallow I/O errors: telemetry must never take down the
 //! pipeline it is observing.
@@ -16,13 +18,12 @@ use crate::{Event, Recorder};
 /// [   0.000123s] > fps.run
 /// [   0.000150s]   > fps.command
 /// [   0.000200s]   < fps.command (50us)
-/// [   0.000210s] # fps.spec_queries +1 = 5
 /// [   0.000230s] * fps.heartbeat cycles=100000 cycles_per_s=1512345
 /// [   0.000250s] < fps.run (127us)
 /// ```
 ///
-/// `>`/`<` open and close spans (indented by nesting depth), `#` is a
-/// counter increment, `~` a gauge, `*` a progress heartbeat.
+/// `>`/`<` open and close spans (indented by nesting depth), `*` is a
+/// progress heartbeat.
 pub struct LogSink<W: Write + Send> {
     out: W,
 }
@@ -58,12 +59,6 @@ impl<W: Write + Send> Recorder for LogSink<W> {
                     "",
                     indent = depth * 2
                 )
-            }
-            Event::Count { name, delta, total, t_us, .. } => {
-                writeln!(self.out, "{} # {name} +{delta} = {total}", stamp(*t_us))
-            }
-            Event::Gauge { name, value, t_us, .. } => {
-                writeln!(self.out, "{} ~ {name} = {value}", stamp(*t_us))
             }
             Event::Progress { name, fields, t_us, .. } => {
                 let mut line = format!("{} * {name}", stamp(*t_us));
@@ -168,9 +163,9 @@ mod tests {
         let b = Capture::default();
         let tel =
             Telemetry::new(Box::new(Fanout::new(vec![Box::new(a.clone()), Box::new(b.clone())])));
-        tel.count("x", 1);
+        tel.progress("x", &[("n", 1.0)]);
         tel.finish();
-        assert_eq!(a.lines(), vec!["C x +1=1"]);
+        assert_eq!(a.lines(), vec!["P x n_fields=1"]);
         assert_eq!(a.lines(), b.lines());
     }
 }

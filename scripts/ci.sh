@@ -8,9 +8,13 @@
 # baseline, the pipeline cache differential test (now
 # including the ctcheck stage) run twice against one shared
 # PARFAIT_CACHE_DIR (cold pass then warm pass — proving warm-run
-# determinism), the serve-daemon gate (a recorded two-tenant session
-# replayed cold then warm; the warm pass must be all cache hits), and
-# clippy with warnings promoted to errors. Run from the repo root.
+# determinism), the observability gate (an instrumented cold verify's
+# metrics snapshot must cover every stage and the expected metric
+# families, FPS's retired instructions and FIFO high-water marks
+# included), the
+# serve-daemon gate (a recorded two-tenant session replayed cold then
+# warm; the warm pass must be all cache hits), and clippy with
+# warnings promoted to errors. Run from the repo root.
 set -eux
 
 # rustfmt's ignore option is nightly-only, so enumerate our packages
@@ -85,7 +89,9 @@ cargo run --release -p parfait-bench --bin mutatest -- \
     --baseline mutation_baseline.json
 # Observability gate: a cold instrumented verify must emit a metrics
 # snapshot containing the pipeline, cache-ledger, worker-pool,
-# contract-battery, and bound-analysis families, with every pipeline
+# contract-battery, and bound-analysis families, FPS's retired
+# instructions and FIFO high-water marks (recorded only in the metrics
+# registry, so nothing else would notice them stop), with every pipeline
 # stage in StageKind::ALL represented (`@stages`); cold + --threads 2,
 # so the stage graph's worker pool actually spins up. The seven-stage
 # verify runs the contract battery and bound analysis cold here and
@@ -96,7 +102,7 @@ PARFAIT_CACHE_DIR="$OBS_CACHE_DIR" ./target/release/verify \
     --app hasher --platform ibex --threads 2 \
     --json target/ci-obs-cold.json --metrics target/ci-obs-cold-metrics.json
 ./target/release/cachestat --check-metrics target/ci-obs-cold-metrics.json \
-    --require pipeline_stage_,certcache_,pool_,fps_,contract_,bound_,@stages
+    --require pipeline_stage_,certcache_,pool_,fps_,contract_,bound_,@stages,fps_instructions_retired_total,fps_fifo_high_water
 PARFAIT_CACHE_DIR="$OBS_CACHE_DIR" ./target/release/verify \
     --app hasher --platform ibex --threads 2 \
     --metrics target/ci-obs-warm-metrics.json

@@ -6,8 +6,8 @@
 //!    `certcache_disk_hit` per pipeline stage — the cache-hit-rate
 //!    question is answerable from the snapshot alone — with per-stage
 //!    duration histograms present;
-//! 2. a real snapshot round-trips losslessly through both renderers
-//!    (canonical JSON and Prometheus text exposition);
+//! 2. a real snapshot round-trips losslessly through its canonical
+//!    JSON encoding;
 //! 3. the live matrix progress view runs end-to-end without a TTY: FPS
 //!    heartbeats from a real verification land in the right lane of a
 //!    captured in-memory sink;
@@ -93,16 +93,11 @@ fn warm_run_disk_hits_equal_stages_and_snapshots_round_trip() {
     for s in &cell2.stages {
         let stage = s.certificate.stage.as_str();
         assert_eq!(snap.counter("certcache_disk_hit", &[("stage", stage)]), Some(1), "{stage}");
-        // Per-stage duration histograms: one observation per stage,
-        // for wall and CPU time both.
+        // Per-stage wall histograms: one observation per stage.
         let wall = snap
             .hist("pipeline_stage_wall_us", &[("stage", stage)])
             .unwrap_or_else(|| panic!("wall histogram for {stage}"));
         assert_eq!(wall.count, 1, "{stage}");
-        let cpu = snap
-            .hist("pipeline_stage_cpu_us", &[("stage", stage)])
-            .unwrap_or_else(|| panic!("cpu histogram for {stage}"));
-        assert_eq!(cpu.count, 1, "{stage}");
         assert_eq!(
             snap.counter("pipeline_stage_runs_total", &[("outcome", "hit"), ("stage", stage)]),
             Some(1),
@@ -110,14 +105,10 @@ fn warm_run_disk_hits_equal_stages_and_snapshots_round_trip() {
         );
     }
 
-    // The same real snapshot survives both renderers losslessly.
+    // The same real snapshot survives its JSON encoding losslessly.
     let json_doc = snap.to_json();
     let parsed = json::parse(&json_doc.to_string()).expect("snapshot JSON parses");
     assert_eq!(MetricsSnapshot::from_json(&parsed).expect("snapshot from JSON"), snap);
-    let prom = snap.to_prometheus();
-    let back = MetricsSnapshot::from_prometheus(&prom).expect("snapshot from Prometheus");
-    assert_eq!(back, snap);
-    assert_eq!(back.to_prometheus(), prom, "renderer is a fixpoint of the parser");
 
     std::fs::remove_dir_all(&dir).ok();
 }

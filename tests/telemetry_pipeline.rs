@@ -1,7 +1,8 @@
 //! End-to-end observability of the proof pipeline: `check_fps_traced`
 //! against the real password-hasher SoC must emit heartbeats at the
-//! configured cycle interval, attach a partial report to failures, and
-//! dump a dual-scope VCD on wire divergence when asked.
+//! configured cycle interval, record its end-of-run facts in the
+//! metrics registry, attach a partial report to failures, and dump a
+//! dual-scope VCD on wire divergence when asked.
 
 use std::sync::{Arc, Mutex};
 
@@ -16,41 +17,33 @@ use parfait_hsms::syssw;
 use parfait_knox2::{check_fps_traced, CircuitEmulator, FpsConfig, FpsError, FpsObserver, HostOp};
 use parfait_littlec::codegen::OptLevel;
 use parfait_soc::{Firmware, Soc};
+use parfait_telemetry::metrics::Metrics;
 use parfait_telemetry::sinks::{Fanout, LogSink, SharedBuf};
 use parfait_telemetry::{Event, Recorder, Telemetry};
 
 mod common;
 
-/// One captured counter or progress event: kind, name and fields.
-type Captured = (&'static str, String, Vec<(String, f64)>);
+/// One captured progress event: name and fields.
+type Captured = (String, Vec<(String, f64)>);
 
-/// A recorder keeping every counter and progress event.
+/// A recorder keeping every progress event.
 #[derive(Clone, Default)]
 struct Capture(Arc<Mutex<Vec<Captured>>>);
 
 impl Recorder for Capture {
     fn record(&mut self, event: &Event<'_>) {
-        let captured = match event {
-            Event::Count { name, .. } => ("count", name.to_string(), Vec::new()),
-            Event::Progress { name, fields, .. } => {
-                let fields = fields.iter().map(|&(k, v)| (k.to_string(), v)).collect();
-                ("progress", name.to_string(), fields)
-            }
-            _ => return,
-        };
-        self.0.lock().unwrap().push(captured);
+        if let Event::Progress { name, fields, .. } = event {
+            let fields = fields.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+            self.0.lock().unwrap().push((name.to_string(), fields));
+        }
     }
 }
 
 impl Capture {
-    /// The fields of every `kind` event named `name`, in order.
-    fn events(&self, kind: &str, name: &str) -> Vec<Vec<(String, f64)>> {
+    /// The fields of every progress event named `name`, in order.
+    fn progress(&self, name: &str) -> Vec<Vec<(String, f64)>> {
         let events = self.0.lock().unwrap();
-        events
-            .iter()
-            .filter(|(k, n, _)| *k == kind && n == name)
-            .map(|(_, _, f)| f.clone())
-            .collect()
+        events.iter().filter(|(n, _)| n == name).map(|(_, f)| f.clone()).collect()
     }
 }
 
@@ -103,6 +96,12 @@ fn heartbeats_fire_at_the_configured_interval() {
         Box::new(LogSink::new(log.writer())),
     ])));
     let obs = FpsObserver { telemetry: tel.clone(), heartbeat_cycles: INTERVAL, cell: 0 };
+    let rx_high_water = || {
+        let snap = Metrics::global().snapshot();
+        snap.hist("fps_fifo_high_water", &[("world", "real"), ("fifo", "rx")])
+            .map_or(0, |h| h.count)
+    };
+    let rx_samples_before = rx_high_water();
     let report =
         check_fps_traced(&mut real, &mut emu, &cfg(20_000_000), &project, &hash_script(), &obs)
             .expect("the hasher verifies");
@@ -110,7 +109,7 @@ fn heartbeats_fire_at_the_configured_interval() {
 
     // The event stream carries one fps.heartbeat progress event per
     // full INTERVAL of simulated cycles, stamped with the cycle count.
-    let heartbeats = events.events("progress", "fps.heartbeat");
+    let heartbeats = events.progress("fps.heartbeat");
     let heartbeat_cycles: Vec<u64> =
         heartbeats.iter().map(|f| field(f, "cycles").unwrap() as u64).collect();
     assert!(!heartbeat_cycles.is_empty(), "a {}-cycle run must heartbeat", report.cycles);
@@ -135,8 +134,8 @@ fn heartbeats_fire_at_the_configured_interval() {
         .find(|l| l.contains("* fps.heartbeat"))
         .expect("log sink prints heartbeats");
     assert!(hb_line.contains("cycles_per_s="), "{hb_line}");
-    // FIFO high-water gauges were recorded at the end of the run.
-    assert!(log_text.contains("~ soc.real.rx_fifo_hwm"), "{log_text}");
+    // The FIFO high-water marks were recorded at the end of the run.
+    assert!(rx_high_water() > rx_samples_before, "an fps_fifo_high_water{{real,rx}} sample");
 }
 
 #[test]
@@ -147,9 +146,13 @@ fn timeout_failure_carries_partial_report() {
     let dummy_soc = make_soc(Cpu::Ibex, fw, &HasherCodec.encode_state(&HasherSpec.init()));
     let mut emu = CircuitEmulator::new(dummy_soc, &spec, secret_state, COMMAND_SIZE);
 
-    let events = Capture::default();
-    let tel = Telemetry::new(Box::new(events.clone()));
+    let tel = Telemetry::new(Box::new(Capture::default()));
     let obs = FpsObserver { telemetry: tel.clone(), heartbeat_cycles: 0, cell: 0 };
+    let counts = || {
+        let snap = Metrics::global().snapshot();
+        (snap.counter_total("fps_timeouts_total"), snap.counter_total("fps_failures_total"))
+    };
+    let (timeouts_before, failures_before) = counts();
     // A Hash command needs far more than 100 cycles of compute, so the
     // host's per-byte handshake budget is guaranteed to run out.
     let failure = check_fps_traced(&mut real, &mut emu, &cfg(100), &project, &hash_script(), &obs)
@@ -164,8 +167,10 @@ fn timeout_failure_carries_partial_report() {
     assert!(failure.partial.wall.as_nanos() > 0);
     // The Display form surfaces the context too.
     assert!(format!("{failure}").contains("cycles"), "{failure}");
-    // And the timeout was counted.
-    assert!(!events.events("count", "fps.timeouts").is_empty(), "fps.timeouts counter emitted");
+    // And the timeout was counted, as a failure too.
+    let (timeouts, failures) = counts();
+    assert!(timeouts > timeouts_before, "fps_timeouts_total rose");
+    assert!(failures > failures_before, "fps_failures_total rose");
 }
 
 #[test]

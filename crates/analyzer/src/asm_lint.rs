@@ -35,34 +35,27 @@
 //! replaced is kept as a test oracle, and the tests hold the two to
 //! the same findings, region-content table and escape flag.
 //!
-//! # The sparse interprocedural fixpoint
+//! # Passes and their read set
 //!
 //! The whole-program analysis is itself a fixpoint over two global
 //! tables — the region content map (which memory regions hold secret
 //! data) and the escape flag — because a store into a global may feed
-//! a load analyzed earlier. Both tables grow monotonically, so the
-//! driver re-runs the analysis until they stabilize.
+//! a load analyzed earlier. Both tables only grow, and every write to
+//! them is first-writer-wins, so the lint runs whole passes until one
+//! is its own fixpoint.
 //!
-//! The dense driver ([`lint_asm_dense`]) recomputes every function
-//! from scratch on every pass, which multiplies the cost of the
-//! biggest firmwares by the pass count. The sparse driver (the
-//! default, [`lint_asm`]) instead memoizes each
-//! `(function, abstract entry state)` call **across passes**, keyed by
-//! a *dependency footprint*: the set of regions the call observed as
-//! clean, and whether it observed the escape flag unset. A memo entry
-//! stays valid exactly while its footprint still holds — only calls
-//! that actually depended on a table entry that later changed are
-//! re-analyzed, everything else *replays* its recorded effect list
-//! (region taints, escape, findings) in original execution order.
-//! Because every effect application is first-writer-wins and the
-//! tables are monotone, a replayed call is observationally identical
-//! to re-running it, so the sparse driver's findings are byte-identical
-//! to the dense oracle's (proved differentially over the lint corpus).
+//! Each pass records what its loads read from the tables: the regions
+//! they found clean, and whether one found the escape flag unset. When
+//! all of that still holds at the end of the pass — no region read as
+//! clean has been tainted since, and the escape flag is still unset if
+//! a load found it unset — a re-run would read the same answers and
+//! attempt only writes that have already taken hold, so it would
+//! retrace the pass exactly: the pass is the fixpoint, and
+//! [`lint_asm`] stops there. The dense oracle ([`lint_asm_dense`])
+//! instead re-runs passes until the tables stop growing; the tests
+//! hold the two to the same findings, tables and errors.
 
-use std::cell::Cell;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 
 use parfait_cores::InstrClass;
@@ -150,7 +143,7 @@ impl SetTable {
 type Prov = u32;
 
 /// What a register value *is*, beyond its secrecy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Kind {
     /// Nothing known.
     Top,
@@ -255,56 +248,7 @@ const PAGE: i32 = 64;
 
 /// One page of tracked stack bytes; slot `k` of page `p` is offset
 /// `p * PAGE + k`, and `None` is a byte never written.
-#[derive(Clone, Debug)]
-struct Page {
-    slots: [Option<SByte>; PAGE as usize],
-    /// Fingerprint of the slots' lattice shape, computed on first use
-    /// and dropped by every write ([`Page::slots_mut`]). Pages are
-    /// shared between states, so one computation serves every state
-    /// that still holds the page.
-    fp: Cell<Option<u64>>,
-}
-
-impl Page {
-    fn empty() -> Page {
-        Page { slots: std::array::from_fn(|_| None), fp: Cell::new(None) }
-    }
-
-    /// The slots, for writing: drops the cached fingerprint.
-    fn slots_mut(&mut self) -> &mut [Option<SByte>; PAGE as usize] {
-        self.fp.set(None);
-        &mut self.slots
-    }
-
-    /// A hash of each slot's presence, world, secrecy bit and kind:
-    /// equal shapes have equal fingerprints.
-    fn fingerprint(&self) -> u64 {
-        if let Some(fp) = self.fp.get() {
-            return fp;
-        }
-        let mut h = DefaultHasher::new();
-        for b in &self.slots {
-            b.as_ref().map(|b| (b.array, b.val.secret.is_some(), &b.val.kind)).hash(&mut h);
-        }
-        let fp = h.finish();
-        self.fp.set(Some(fp));
-        fp
-    }
-
-    /// Slot-wise lattice equality (provenance is not compared).
-    fn same_shape(&self, other: &Page) -> bool {
-        if let (Some(a), Some(b)) = (self.fp.get(), other.fp.get()) {
-            if a != b {
-                return false;
-            }
-        }
-        self.slots.iter().zip(&other.slots).all(|(a, b)| match (a, b) {
-            (None, None) => true,
-            (Some(a), Some(b)) => a.array == b.array && a.val.same_lattice(&b.val),
-            _ => false,
-        })
-    }
-}
+type Page = [Option<SByte>; PAGE as usize];
 
 /// The tracked stack bytes of one state: fixed-size copy-on-write
 /// pages in a copy-on-write list sorted by page index. Cloning a state
@@ -333,7 +277,7 @@ impl Stack {
     fn get(&self, o: i32) -> Option<&SByte> {
         let (p, k) = Stack::split(o);
         let i = self.find(p).ok()?;
-        self.pages[i].1.slots[k].as_ref()
+        self.pages[i].1[k].as_ref()
     }
 
     /// Store `val` into the `w` bytes at `o`: a multi-byte store
@@ -344,18 +288,17 @@ impl Stack {
             let i = self.find(p);
             let pages = Rc::make_mut(&mut self.pages);
             let i = i.unwrap_or_else(|i| {
-                pages.insert(i, (p, Rc::new(Page::empty())));
+                pages.insert(i, (p, Rc::new([None; PAGE as usize])));
                 i
             });
-            Rc::make_mut(&mut pages[i].1).slots_mut()[k] = Some(SByte { val: *val, array });
+            Rc::make_mut(&mut pages[i].1)[k] = Some(SByte { val: *val, array });
         }
     }
 
     /// Tracked bytes in ascending offset order.
     fn iter(&self) -> impl Iterator<Item = (i32, &SByte)> {
         self.pages.iter().flat_map(|(p, page)| {
-            page.slots
-                .iter()
+            page.iter()
                 .enumerate()
                 .filter_map(move |(k, b)| Some((p * PAGE + k as i32, b.as_ref()?)))
         })
@@ -382,8 +325,9 @@ impl Stack {
 
     /// Drop every byte below offset `s` (the current stack pointer),
     /// removing the pages this empties: the bytes belong to frames that
-    /// have returned. Real code never reads below `sp`, and keeping the
-    /// stale bytes makes call memoization keys needlessly unique.
+    /// have returned. Real code never reads below `sp`, so the stale
+    /// bytes would only be carried into, and joined at, every later
+    /// state.
     fn prune_below(&mut self, s: i32) {
         if self.iter().next().is_none_or(|(lo, _)| lo >= s) {
             return;
@@ -393,25 +337,12 @@ impl Stack {
         let pages = Rc::make_mut(&mut self.pages);
         pages.drain(..keep);
         if let Some((_, page)) = pages.first_mut().filter(|(q, _)| *q == p) {
-            let slots = Rc::make_mut(page).slots_mut();
+            let slots = Rc::make_mut(page);
             slots[..k].fill(None);
             if slots.iter().all(Option::is_none) {
                 pages.remove(0);
             }
         }
-    }
-
-    /// Whether both stacks track the same bytes with the same lattice
-    /// shapes. No page is ever empty, so that is: the same page
-    /// indices, each page shared or slot-wise equal.
-    fn same_shape(&self, other: &Stack) -> bool {
-        Rc::ptr_eq(&self.pages, &other.pages)
-            || self.pages.len() == other.pages.len()
-                && self
-                    .pages
-                    .iter()
-                    .zip(other.pages.iter())
-                    .all(|((p, a), (q, b))| p == q && (Rc::ptr_eq(a, b) || a.same_shape(b)))
     }
 
     /// Join `from` into `self`; true when some byte's lattice shape
@@ -437,7 +368,7 @@ impl Stack {
             let other = other.map(|o| &**o);
             if page_grown_by(page, other, sets) {
                 let page = &mut Rc::make_mut(&mut self.pages)[i].1;
-                join_slots(Rc::make_mut(page).slots_mut(), other, sets);
+                join_slots(Rc::make_mut(page), other, sets);
                 changed = true;
             }
         }
@@ -446,8 +377,8 @@ impl Stack {
             .iter()
             .filter(|(q, _)| self.find(*q).is_err())
             .map(|(q, other)| {
-                let mut page = Page::empty();
-                join_slots(&mut page.slots, Some(other), sets);
+                let mut page = [None; PAGE as usize];
+                join_slots(&mut page, Some(other), sets);
                 (*q, Rc::new(page))
             })
             .collect();
@@ -484,13 +415,9 @@ fn join_slot(a: Option<&SByte>, b: Option<&SByte>, sets: &mut SetTable) -> SByte
 
 /// Join page `from` into `slots` (`None` stands for an absent page),
 /// rebuilding only the slots whose lattice shape changes.
-fn join_slots(
-    slots: &mut [Option<SByte>; PAGE as usize],
-    from: Option<&Page>,
-    sets: &mut SetTable,
-) {
+fn join_slots(slots: &mut Page, from: Option<&Page>, sets: &mut SetTable) {
     for (k, a) in slots.iter_mut().enumerate() {
-        let b = from.and_then(|p| p.slots[k].as_ref());
+        let b = from.and_then(|p| p[k].as_ref());
         if slot_grown_by(a.as_ref(), b, sets) {
             *a = Some(join_slot(a.as_ref(), b, sets));
         }
@@ -499,9 +426,8 @@ fn join_slots(
 
 /// Whether joining page `from` into page `into` would change it.
 fn page_grown_by(into: &Page, from: Option<&Page>, sets: &SetTable) -> bool {
-    (0..PAGE as usize).any(|k| {
-        slot_grown_by(into.slots[k].as_ref(), from.and_then(|p| p.slots[k].as_ref()), sets)
-    })
+    (0..PAGE as usize)
+        .any(|k| slot_grown_by(into[k].as_ref(), from.and_then(|p| p[k].as_ref()), sets))
 }
 
 /// The abstract machine state at one program point.
@@ -526,36 +452,6 @@ impl MState {
         if r != Reg::ZERO {
             self.regs[r.0 as usize] = v;
         }
-    }
-
-    /// A hash of the state's provenance-free lattice shape: each
-    /// register's secrecy bit and kind, each stack page's index and
-    /// cached [`Page::fingerprint`], and the blob's shape. States of
-    /// the same shape have equal fingerprints; the memo uses it to pick
-    /// a bucket and [`MState::same_shape`] to decide a hit.
-    fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        for v in &self.regs {
-            (v.secret.is_some(), &v.kind).hash(&mut h);
-        }
-        self.stack.pages.len().hash(&mut h);
-        for (p, page) in self.stack.pages.iter() {
-            (p, page.fingerprint()).hash(&mut h);
-        }
-        self.blob.as_ref().map(|v| (v.secret.is_some(), &v.kind)).hash(&mut h);
-        h.finish()
-    }
-
-    /// Whether two states have the same provenance-free lattice shape:
-    /// equal registers, stack bytes and blob up to provenance text.
-    fn same_shape(&self, other: &MState) -> bool {
-        self.regs.iter().zip(&other.regs).all(|(a, b)| a.same_lattice(b))
-            && self.stack.same_shape(&other.stack)
-            && match (&self.blob, &other.blob) {
-                (None, None) => true,
-                (Some(a), Some(b)) => a.same_lattice(b),
-                _ => false,
-            }
     }
 }
 
@@ -591,56 +487,6 @@ enum Target {
     StackAny,
     Regions(SetId),
     Untracked,
-}
-
-/// A globally-visible side effect of analyzing a call, recorded for
-/// cross-pass replay. Every application is guarded first-writer-wins,
-/// so replaying an effect that already took hold is a no-op.
-#[derive(Clone, Debug)]
-enum Effect {
-    /// `taint_region(rid, why)` was attempted.
-    Taint(Rid, Prov),
-    /// The escape flag was attempted with this provenance.
-    Escape(Prov),
-    /// A finding was attempted at `(rule, addr)`.
-    Record(RuleId, u32, Rc<Finding>),
-}
-
-/// Dedup key for [`Effect`]s within one recording frame: only the
-/// first attempt per key can take hold, so later ones need not be
-/// recorded.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum EffKey {
-    Taint(Rid),
-    Escape,
-    Record(RuleId, u32),
-}
-
-/// The in-progress recording of one `analyze_function` call: its
-/// effects (in execution order) and its dependency footprint.
-#[derive(Default)]
-struct Frame {
-    effects: Vec<Effect>,
-    keys: HashSet<EffKey>,
-    /// Regions observed absent from the content table.
-    clean: BTreeSet<Rid>,
-    /// Whether the escape flag was observed unset at a point where it
-    /// determined a load's secrecy.
-    saw_unescaped: bool,
-}
-
-/// A finished call summary: the entry state it was recorded from, the
-/// joined return state and the recording.
-struct MemoEntry {
-    /// The call's entry state. Its pages are shared with the states
-    /// the analysis still holds, not copied.
-    entry: MState,
-    ret: Option<MState>,
-    effects: Vec<Effect>,
-    clean: BTreeSet<Rid>,
-    saw_unescaped: bool,
-    /// Epoch at recording time — the dense oracle's validity key.
-    epoch_at: u64,
 }
 
 /// Where control goes after one abstract instruction step, with the
@@ -711,32 +557,15 @@ struct AsmLint<'p> {
     /// Set when a secret was stored through an untracked pointer: all
     /// loads must then be considered secret. Set once, monotone.
     escaped: Option<Prov>,
-    /// Bumped when `content`/`escaped` grow; the outer loop reruns
-    /// until stable.
-    epoch: u64,
-    /// Cross-pass call summaries, bucketed by entry address and the
-    /// entry state's [`MState::fingerprint`]; within a bucket at most
-    /// one entry per lattice shape. Validity is footprint-checked (or
-    /// epoch-checked for the dense oracle) at lookup.
-    memo: HashMap<(u32, u64), Vec<Rc<MemoEntry>>>,
-    /// Sparse mode: reuse entries whose footprint still holds. Dense
-    /// mode (the oracle): reuse only within the recording epoch.
-    reuse: bool,
-    /// Active recordings, innermost last. Effects and footprint
-    /// observations go to *every* active frame (a caller depends on
-    /// whatever its callees depend on).
-    frames: Vec<Frame>,
-    /// True when every active frame already has `saw_unescaped` — the
-    /// common case after the first clean load, kept as a flag so the
-    /// per-load hot path is one branch.
-    all_unescaped: bool,
+    /// The current pass's read set, first half: the regions (by
+    /// [`Rid`]) that a load found clean in `content`.
+    read_clean: Vec<bool>,
+    /// The read set's second half: whether a load found `escaped` unset.
+    read_unescaped: bool,
     call_stack: Vec<u32>,
     /// Per-active-call entry state (parallel to `call_stack`): its
     /// register file serves the callee-saved-preservation check at
-    /// each return point, and it becomes the memo entry's key state.
-    /// Memoization stays sound: the snapshot's lattice shape is part
-    /// of the memo key, and the findings the check records replay
-    /// through the frame effect list.
+    /// each return point.
     entry_states: Vec<MState>,
     findings: BTreeMap<(RuleId, u32), Finding>,
     /// Abstract instruction steps across every function fixpoint
@@ -744,19 +573,16 @@ struct AsmLint<'p> {
     fixpoint_iters: u64,
     /// Joins into a state the fixpoints already keep.
     state_joins: u64,
-    /// Summary-memo hits in `analyze_function`.
-    memo_hits: u64,
-    /// Every call's entry address and state, in analysis order: the
-    /// memo-key differential tests compare them pairwise.
+    /// Passes run so far.
     #[cfg(test)]
-    calls: Vec<(u32, MState)>,
+    passes: u32,
     /// Run the per-instruction oracle instead of the block fixpoint.
     #[cfg(test)]
     per_instruction: bool,
 }
 
 impl<'p> AsmLint<'p> {
-    fn new(prog: &'p Program, text: Text, reuse: bool) -> AsmLint<'p> {
+    fn new(prog: &'p Program, text: Text) -> AsmLint<'p> {
         let text_end = prog.text_base + 4 * prog.text.len() as u32;
         let mut funcs: Vec<(u32, String)> = prog
             .symbols
@@ -786,6 +612,7 @@ impl<'p> AsmLint<'p> {
             .collect();
         regions.extend(names.iter().map(|n| MRegion::Global((*n).clone())));
         let sets = SetTable::new(regions.len());
+        let read_clean = vec![false; regions.len()];
         let mut globals = Vec::with_capacity(starts.len());
         for (i, (start, name)) in starts.iter().enumerate() {
             let end = starts.get(i + 1).map(|(s, _)| *s).unwrap_or(data_end);
@@ -803,35 +630,63 @@ impl<'p> AsmLint<'p> {
             globals,
             content: HashMap::from([(RID_STATE, 0)]),
             escaped: None,
-            epoch: 0,
-            memo: HashMap::new(),
-            reuse,
-            frames: Vec::new(),
-            all_unescaped: false,
+            read_clean,
+            read_unescaped: false,
             call_stack: Vec::new(),
             entry_states: Vec::new(),
             findings: BTreeMap::new(),
             fixpoint_iters: 0,
             state_joins: 0,
-            memo_hits: 0,
             #[cfg(test)]
-            calls: Vec::new(),
+            passes: 0,
             #[cfg(test)]
             per_instruction: false,
         }
     }
 
-    /// Analyze the handler at `entry` until the region content table
-    /// and the escape flag stop growing.
+    /// Analyze the handler at `entry` pass after pass, and stop after
+    /// the first pass whose read set still holds: no region it read as
+    /// clean has been tainted, and the escape flag is still unset if it
+    /// read the flag unset. A re-run would read the same answers, and
+    /// every table write is first-writer-wins, so it would retrace the
+    /// pass exactly.
     fn run(&mut self, entry: u32) -> Result<(), LintError> {
         loop {
-            let epoch0 = self.epoch;
-            self.findings.clear();
-            self.analyze_function(entry, self.entry_state())?;
-            if self.epoch == epoch0 {
+            self.pass(entry)?;
+            let tainted = |(r, &read)| read && self.content.contains_key(&r);
+            let stale = (0..).zip(&self.read_clean).any(tainted)
+                || self.read_unescaped && self.escaped.is_some();
+            if !stale {
                 return Ok(());
             }
         }
+    }
+
+    /// The dense oracle's outer loop: pass after pass until one adds
+    /// nothing to the content table or the escape flag.
+    fn run_dense(&mut self, entry: u32) -> Result<(), LintError> {
+        let tables = |lint: &Self| (lint.content.len(), lint.escaped.is_some());
+        loop {
+            let before = tables(self);
+            self.pass(entry)?;
+            if tables(self) == before {
+                return Ok(());
+            }
+        }
+    }
+
+    /// One pass over the handler at `entry`, with fresh findings and an
+    /// empty read set.
+    fn pass(&mut self, entry: u32) -> Result<(), LintError> {
+        #[cfg(test)]
+        {
+            self.passes += 1;
+        }
+        self.findings.clear();
+        self.read_clean.fill(false);
+        self.read_unescaped = false;
+        self.analyze_function(entry, self.entry_state())?;
+        Ok(())
     }
 
     /// The handler's abstract entry state (`a0` = state, `a1` = cmd,
@@ -888,47 +743,10 @@ impl<'p> AsmLint<'p> {
         word_index(self.prog, addr).and_then(|i| self.text.heads.get(i)).is_some_and(|&h| h)
     }
 
-    // --- effect emission (applied first-writer-wins, recorded into
-    // --- every active frame for cross-pass replay)
-
-    fn attempt_taint(&mut self, r: Rid, why: Prov) {
-        for f in &mut self.frames {
-            if f.keys.insert(EffKey::Taint(r)) {
-                f.effects.push(Effect::Taint(r, why));
-            }
-        }
-        if let std::collections::hash_map::Entry::Vacant(e) = self.content.entry(r) {
-            e.insert(why);
-            self.epoch += 1;
-        }
-    }
-
-    fn attempt_escape(&mut self, why: Prov) {
-        for f in &mut self.frames {
-            if f.keys.insert(EffKey::Escape) {
-                f.effects.push(Effect::Escape(why));
-            }
-        }
-        if self.escaped.is_none() {
-            self.escaped = Some(why);
-            self.epoch += 1;
-        }
-    }
-
-    fn attempt_record(&mut self, rule: RuleId, addr: u32, finding: Rc<Finding>) {
-        for f in &mut self.frames {
-            if f.keys.insert(EffKey::Record(rule, addr)) {
-                f.effects.push(Effect::Record(rule, addr, finding.clone()));
-            }
-        }
-        self.findings.entry((rule, addr)).or_insert_with(|| (*finding).clone());
-    }
-
+    /// Record a finding at `(rule, addr)` unless one is there already:
+    /// like every write to the tables, first-writer-wins.
     fn record(&mut self, rule: RuleId, addr: u32, instr: Instr, why: &str, sink: &str) {
-        let key = EffKey::Record(rule, addr);
-        if self.findings.contains_key(&(rule, addr))
-            && self.frames.iter().all(|f| f.keys.contains(&key))
-        {
+        if self.findings.contains_key(&(rule, addr)) {
             return;
         }
         let func = self.func_of(addr);
@@ -942,7 +760,7 @@ impl<'p> AsmLint<'p> {
             ),
             taint: vec![why.to_string(), format!("{sink} at {addr:#010x}")],
         };
-        self.attempt_record(rule, addr, Rc::new(finding));
+        self.findings.insert((rule, addr), finding);
     }
 
     /// [`AsmLint::record`] for a secret reaching a sink: the taint path
@@ -950,48 +768,6 @@ impl<'p> AsmLint<'p> {
     fn record_secret(&mut self, rule: RuleId, addr: u32, instr: Instr, why: Prov, sink: &str) {
         let why = self.provs[why as usize].clone();
         self.record(rule, addr, instr, &why, sink);
-    }
-
-    // --- dependency footprint observations
-
-    fn note_clean(&mut self, r: Rid) {
-        for f in &mut self.frames {
-            f.clean.insert(r);
-        }
-    }
-
-    fn note_unescaped(&mut self) {
-        if self.all_unescaped {
-            return;
-        }
-        for f in &mut self.frames {
-            f.saw_unescaped = true;
-        }
-        self.all_unescaped = true;
-    }
-
-    /// Re-apply a memoized call's recorded footprint and effects, in
-    /// original execution order. Under a valid footprint this is
-    /// observationally identical to re-running the call: every table
-    /// read it performed still yields the same answer, so a fresh run
-    /// would attempt exactly these effects — and each application is
-    /// guarded first-writer-wins.
-    fn replay(&mut self, e: &MemoEntry) {
-        for &r in &e.clean {
-            self.note_clean(r);
-        }
-        if e.saw_unescaped {
-            self.note_unescaped();
-        }
-        for eff in &e.effects {
-            match eff {
-                Effect::Taint(r, why) => self.attempt_taint(*r, *why),
-                Effect::Escape(why) => self.attempt_escape(*why),
-                Effect::Record(rule, addr, finding) => {
-                    self.attempt_record(*rule, *addr, finding.clone())
-                }
-            }
-        }
     }
 
     /// Classify the address `base + off` for a memory access.
@@ -1011,10 +787,9 @@ impl<'p> AsmLint<'p> {
         }
     }
 
-    /// The abstract value loaded from `target`. Queries of the content
-    /// table and the escape flag that come back *clean* are dependency
-    /// observations: the answer could change in a later pass, so they
-    /// go into every active frame's footprint.
+    /// The abstract value loaded from `target`. Answers of the content
+    /// table and the escape flag that come back *clean* go into the
+    /// pass's read set: a later write in the pass could change them.
     fn load_value(&mut self, st: &MState, target: &Target, w: u8, addr: u32) -> AVal {
         let mut v = match target {
             Target::Stack(o) => st.stack.read(*o, w),
@@ -1024,18 +799,14 @@ impl<'p> AsmLint<'p> {
             }
             Target::Regions(rs) => {
                 let mut tainted = None;
-                let mut cleans: Vec<Rid> = Vec::new();
                 for &r in self.sets.get(*rs) {
                     match self.content.get(&r) {
                         Some(&why) => {
                             tainted = Some((why, r));
                             break;
                         }
-                        None => cleans.push(r),
+                        None => self.read_clean[r as usize] = true,
                     }
-                }
-                for r in cleans {
-                    self.note_clean(r);
                 }
                 let secret = tainted.map(|(why, r)| {
                     self.intern(format!(
@@ -1054,7 +825,7 @@ impl<'p> AsmLint<'p> {
         if v.secret.is_none() {
             match self.escaped {
                 Some(e) => v.secret = Some(e),
-                None => self.note_unescaped(),
+                None => self.read_unescaped = true,
             }
         }
         v
@@ -1072,10 +843,9 @@ impl<'p> AsmLint<'p> {
             }
             Target::Regions(rs) => {
                 if let Some(why) = val.secret {
-                    let targets: Vec<Rid> = self.sets.get(rs).iter().copied().collect();
-                    for r in targets {
+                    for &r in self.sets.get(rs) {
                         if r != RID_STATE {
-                            self.attempt_taint(r, why);
+                            self.content.entry(r).or_insert(why);
                         }
                     }
                 }
@@ -1084,7 +854,7 @@ impl<'p> AsmLint<'p> {
                 if let Some(why) = val.secret {
                     let text = format!("{}, escaped via untracked store", self.provs[why as usize]);
                     let why = self.intern(text);
-                    self.attempt_escape(why);
+                    self.escaped.get_or_insert(why);
                 }
             }
         }
@@ -1136,58 +906,16 @@ impl<'p> AsmLint<'p> {
                 self.func_of(entry)
             )));
         }
-        #[cfg(test)]
-        self.calls.push((entry, st.clone()));
-        let bucket = (entry, st.fingerprint());
-        let found = self.memo.get(&bucket).and_then(|b| b.iter().find(|e| e.entry.same_shape(&st)));
-        if let Some(e) = found {
-            let valid = if self.reuse {
-                e.clean.iter().all(|r| !self.content.contains_key(r))
-                    && (!e.saw_unescaped || self.escaped.is_none())
-            } else {
-                e.epoch_at == self.epoch
-            };
-            if valid {
-                self.memo_hits += 1;
-                let e = Rc::clone(e);
-                self.replay(&e);
-                return Ok(e.ret.clone());
-            }
-        }
         self.call_stack.push(entry);
         self.entry_states.push(st.clone());
-        self.frames.push(Frame::default());
-        self.all_unescaped = false;
         let t0 = std::time::Instant::now();
-        let epoch_at = self.epoch;
         let result = self.function_fixpoint(entry, st);
         parfait_telemetry::metrics::Metrics::global()
             .histogram_with("analyzer_fn_lint_us", &[("layer", "asm")])
             .record_duration(t0.elapsed());
         self.call_stack.pop();
-        let entry_state = self.entry_states.pop().expect("entry state pushed above");
-        let frame = self.frames.pop().expect("frame pushed above");
-        // The popped frame may leave the remaining frames all-noted;
-        // recompute the fast flag conservatively.
-        self.all_unescaped = !self.frames.is_empty() && self.frames.iter().all(|f| f.saw_unescaped);
-        let ret = result?;
-        // A same-shape entry here failed its validity check above: the
-        // fresh summary replaces it.
-        let entries = self.memo.entry(bucket).or_default();
-        let stale = entries.iter().position(|e| e.entry.same_shape(&entry_state));
-        let e = Rc::new(MemoEntry {
-            entry: entry_state,
-            ret: ret.clone(),
-            effects: frame.effects,
-            clean: frame.clean,
-            saw_unescaped: frame.saw_unescaped,
-            epoch_at,
-        });
-        match stale {
-            Some(i) => entries[i] = e,
-            None => entries.push(e),
-        }
-        Ok(ret)
+        self.entry_states.pop();
+        result
     }
 
     /// The function's fixpoint over basic blocks: pop the lowest head,
@@ -1372,7 +1100,7 @@ impl<'p> AsmLint<'p> {
                     st.set_reg(Reg::RA, AVal::konst(next));
                     // Stack bytes below `sp` are dead (leftovers of
                     // returned callees); drop them so the callee's
-                    // memo key only covers live memory.
+                    // states carry only live memory.
                     if let Kind::Sp(s) = st.reg(Reg::SP).kind {
                         st.stack.prune_below(s);
                     }
@@ -1525,22 +1253,22 @@ fn predecode(prog: &Program) -> Text {
     Text { code, heads }
 }
 
-/// The shared driver behind the public entry points: the outer
-/// fixpoint over the region content table (stores into globals may
-/// feed loads analyzed earlier; content only grows clean → secret, so
-/// it terminates). In sparse mode, call summaries persist across
-/// passes and only footprint-invalidated calls re-run; in dense mode
-/// every pass recomputes the world (the differential oracle).
-fn lint_asm_driver(prog: &Program, entry: &str, reuse: bool) -> Result<Vec<Finding>, LintError> {
+/// The body of both public entry points; `run` is the outer fixpoint
+/// over the global tables (stores into globals may feed loads analyzed
+/// earlier; content only grows clean → secret, so it terminates).
+fn lint_asm_with<'p>(
+    prog: &'p Program,
+    entry: &str,
+    run: fn(&mut AsmLint<'p>, u32) -> Result<(), LintError>,
+) -> Result<Vec<Finding>, LintError> {
     let entry_addr = prog.address_of(entry).ok_or_else(|| LintError::NoEntry(entry.to_string()))?;
-    let mut lint = AsmLint::new(prog, predecode(prog), reuse);
-    lint.run(entry_addr)?;
+    let mut lint = AsmLint::new(prog, predecode(prog));
+    run(&mut lint, entry_addr)?;
     let metrics = parfait_telemetry::metrics::Metrics::global();
     metrics
         .counter_with("analyzer_fixpoint_iterations_total", &[("layer", "asm")])
         .add(lint.fixpoint_iters);
     metrics.counter_with("analyzer_state_joins_total", &[("layer", "asm")]).add(lint.state_joins);
-    metrics.counter_with("analyzer_memo_hits_total", &[("layer", "asm")]).add(lint.memo_hits);
     let mut findings: Vec<Finding> = lint.findings.into_values().collect();
     findings.sort();
     findings.dedup();
@@ -1555,16 +1283,15 @@ fn lint_asm_driver(prog: &Program, entry: &str, reuse: bool) -> Result<Vec<Findi
 /// Returns the sorted findings; [`LintError`] when control flow cannot
 /// be recovered (indirect jumps, recursion, undecodable words).
 pub fn lint_asm(prog: &Program, entry: &str) -> Result<Vec<Finding>, LintError> {
-    lint_asm_driver(prog, entry, true)
+    lint_asm_with(prog, entry, AsmLint::run)
 }
 
-/// The dense oracle: every pass of the outer fixpoint recomputes every
-/// function (call summaries are reused only within the epoch that
-/// recorded them, which is the pre-sparse behavior). Kept for the
-/// differential suite that proves the sparse driver byte-identical;
-/// production callers want [`lint_asm`].
+/// The dense oracle: re-runs whole passes until the region content
+/// table and the escape flag stop growing, whatever the passes read.
+/// Kept for the tests, which hold [`lint_asm`]'s stop at the first pass
+/// whose read set holds to it; production callers want [`lint_asm`].
 pub fn lint_asm_dense(prog: &Program, entry: &str) -> Result<Vec<Finding>, LintError> {
-    lint_asm_driver(prog, entry, false)
+    lint_asm_with(prog, entry, AsmLint::run_dense)
 }
 
 #[cfg(test)]
@@ -1582,14 +1309,11 @@ mod tests {
         parfait_riscv::assemble(&parfait_littlec::compile(&program, opt).unwrap()).unwrap()
     }
 
-    /// Every test doubles as a sparse-vs-dense differential check and
-    /// as a check of the memo's hit decision against the old key.
+    /// Every test doubles as a check against both oracles
+    /// ([`check_oracles`]).
     fn lint_prog(prog: &Program) -> Vec<Finding> {
-        let sparse = lint_asm(prog, "handle").unwrap();
-        let dense = lint_asm_dense(prog, "handle").unwrap();
-        assert_eq!(sparse, dense, "sparse and dense asm lint disagree");
-        check_memo_keys("handle", prog);
-        sparse
+        let ((findings, _, _), _) = check_oracles("handle", prog).unwrap();
+        findings
     }
 
     fn rules(findings: &[Finding]) -> Vec<RuleId> {
@@ -1677,9 +1401,8 @@ mod tests {
     }
 
     // `spill` writes a secret into a global that `use_it` read as clean
-    // on the first pass — the cross-pass invalidation must re-analyze
-    // `use_it` (its footprint includes the global) and the branch must
-    // fire.
+    // on the first pass; the branch is on the second call's result, which
+    // the first pass already sees as secret.
     const GLOBAL_TAINT_ACROSS_PASSES: &str = "static u8 G[4];
     u32 use_it(u8* cmd) { return G[0] + cmd[0]; }
     void spill(u8* state) { G[0] = state[0]; }
@@ -1696,12 +1419,56 @@ mod tests {
         assert_eq!(rules(&f), vec![RuleId::SecretBranch]);
     }
 
+    // Here the branch is on the value loaded *before* `spill` taints the
+    // global: the first pass reads `G` clean and sees a public branch,
+    // so the finding appears only in a second pass, which runs because
+    // that read no longer holds.
+    const TAINTED_AFTER_ITS_READ: &str = "static u8 G[4];
+    u32 use_it(u8* cmd) { return G[0] + cmd[0]; }
+    void spill(u8* state) { G[0] = state[0]; }
+    void handle(u8* state, u8* cmd, u8* resp) {
+        u32 a = use_it(cmd);
+        spill(state);
+        if (a) { resp[0] = 1; }
+    }";
+
+    /// The same for the escape flag, hand-written: the first load (of
+    /// `cmd`) finds the flag unset, and only the later store of the
+    /// secret `t1` through the untracked pointer `t3` sets it. From the
+    /// second pass on, every load is secret, the branch on `t0` too.
+    const ESCAPED_AFTER_ITS_READ: &str = ".text\nhandle:\n    lbu t0, 0(a1)\n    \
+        lbu t1, 0(a0)\n    sb t1, 0(t3)\n    beqz t0, .Ldone\n.Ldone:\n    ret\n";
+
+    #[test]
+    fn a_second_pass_runs_exactly_when_a_read_no_longer_holds() {
+        for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            let prog = assemble_src(TAINTED_AFTER_ITS_READ, opt);
+            let ((f, content, _), passes) = check_oracles(&format!("{opt:?}"), &prog).unwrap();
+            assert_eq!(rules(&f), vec![RuleId::SecretBranch], "{opt:?}");
+            let g = &content["global `glb_G`"];
+            assert_eq!(f[0].taint[0], format!("{g}, loaded from global `glb_G`"), "{opt:?}");
+            assert_eq!(passes, 2, "{opt:?}");
+        }
+        let prog = parfait_riscv::assemble(ESCAPED_AFTER_ITS_READ).unwrap();
+        let ((f, _, escaped), passes) = check_oracles("escape", &prog).unwrap();
+        assert_eq!(rules(&f), vec![RuleId::SecretBranch]);
+        let escaped = escaped.expect("the store escapes");
+        assert_eq!(f[0].taint[0], escaped);
+        assert!(escaped.ends_with("escaped via untracked store"), "{escaped}");
+        assert_eq!(passes, 2);
+        // Without the stores that invalidate a read, one pass is the
+        // fixpoint.
+        let ((f, _, _), passes) =
+            check_oracles("no spill", &assemble_src(SECRET_BRANCH, OptLevel::O2)).unwrap();
+        assert_eq!((rules(&f), passes), (vec![RuleId::SecretBranch], 1));
+    }
+
     const ABI_SRC: &str = "void handle(u8* state, u8* cmd, u8* resp) {
         resp[0] = (u8)(state[0] & cmd[0] & 0);
     }";
 
     /// Every source the tests above lint.
-    const SEEDED: [&str; 8] = [
+    const SEEDED: [&str; 9] = [
         MASKED_SELECT,
         SECRET_BRANCH,
         SECRET_TABLE_INDEX,
@@ -1709,6 +1476,7 @@ mod tests {
         SECRET_DIVISOR,
         CALL_AND_STACK_ROUNDTRIP,
         GLOBAL_TAINT_ACROSS_PASSES,
+        TAINTED_AFTER_ITS_READ,
         ABI_SRC,
     ];
 
@@ -1927,160 +1695,12 @@ mod tests {
                 }
                 for (p, m) in paged.iter().zip(&model) {
                     assert_eq!(paged_bytes(p), model_bytes(m), "{ctx}");
-                    assert!(
-                        p.pages.iter().all(|(_, pg)| pg.slots.iter().any(Option::is_some)),
-                        "{ctx}"
-                    );
+                    assert!(p.pages.iter().all(|(_, pg)| pg.iter().any(Option::is_some)), "{ctx}");
                     steps_with_bytes += usize::from(!m.0.is_empty());
                 }
             }
         }
         assert!(steps_with_bytes > 10_000, "the walk must exercise populated stacks");
-    }
-
-    /// Provenance-free lattice shape of a state: the memo key that
-    /// [`MState::fingerprint`] and [`MState::same_shape`] replaced,
-    /// kept as their oracle.
-    type StateKey = (Vec<(bool, Kind)>, Vec<(i32, bool, bool, Kind)>, Option<(bool, Kind)>);
-
-    impl MState {
-        fn key(&self) -> StateKey {
-            (
-                self.regs.iter().map(|v| (v.secret.is_some(), v.kind)).collect(),
-                self.stack
-                    .iter()
-                    .map(|(o, b)| (o, b.array, b.val.secret.is_some(), b.val.kind))
-                    .collect(),
-                self.blob.as_ref().map(|v| (v.secret.is_some(), v.kind)),
-            )
-        }
-
-        /// The same shape sharing nothing with `self`: fresh pages with
-        /// no cached fingerprint and other provenance.
-        fn unshared_copy(&self) -> MState {
-            let copy = |v: &AVal| AVal { secret: v.secret.map(|p| p + 1), kind: v.kind };
-            let pages = self.stack.pages.iter().map(|(p, page)| {
-                let mut fresh = Page::empty();
-                for (to, from) in fresh.slots.iter_mut().zip(&page.slots) {
-                    *to = from.as_ref().map(|b| SByte { val: copy(&b.val), array: b.array });
-                }
-                (*p, Rc::new(fresh))
-            });
-            MState {
-                regs: self.regs.iter().map(copy).collect(),
-                stack: Stack { pages: Rc::new(pages.collect()) },
-                blob: self.blob.as_ref().map(copy),
-            }
-        }
-    }
-
-    impl MState {
-        /// An unshared copy with one detail of its shape changed: a
-        /// byte's world, secrecy or kind, a byte added below the rest,
-        /// a register's secrecy or kind, or the blob. Its pages cache
-        /// no fingerprint, so comparing it goes through the slots.
-        fn perturbed(&self, rng: &mut Rng) -> MState {
-            let mut st = self.unshared_copy();
-            let flip = |v: &mut AVal, rng: &mut Rng| match rng.below(2) {
-                0 => v.secret = if v.secret.is_some() { None } else { Some(0) },
-                _ => v.kind = if v.kind == Kind::Top { Kind::Const(1) } else { Kind::Top },
-            };
-            let offsets: Vec<i32> = st.stack.iter().map(|(o, _)| o).collect();
-            match rng.below(4) {
-                0 if !offsets.is_empty() => {
-                    let o = offsets[rng.below(offsets.len() as u64) as usize];
-                    let mut b = *st.stack.get(o).expect("a tracked byte");
-                    match rng.below(3) {
-                        0 => b.array = !b.array,
-                        _ => flip(&mut b.val, rng),
-                    }
-                    st.stack.write(o, 1, &b.val, b.array);
-                }
-                0 | 1 => {
-                    let below =
-                        offsets.first().map_or(0, |o| o - 1 - rng.below(PAGE as u64) as i32);
-                    st.stack.write(below, 1, &AVal::default(), rng.below(2) == 0);
-                }
-                2 => flip(&mut st.regs[rng.below(32) as usize], rng),
-                _ => st.blob = if st.blob.is_some() { None } else { Some(AVal::default()) },
-            }
-            st
-        }
-    }
-
-    /// Every call-entry state of a sparse lint of `prog`'s handler.
-    fn call_states(prog: &Program) -> Vec<(u32, MState)> {
-        let mut lint = AsmLint::new(prog, predecode(prog), true);
-        lint.run(prog.address_of("handle").unwrap()).unwrap();
-        lint.calls
-    }
-
-    /// Pairs of calls to compare: every pair when there are at most
-    /// `budget`; else every two consecutive calls of one function (the
-    /// pairs the memo compares) plus seeded random pairs up to `budget`.
-    fn pairs_to_check(calls: &[(u32, MState)], budget: usize, seed: u64) -> Vec<(usize, usize)> {
-        let n = calls.len();
-        if n * n.saturating_sub(1) / 2 <= budget {
-            return (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))).collect();
-        }
-        let mut last: HashMap<u32, usize> = HashMap::new();
-        let mut pairs = Vec::new();
-        for (j, (entry, _)) in calls.iter().enumerate() {
-            if let Some(i) = last.insert(*entry, j) {
-                pairs.push((i, j));
-            }
-        }
-        let mut rng = Rng(seed);
-        while pairs.len() < budget {
-            let (i, j) = (rng.below(n as u64) as usize, rng.below(n as u64) as usize);
-            if i != j {
-                pairs.push((i, j));
-            }
-        }
-        pairs
-    }
-
-    /// The memo's hit decision equals the old key comparison on the
-    /// call-entry states of one real lint: `same_shape` holds exactly
-    /// when the keys are equal, equal keys have equal fingerprints, and
-    /// a copy that shares no page, region set or provenance string has
-    /// the same key, shape and fingerprint. Pairs of real states mostly
-    /// differ in their cached page fingerprints, so each state is also
-    /// compared with perturbed copies, whose pages cache none. Keys are
-    /// built per pair, not kept: an ECDSA lint's would take hundreds of
-    /// megabytes. Returns (pairs, equal-key pairs).
-    fn check_memo_keys(what: &str, prog: &Program) -> (usize, usize) {
-        let calls = call_states(prog);
-        assert!(!calls.is_empty(), "{what}: no calls recorded");
-        let mut rng = Rng(calls.len() as u64);
-        for (i, (_, st)) in calls.iter().enumerate() {
-            let copy = st.unshared_copy();
-            assert_eq!(copy.key(), st.key(), "{what}: call {i}: the copy must keep the key");
-            assert!(copy.same_shape(st) && st.same_shape(&copy), "{what}: call {i}: copy differs");
-            assert_eq!(copy.fingerprint(), st.fingerprint(), "{what}: call {i}: stale fingerprint");
-            // At most about 2,000 perturbations per lint.
-            if i % calls.len().div_ceil(500) == 0 {
-                for _ in 0..4 {
-                    let p = st.perturbed(&mut rng);
-                    let same = p.key() == st.key();
-                    let ctx = format!("{what}: call {i}, perturbed");
-                    assert_eq!((st.same_shape(&p), p.same_shape(st)), (same, same), "{ctx}");
-                }
-            }
-        }
-        let pairs = pairs_to_check(&calls, 30_000, calls.len() as u64);
-        let mut equal = 0;
-        for &(i, j) in &pairs {
-            let ((ea, a), (eb, b)) = (&calls[i], &calls[j]);
-            let ctx = format!("{what}: calls {i} (entry {ea:#x}) and {j} (entry {eb:#x})");
-            let same = a.key() == b.key();
-            assert_eq!(a.same_shape(b), same, "{ctx}");
-            if same {
-                assert_eq!(a.fingerprint(), b.fingerprint(), "{ctx}: equal keys");
-                equal += 1;
-            }
-        }
-        (pairs.len(), equal)
     }
 
     /// Sources beyond the ones the tests above lint, each at every opt
@@ -2112,68 +1732,44 @@ mod tests {
         }",
     ];
 
-    #[test]
-    fn memo_hits_decide_as_the_old_key_on_the_corpus() {
-        let mut totals = (0, 0);
-        for (i, src) in CORPUS.iter().enumerate() {
-            for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
-                let (pairs, equal) =
-                    check_memo_keys(&format!("corpus {i} {opt:?}"), &assemble_src(src, opt));
-                totals = (totals.0 + pairs, totals.1 + equal);
-            }
-        }
-        assert!(totals.1 > 0, "no equal-key pair among {} pairs", totals.0);
-    }
-
-    fn check_app(app: &str, src: &str) {
-        let mut totals = (0, 0);
-        for opt in [OptLevel::O0, OptLevel::O2] {
-            let (pairs, equal) =
-                check_memo_keys(&format!("{app} {opt:?}"), &assemble_src(src, opt));
-            totals = (totals.0 + pairs, totals.1 + equal);
-        }
-        assert!(totals.1 > 0, "{app}: no equal-key pair among {} pairs", totals.0);
-    }
-
-    #[test]
-    fn memo_hits_decide_as_the_old_key_on_the_hasher() {
-        check_app("hasher", &parfait_hsms::firmware::hasher_app_source());
-    }
-
-    #[test]
-    fn memo_hits_decide_as_the_old_key_on_totp() {
-        check_app("totp", &parfait_hsms::totp::totp_app_source());
-    }
-
-    #[test]
-    fn memo_hits_decide_as_the_old_key_on_ecdsa() {
-        check_app("ecdsa", &parfait_hsms::firmware::ecdsa_app_source());
-    }
-
     /// What a lint decides: its findings, the final region-content table
     /// (region → provenance text) and the escape flag's provenance.
     type Outcome = (Vec<Finding>, BTreeMap<String, String>, Option<String>);
 
-    /// A sparse lint of `prog`'s handler, through the block fixpoint or
-    /// the per-instruction oracle.
-    fn outcome(prog: &Program, per_instruction: bool) -> Result<Outcome, LintError> {
-        let mut lint = AsmLint::new(prog, predecode(prog), true);
+    /// A lint of `prog`'s handler through the outer loop `run` (the
+    /// production one or the dense oracle's), and through the block
+    /// fixpoint or the per-instruction oracle: what it decides, and how
+    /// many passes it ran.
+    fn outcome<'p>(
+        prog: &'p Program,
+        run: fn(&mut AsmLint<'p>, u32) -> Result<(), LintError>,
+        per_instruction: bool,
+    ) -> Result<(Outcome, u32), LintError> {
+        let mut lint = AsmLint::new(prog, predecode(prog));
         lint.per_instruction = per_instruction;
-        lint.run(prog.address_of("handle").unwrap())?;
+        run(&mut lint, prog.address_of("handle").unwrap())?;
         let text = |p: Prov| lint.provs[p as usize].to_string();
         let content = lint.content.iter().map(|(&r, &p)| (lint.describe(r), text(p))).collect();
         let escaped = lint.escaped.map(text);
         let mut findings: Vec<Finding> = lint.findings.into_values().collect();
         findings.sort();
-        Ok((findings, content, escaped))
+        Ok(((findings, content, escaped), lint.passes))
     }
 
-    /// The block fixpoint decides what the per-instruction oracle does:
-    /// equal findings, content table and escape flag, or the same error.
-    fn check_oracle(what: &str, prog: &Program) -> Result<Outcome, LintError> {
-        let block = outcome(prog, false);
-        assert_eq!(block, outcome(prog, true), "{what}: the block fixpoint left its oracle");
-        block
+    /// The production lint decides what both oracles do — the
+    /// per-instruction fixpoint, and the dense outer loop that re-runs
+    /// passes until the tables stop growing: equal findings, content
+    /// table and escape flag, or the same error. Returns its outcome
+    /// and pass count.
+    fn check_oracles(what: &str, prog: &Program) -> Result<(Outcome, u32), LintError> {
+        let got = outcome(prog, AsmLint::run, false);
+        let decided = |r: Result<(Outcome, u32), LintError>| r.map(|(o, _)| o);
+        let want = decided(got.clone());
+        let per_instruction = decided(outcome(prog, AsmLint::run, true));
+        assert_eq!(want, per_instruction, "{what}: the block fixpoint left its oracle");
+        let dense = decided(outcome(prog, AsmLint::run_dense, false));
+        assert_eq!(want, dense, "{what}: the read set stopped where the tables still grow");
+        got
     }
 
     /// A bottom-tested loop, hand-written: littlec's loops test at the
@@ -2212,36 +1808,43 @@ mod tests {
     #[test]
     fn block_fixpoint_equals_the_per_instruction_oracle_on_seeded_code() {
         let prog = parfait_riscv::assemble(BOTTOM_TESTED_LOOP).unwrap();
-        let (f, _, _) = check_oracle("bottom-tested loop", &prog).expect("the loop lints");
+        let ((f, _, _), _) = check_oracles("bottom-tested loop", &prog).expect("the loop lints");
         assert_eq!(f.len(), 1, "{f:#?}");
         assert_eq!(f[0].taint[0], "secret handler state, loaded from state");
         for (what, asm) in MERGES {
             let prog = parfait_riscv::assemble(asm).unwrap();
-            let (_, _, escaped) = check_oracle(what, &prog).expect("the merge lints");
+            let ((_, _, escaped), _) = check_oracles(what, &prog).expect("the merge lints");
             let escaped = escaped.unwrap_or_else(|| panic!("{what}: nothing escaped"));
             assert!(escaped.ends_with("escaped via untracked store"), "{what}: {escaped}");
         }
         let mut findings = 0;
         for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
             for (i, src) in SEEDED.iter().chain(CORPUS).enumerate() {
-                let (f, _, _) =
-                    check_oracle(&format!("source {i} {opt:?}"), &assemble_src(src, opt))
+                let ((f, _, _), _) =
+                    check_oracles(&format!("source {i} {opt:?}"), &assemble_src(src, opt))
                         .expect("seeded sources lint");
                 findings += f.len();
             }
             for patch in [S3_CLOBBER, S3_SAVED, RA_CLOBBER] {
-                check_oracle(&format!("patch {patch:?} {opt:?}"), &patched(opt, patch))
+                check_oracles(&format!("patch {patch:?} {opt:?}"), &patched(opt, patch))
                     .expect("patched handlers lint");
             }
         }
         assert!(findings > 0, "the seeded code must produce findings to compare");
     }
 
+    /// Each app lints clean in one pass at every level, and as both
+    /// oracles decide at −O0 and −O2.
     fn check_oracle_on_app(app: &str, src: &str) {
-        for opt in [OptLevel::O0, OptLevel::O2] {
-            let (f, _, _) = check_oracle(&format!("{app} {opt:?}"), &assemble_src(src, opt))
-                .expect("production apps lint");
-            assert!(f.is_empty(), "{app} {opt:?}: {f:#?}");
+        for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            let (what, prog) = (format!("{app} {opt:?}"), assemble_src(src, opt));
+            let ((f, _, _), passes) = match opt {
+                OptLevel::O1 => outcome(&prog, AsmLint::run, false),
+                _ => check_oracles(&what, &prog),
+            }
+            .expect("production apps lint");
+            assert!(f.is_empty(), "{what}: {f:#?}");
+            assert_eq!(passes, 1, "{what}");
         }
     }
 
@@ -2289,7 +1892,7 @@ mod tests {
             (undecodable, LintError::Asm("undecodable word at 0x00000010: DecodeError(0)".into())),
             (handler(""), LintError::Asm("control flow leaves text at 0x00000010".into())),
         ] {
-            let got = check_oracle(&format!("{want:?}"), &prog).unwrap_err();
+            let got = check_oracles(&format!("{want:?}"), &prog).unwrap_err();
             assert_eq!(got, want);
         }
     }

@@ -35,6 +35,7 @@ fn run(policy: SyncWhen) -> (parfait_knox2::SyncStats, f64) {
 }
 
 fn main() {
+    parfait_bench::check_args("ablation [--metrics <path>]", &[], &["--metrics"]);
     let mut rows = Vec::new();
     for (label, policy) in [
         ("every instruction", SyncWhen::EveryInstruction),

@@ -15,27 +15,19 @@
 use std::collections::BTreeMap;
 
 use parfait_adversary::{catalog, reports_to_json, run_catalog, Matrix};
-use parfait_bench::{path_arg, render_table, write_json};
+use parfait_bench::{path_arg, render_table, threads_arg, write_json};
 use parfait_pipeline::{CertCache, Pipeline, StageKind};
 use parfait_telemetry::json::Json;
 use parfait_telemetry::Telemetry;
 
 fn main() {
+    parfait_bench::check_args(
+        "bench_mutatest [--quick] [--threads <n>] [--json <path>] [--metrics <path>]",
+        &["--quick"],
+        &["--threads", "--json", "--metrics"],
+    );
     let quick = std::env::args().any(|a| a == "--quick");
-    let mut threads = parfait_parallel::default_threads();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--threads" {
-            match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => threads = n,
-                _ => {
-                    eprintln!("usage: bench_mutatest [--quick] [--threads N] [--json <path>]");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
+    let threads = threads_arg();
 
     let mut muts = catalog();
     if quick {

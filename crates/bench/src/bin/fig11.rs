@@ -67,6 +67,11 @@ fn profile(cpu: Cpu) -> BTreeMap<(&'static str, &'static str), u64> {
 }
 
 fn main() {
+    parfait_bench::check_args(
+        "fig11 [--json <path>] [--metrics <path>]",
+        &[],
+        &["--json", "--metrics"],
+    );
     // Both platforms profile concurrently (each is an independent SoC
     // run); one thread each is plenty for this figure.
     let cpus = [Cpu::Ibex, Cpu::Pico];

@@ -3,7 +3,9 @@
 //! Runs three fixed workloads with the certificate cache disabled:
 //!
 //! 1. **lint**: the full static constant-time analysis of the hasher
-//!    at `-O2` (IR taint + sparse assembly fixpoint).
+//!    at `-O2` (IR taint + assembly fixpoint). Its steps, the asm
+//!    fixpoint's state joins and the IR layer's call-summary memo hits
+//!    are gated.
 //! 2. **hardware**: the hasher's hardware stages on both platforms,
 //!    one cell at a time: the contract battery that holds each core to
 //!    its declared leakage contract (stimulus coverage is gated
@@ -89,14 +91,12 @@ fn run_workloads() -> Result<Measurement, String> {
         return Err("lint workload: hasher unexpectedly has findings".into());
     }
     let after = snapshot();
-    // The sparse asm-analyzer fixpoint and the IR taint pass, and each
-    // layer's call-summary memo; the asm fixpoint joins only at block
-    // heads.
+    // The asm fixpoint, which joins only at block heads, the IR taint
+    // pass and the IR layer's call-summary memo.
     for (key, name, layer, better) in [
         ("lint_asm_fixpoint_iters", "analyzer_fixpoint_iterations_total", "asm", LowerIsBetter),
         ("lint_asm_joins", "analyzer_state_joins_total", "asm", LowerIsBetter),
         ("lint_ir_fixpoint_iters", "analyzer_fixpoint_iterations_total", "ir", LowerIsBetter),
-        ("lint_asm_memo_hits", "analyzer_memo_hits_total", "asm", HigherIsBetter),
         ("lint_ir_memo_hits", "analyzer_memo_hits_total", "ir", HigherIsBetter),
     ] {
         m.values.insert(key.into(), (grew(&before, &after, name, &[("layer", layer)]), better));

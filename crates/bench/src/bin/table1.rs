@@ -6,6 +6,7 @@ use parfait::levels::registry;
 use parfait_bench::render_table;
 
 fn main() {
+    parfait_bench::check_args("table1 [--metrics <path>]", &[], &["--metrics"]);
     let rows: Vec<Vec<String>> = registry()
         .iter()
         .map(|info| {

@@ -54,6 +54,7 @@ fn hardware_loc(cpu: &str) -> usize {
 }
 
 fn main() {
+    parfait_bench::check_args("table2 [--metrics <path>]", &[], &["--metrics"]);
     let mut rows = Vec::new();
     for app in [App::Ecdsa, App::Hasher, App::Totp] {
         for cpu in ["Ibex", "PicoRV32"] {

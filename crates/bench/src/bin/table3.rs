@@ -34,6 +34,11 @@ fn stat(stages: &[StageOutcome], key: &str) -> i64 {
 }
 
 fn main() {
+    parfait_bench::check_args(
+        "table3 [--json <path>] [--metrics <path>]",
+        &[],
+        &["--json", "--metrics"],
+    );
     let pipeline = Pipeline::from_env(parfait_telemetry::Telemetry::disabled());
     let (software, obs) = (StageSet::software(), FpsObserver::default());
     let mut rows = Vec::new();

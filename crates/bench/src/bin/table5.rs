@@ -33,6 +33,7 @@ fn cycles_per_sign(opt: OptLevel) -> u64 {
 }
 
 fn main() {
+    parfait_bench::check_args("table5 [--metrics <path>]", &[], &["--metrics"]);
     let mut rows = Vec::new();
     let mut baseline = None;
     for (label, opt) in [

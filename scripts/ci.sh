@@ -50,7 +50,7 @@ cargo run --release -p parfait-bench --bin lint -- --opt O1
 # improvements in with `<bin> --baseline <file> --update`, which
 # refuses whatever the check fails.
 # Deterministic performance ratchet: hot-path counters (analyzer
-# fixpoint iterations and memo hits, the asm fixpoint's state joins,
+# fixpoint iterations, the IR memo's hits, the asm fixpoint's state joins,
 # FPS cycles, decode-cache hit rate, build-memo lookups that compiled
 # nothing, the app compiles of the software stages) must not regress
 # against perf_baseline.json; wall clock is only a generous backstop.

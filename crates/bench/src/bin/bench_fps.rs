@@ -1,151 +1,81 @@
-//! `bench_fps` — FPS checking throughput, one case at a time vs. the
-//! matrix fanned out.
+//! `bench_fps` — FPS checking throughput, one case at a time.
 //!
 //! Runs the Table 4 verification matrix ({ECDSA, hasher} × {Ibex,
-//! PicoRV32}) twice: once one case at a time, and once with the cases
-//! fanned out across the thread budget. Reports per-case cycles, wall
-//! time, and simulation rate, plus the aggregate wall-clock speedup.
+//! PicoRV32}) one case after another and reports each case's cycles,
+//! wall time, and simulation rate: the per-cell cycles/s record.
 //!
 //! ```sh
 //! cargo run -p parfait-bench --release --bin bench_fps -- --quick --json BENCH_fps.json
 //! ```
 //!
-//! Note the speedup ceiling: one case's check is one lock-step chain
-//! on one thread, so the fan-out across cases is the only parallelism
-//! — bounded by the number of cases and of physical cores.
+//! One case's check is one lock-step chain on one thread; running
+//! cells side by side is the stage graph's job, which `table4
+//! --threads` and `bench_pipeline` measure.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use parfait_bench::{path_arg, render_table, threads_arg, write_json, App};
+use parfait_bench::{path_arg, render_table, write_json, App};
 use parfait_hsms::platform::Cpu;
-use parfait_knox2::{FpsConfig, FpsObserver, FpsReport};
+use parfait_knox2::{FpsConfig, FpsObserver};
 use parfait_littlec::codegen::OptLevel;
-use parfait_parallel::parallel_map;
 use parfait_pipeline::{CertCache, Pipeline};
 use parfait_telemetry::json::Json;
 
-struct Case {
-    cpu: Cpu,
-    app: App,
-    seq: (FpsReport, Duration),
-    par: (FpsReport, Duration),
-}
-
 fn main() {
     parfait_bench::check_args(
-        "bench_fps [--quick] [--threads <n>] [--json <path>] [--metrics <path>]",
+        "bench_fps [--quick] [--json <path>] [--metrics <path>]",
         &["--quick"],
-        &["--threads", "--json", "--metrics"],
+        &["--json", "--metrics"],
     );
     let quick = std::env::args().any(|a| a == "--quick");
-    let threads = threads_arg();
     let apps: &[App] = if quick { &[App::Hasher] } else { &[App::Ecdsa, App::Hasher] };
-    let matrix: Vec<(Cpu, App)> = [Cpu::Ibex, Cpu::Pico]
-        .into_iter()
-        .flat_map(|cpu| apps.iter().map(move |&app| (cpu, app)))
-        .collect();
-    let cases = matrix.len();
     // This benchmark measures *checking* throughput, so it deliberately
     // bypasses the certificate cache (run_fps): a cache hit would
     // measure a file read, not the checker.
     let pipeline = Pipeline::new(CertCache::disabled(), parfait_telemetry::Telemetry::disabled());
-    let pipeline = &pipeline;
     let timeout = FpsConfig::default_timeout();
     let obs = FpsObserver::default();
-    let obs = &obs;
-
-    // Baseline: one case at a time.
-    let mut seq = Vec::new();
-    let t_seq = Instant::now();
-    for &(cpu, app) in &matrix {
-        let t0 = Instant::now();
-        let (report, _) = pipeline
-            .run_fps(&app.pipeline(), cpu, OptLevel::O2, obs, timeout)
-            .expect("verification passes");
-        seq.push((report, t0.elapsed()));
-    }
-    let seq_total = t_seq.elapsed();
-
-    // The matrix fanned out across the thread budget.
-    let t_par = Instant::now();
-    let par = parallel_map(cases.min(threads), matrix.clone(), move |_, (cpu, app)| {
-        let t0 = Instant::now();
-        let (report, _) = pipeline
-            .run_fps(&app.pipeline(), cpu, OptLevel::O2, obs, timeout)
-            .expect("verification passes");
-        (report, t0.elapsed())
-    });
-    let par_total = t_par.elapsed();
-
-    let cases_out: Vec<Case> = matrix
-        .iter()
-        .zip(seq)
-        .zip(par)
-        .map(|((&(cpu, app), seq), par)| Case { cpu, app, seq, par })
-        .collect();
 
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    for c in &cases_out {
-        let (seq_report, seq_wall) = &c.seq;
-        let (par_report, par_wall) = &c.par;
-        assert_eq!(seq_report.cycles, par_report.cycles, "both legs run the same check");
-        let speedup = seq_wall.as_secs_f64() / par_wall.as_secs_f64().max(1e-9);
-        rows.push(vec![
-            c.cpu.to_string(),
-            c.app.to_string(),
-            format!("{}", seq_report.cycles),
-            format!("{:.2}s", seq_wall.as_secs_f64()),
-            format!("{:.2}s", par_wall.as_secs_f64()),
-            format!("{:.2}M", seq_report.cycles_per_second() / 1e6),
-            format!("{:.2}M", par_report.cycles_per_second() / 1e6),
-            format!("{:.2}x", speedup),
-        ]);
-        json_rows.push(Json::obj([
-            ("platform", Json::str(c.cpu.to_string())),
-            ("app", Json::str(c.app.to_string())),
-            ("cycles", Json::Int(seq_report.cycles as i64)),
-            ("seq_seconds", Json::Num(seq_wall.as_secs_f64())),
-            ("par_seconds", Json::Num(par_wall.as_secs_f64())),
-            ("seq_cycles_per_second", Json::Num(seq_report.cycles_per_second())),
-            ("par_cycles_per_second", Json::Num(par_report.cycles_per_second())),
-            ("speedup", Json::Num(speedup)),
-        ]));
+    let t_all = Instant::now();
+    for cpu in [Cpu::Ibex, Cpu::Pico] {
+        for &app in apps {
+            let t0 = Instant::now();
+            let (report, _) = pipeline
+                .run_fps(&app.pipeline(), cpu, OptLevel::O2, &obs, timeout)
+                .expect("verification passes");
+            let wall = t0.elapsed().as_secs_f64();
+            rows.push(vec![
+                cpu.to_string(),
+                app.to_string(),
+                format!("{}", report.cycles),
+                format!("{wall:.2}s"),
+                format!("{:.2}M", report.cycles_per_second() / 1e6),
+            ]);
+            json_rows.push(Json::obj([
+                ("platform", Json::str(cpu.to_string())),
+                ("app", Json::str(app.to_string())),
+                ("cycles", Json::Int(report.cycles as i64)),
+                ("seconds", Json::Num(wall)),
+                ("cycles_per_second", Json::Num(report.cycles_per_second())),
+            ]));
+        }
     }
-    let aggregate = seq_total.as_secs_f64() / par_total.as_secs_f64().max(1e-9);
+    let total = t_all.elapsed().as_secs_f64();
     println!(
         "{}",
         render_table(
-            "FPS checking throughput: one case at a time vs. fanned out",
-            &[
-                "Platform",
-                "App",
-                "Cycles",
-                "Seq wall",
-                "Par wall",
-                "Seq cyc/s",
-                "Par cyc/s",
-                "Speedup"
-            ],
+            "FPS checking throughput, one case at a time",
+            &["Platform", "App", "Cycles", "Wall", "Cyc/s"],
             &rows
         )
     );
-    println!(
-        "aggregate: {:.2}s sequential vs {:.2}s parallel = {:.2}x across {} case(s), \
-         {} thread(s)",
-        seq_total.as_secs_f64(),
-        par_total.as_secs_f64(),
-        aggregate,
-        cases,
-        threads,
-    );
+    println!("total: {total:.2}s across {} case(s)", rows.len());
     if let Some(path) = path_arg("--json") {
         let doc = Json::obj([
             ("artifact", Json::str("bench_fps")),
-            ("threads", Json::Int(threads as i64)),
-            ("seq_total_seconds", Json::Num(seq_total.as_secs_f64())),
-            ("par_total_seconds", Json::Num(par_total.as_secs_f64())),
-            ("aggregate_speedup", Json::Num(aggregate)),
+            ("total_seconds", Json::Num(total)),
             ("rows", Json::Arr(json_rows)),
         ]);
         write_json(&path, &doc).expect("write --json output");
@@ -153,5 +83,5 @@ fn main() {
     }
     // `--metrics <path>` writes the run manifest (bin, build id,
     // env knobs, metrics snapshot); absent flag is a no-op.
-    parfait_bench::emit_manifest("bench_fps", threads, 0);
+    parfait_bench::emit_manifest("bench_fps", 1, 0);
 }

@@ -469,7 +469,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("{name} is committed"))
         };
         let perf = load("perf_baseline.json");
-        assert_eq!((perf.values.len(), perf.wall_ceilings.len()), (14, 5));
+        assert_eq!((perf.values.len(), perf.wall_ceilings.len()), (15, 5));
         let bound = load("bound_baseline.json");
         assert_eq!(bound.values.len(), 28);
         assert!(bound.wall_ceilings.is_empty());

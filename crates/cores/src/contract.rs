@@ -446,8 +446,8 @@ struct Stimulus {
     bus: Vec<(bool, u32)>,
 }
 
-fn shift_op(amount: u32, from_reg: bool, tainted: bool) -> OpClass {
-    OpClass::Shift { amount, from_reg, amount_tainted: tainted }
+fn shift_op(amount: u32, from_reg: bool) -> OpClass {
+    OpClass::Shift { amount, from_reg }
 }
 
 /// The battery: every contract clause gets stimuli that distinguish it
@@ -482,7 +482,7 @@ fn stimuli() -> Vec<Stimulus> {
             name: "immediate shift",
             asm: format!("addi t0, zero, 1\nslli t2, t0, {amt}\nslli t3, t0, {amt}\nnop\nnop\nnop"),
             setup: 1,
-            ops: vec![(shift_op(amt, false, false), false), (shift_op(amt, false, false), false)],
+            ops: vec![(shift_op(amt, false), false), (shift_op(amt, false), false)],
             tainted: vec![],
             data: vec![],
             bus: vec![],
@@ -495,7 +495,7 @@ fn stimuli() -> Vec<Stimulus> {
                  nop\nnop\nnop"
             ),
             setup: 2,
-            ops: vec![(shift_op(amt, true, false), false), (shift_op(amt, true, false), false)],
+            ops: vec![(shift_op(amt, true), false), (shift_op(amt, true), false)],
             tainted: vec![],
             data: vec![],
             bus: vec![],
@@ -513,10 +513,7 @@ fn stimuli() -> Vec<Stimulus> {
             name: "multiply",
             asm: format!("{asm_a}\n{asm_b}\nmul t2, t0, t1\nmul t3, t0, t1\nnop\nnop\nnop"),
             setup: 2,
-            ops: vec![
-                (OpClass::Mul { a, b, operands_tainted: false }, false),
-                (OpClass::Mul { a, b, operands_tainted: false }, false),
-            ],
+            ops: vec![(OpClass::Mul { a, b }, false), (OpClass::Mul { a, b }, false)],
             tainted: vec![],
             data: vec![],
             bus: vec![],
@@ -536,10 +533,7 @@ fn stimuli() -> Vec<Stimulus> {
                 "{setup_asm}\naddi t1, zero, 3\ndivu t2, t0, t1\ndivu t3, t0, t1\nnop\nnop\nnop"
             ),
             setup: 2,
-            ops: vec![
-                (OpClass::Div { dividend, operand_tainted: false }, false),
-                (OpClass::Div { dividend, operand_tainted: false }, false),
-            ],
+            ops: vec![(OpClass::Div { dividend }, false), (OpClass::Div { dividend }, false)],
             tainted: vec![],
             data: vec![],
             bus: vec![],
@@ -553,7 +547,7 @@ fn stimuli() -> Vec<Stimulus> {
         name: "divide on tainted dividend",
         asm: format!("lw t0, {TAINTED}(zero)\naddi t1, zero, 3\ndivu t2, t0, t1\nnop\nnop\nnop"),
         setup: 2,
-        ops: vec![(OpClass::Div { dividend: 100, operand_tainted: true }, false)],
+        ops: vec![(OpClass::Div { dividend: 100 }, false)],
         tainted: vec![InstrClass::Div],
         data: vec![(TAINTED, 100, true)],
         bus: vec![],
@@ -563,7 +557,7 @@ fn stimuli() -> Vec<Stimulus> {
         name: "register shift by tainted amount",
         asm: format!("addi t0, zero, 1\nlw t1, {TAINTED}(zero)\nsll t2, t0, t1\nnop\nnop\nnop"),
         setup: 2,
-        ops: vec![(shift_op(13, true, true), false)],
+        ops: vec![(shift_op(13, true), false)],
         tainted: vec![InstrClass::Shift],
         data: vec![(TAINTED, 13, true)],
         bus: vec![],
@@ -896,15 +890,15 @@ mod tests {
 
     #[test]
     fn latency_evaluation_matches_the_dependence_functions() {
-        let div = |d: u32| OpClass::Div { dividend: d, operand_tainted: false };
+        let div = |d: u32| OpClass::Div { dividend: d };
         let ibex = crate::ibex::contract();
         assert_eq!(ibex.cycles(&div(0)), 3);
         assert_eq!(ibex.cycles(&div(1)), 4);
         assert_eq!(ibex.cycles(&div(0xFFFF_FFFF)), 35);
         let pico = crate::pico::contract();
-        assert_eq!(pico.cycles(&shift_op(0, true, false)), 1);
-        assert_eq!(pico.cycles(&shift_op(31, true, false)), 9);
-        assert_eq!(pico.cycles(&OpClass::Mul { a: 1, b: 1, operands_tainted: false }), 32);
+        assert_eq!(pico.cycles(&shift_op(0, true)), 1);
+        assert_eq!(pico.cycles(&shift_op(31, true)), 9);
+        assert_eq!(pico.cycles(&OpClass::Mul { a: 1, b: 1 }), 32);
     }
 
     #[test]
@@ -916,7 +910,7 @@ mod tests {
         assert_eq!(ibex.clause(InstrClass::Div).latency.worst_cycles(), 35);
         let pico = crate::pico::contract();
         // Pico charges 2 fetch cycles on every instruction.
-        assert_eq!(pico.worst_cost(InstrClass::Shift), 2 + pico.cycles(&shift_op(31, true, false)));
+        assert_eq!(pico.worst_cost(InstrClass::Shift), 2 + pico.cycles(&shift_op(31, true)));
         for class in InstrClass::ALL {
             for c in [ibex, pico] {
                 assert!(c.worst_cost(class) >= c.overhead, "{class}");

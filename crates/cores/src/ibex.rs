@@ -13,17 +13,18 @@
 //!   variable-latency instruction of §7.2 that verification must catch
 //!   when it executes on secret data.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use parfait_riscv::decode::{decode, DecodeError};
 use parfait_riscv::isa::Instr;
 use parfait_riscv::predecode::DecodeCache;
-use parfait_rtl::W;
+use parfait_rtl::{Pair, Word, W};
 
 use crate::contract::{Clause, Latency, LatencyDep, LeakageContract};
 use crate::datapath::{
-    execute, execute_decoded, instr_dest, instr_sources, Core, Exec, Fault, LeakEvent, LeakKind,
-    MemIf, OpClass, SeededFault,
+    execute, instr_dest, instr_sources, lane_regs, same_cache, zip_regs, Core, Exec, Fault,
+    LeakEvent, LeakKind, LeakLog, MemIf, OpClass, SeededFault, Step,
 };
 
 /// Ibex's exported leakage contract (DESIGN.md §15): the declarative
@@ -89,10 +90,11 @@ pub fn contract() -> &'static LeakageContract {
     &CONTRACT
 }
 
-/// The 2-stage core.
+/// The 2-stage core, over the word type of the world(s) it simulates
+/// (see [`Word`]); `IbexCore` is the single-world core.
 #[derive(Clone)]
-pub struct IbexCore {
-    regs: [W; 32],
+pub struct IbexCore<P: Word = W> {
+    regs: [P; 32],
     /// Fetch PC (next instruction address to fetch).
     fetch_pc: u32,
     /// Instruction sitting in ID/EX: (word, its pc).
@@ -104,13 +106,13 @@ pub struct IbexCore {
     cycles: u64,
     retired: u64,
     last_retired: Option<(u32, u32)>,
-    leaks: Vec<LeakEvent>,
+    leaks: LeakLog,
     fault: Option<Fault>,
     /// Seeded micro-architectural bug (mutation testing only).
     seeded: Option<SeededFault>,
     /// With `StaleForwarding` seeded: the register the previous executed
     /// instruction wrote and its value *before* that write.
-    stale: Option<(usize, W)>,
+    stale: Option<(usize, P)>,
     /// Pre-decoded ROM image (shared across snapshots); `None` runs the
     /// uncached fetch + decode path everywhere.
     cache: Option<Arc<DecodeCache>>,
@@ -133,8 +135,86 @@ impl IbexCore {
     /// `None` is exactly [`IbexCore::new`]. The seed survives `reset`,
     /// like a silicon bug survives a power cycle.
     pub fn with_fault(boot_pc: u32, seeded: Option<SeededFault>) -> IbexCore {
+        IbexCore::fresh(boot_pc, seeded)
+    }
+}
+
+impl IbexCore<Pair> {
+    /// Two worlds' cores as one product core, or `None` when any single
+    /// state differs. Decode-cache lookups the two made so far are
+    /// summed into the product's counters.
+    pub fn zip(real: &IbexCore, ideal: &IbexCore) -> Option<IbexCore<Pair>> {
+        let single = |c: &IbexCore| {
+            (
+                c.fetch_pc,
+                c.id_ex,
+                c.busy,
+                c.pending,
+                c.cycles,
+                c.retired,
+                c.last_retired,
+                c.fault.clone(),
+                c.seeded,
+                c.stale.map(|(i, _)| i),
+                c.fetched,
+            )
+        };
+        if single(real) != single(ideal) || !same_cache(&real.cache, &ideal.cache) {
+            return None;
+        }
+        Some(IbexCore {
+            regs: zip_regs(&real.regs, &ideal.regs),
+            leaks: LeakLog::zip(&real.leaks, &ideal.leaks),
+            stale: real
+                .stale
+                .zip(ideal.stale)
+                .map(|((i, r), (_, d))| (i, Pair { real: r, ideal: d })),
+            cache: real.cache.clone(),
+            cache_hits: real.cache_hits + ideal.cache_hits,
+            cache_misses: real.cache_misses + ideal.cache_misses,
+            fetch_pc: real.fetch_pc,
+            id_ex: real.id_ex,
+            busy: real.busy,
+            pending: real.pending,
+            cycles: real.cycles,
+            retired: real.retired,
+            last_retired: real.last_retired,
+            fault: real.fault.clone(),
+            seeded: real.seeded,
+            fetched: real.fetched,
+        })
+    }
+
+    /// The (real, ideal) cores of this product core. The product's
+    /// decode-cache counters go to the real core.
+    pub fn unzip(&self) -> (IbexCore, IbexCore) {
+        let (real_leaks, ideal_leaks) = self.leaks.unzip();
+        let half = |lane: usize, leaks: LeakLog| IbexCore {
+            regs: lane_regs(&self.regs, lane),
+            leaks,
+            stale: self.stale.map(|(i, p)| (i, p.lane(lane))),
+            cache: self.cache.clone(),
+            cache_hits: if lane == 0 { self.cache_hits } else { 0 },
+            cache_misses: if lane == 0 { self.cache_misses } else { 0 },
+            fetch_pc: self.fetch_pc,
+            id_ex: self.id_ex,
+            busy: self.busy,
+            pending: self.pending,
+            cycles: self.cycles,
+            retired: self.retired,
+            last_retired: self.last_retired,
+            fault: self.fault.clone(),
+            seeded: self.seeded,
+            fetched: self.fetched,
+        };
+        (half(0, real_leaks), half(1, ideal_leaks))
+    }
+}
+
+impl<P: Word> IbexCore<P> {
+    fn fresh(boot_pc: u32, seeded: Option<SeededFault>) -> Self {
         IbexCore {
-            regs: [W::default(); 32],
+            regs: [P::default(); 32],
             fetch_pc: boot_pc,
             id_ex: None,
             busy: 0,
@@ -142,7 +222,7 @@ impl IbexCore {
             cycles: 0,
             retired: 0,
             last_retired: None,
-            leaks: Vec::new(),
+            leaks: LeakLog::default(),
             fault: None,
             seeded,
             stale: None,
@@ -159,9 +239,9 @@ impl IbexCore {
     /// cannot drift apart. Seeded contract-violation faults add cycles
     /// *on top of* the declaration; the contract battery measures the
     /// discrepancy.
-    fn extra_latency(&self, class: &OpClass) -> u32 {
+    fn extra_latency(seeded: Option<SeededFault>, class: &OpClass) -> u32 {
         let mut extra = contract().cycles(class) - 1;
-        match (self.seeded, class) {
+        match (seeded, class) {
             (Some(SeededFault::ContractLatencyUnderstated), OpClass::Div { .. }) => extra += 3,
             (Some(SeededFault::ContractHiddenOperandDep), OpClass::Shift { amount, .. }) => {
                 extra += amount / 8;
@@ -178,7 +258,7 @@ impl IbexCore {
     /// (the entry pairs the word with its decode, so the latch is the
     /// decode of exactly the word returned here).
     #[inline]
-    fn fetch(&mut self, mem: &mut dyn MemIf, pc: u32) -> u32 {
+    fn fetch(&mut self, mem: &mut dyn MemIf<P>, pc: u32) -> u32 {
         if let Some(c) = &self.cache {
             if let Some(&(word, decoded)) = c.entry(pc) {
                 self.cache_hits += 1;
@@ -191,52 +271,105 @@ impl IbexCore {
         mem.fetch(pc)
     }
 
-    /// Execute `word` at `ipc`, skipping the decoder when fetch latched
-    /// the pre-decoded form of this word.
-    #[inline]
-    fn exec(&mut self, word: u32, ipc: u32, mem: &mut dyn MemIf) -> Exec {
-        match self.fetched.take() {
-            Some(Ok(i)) => execute_decoded(
-                i,
-                ipc,
-                &mut self.regs,
-                mem,
-                self.cycles,
-                &mut self.leaks,
-                &mut self.fault,
-            ),
-            Some(Err(_)) => {
+    /// The EX stage of the instruction in ID/EX, the one stage whose
+    /// decisions read data: decide its control (refusing the whole cycle,
+    /// before changing anything, if the lanes disagree), then execute it.
+    /// The decode comes from fetch's latch when the cache served the
+    /// word.
+    fn execute_stage(&mut self, word: u32, ipc: u32, mem: &mut dyn MemIf<P>) -> Step {
+        let stale_seeded = self.seeded == Some(SeededFault::StaleForwarding);
+        let instr = match self.fetched.unwrap_or_else(|| decode(word)) {
+            Ok(i) => i,
+            Err(_) => {
+                self.cycles += 1;
+                self.last_retired = None;
+                self.id_ex = None;
+                self.fetched = None;
+                if stale_seeded {
+                    self.stale = None;
+                }
                 self.fault = Some(Fault::Illegal { pc: ipc, word });
-                Exec { next_pc: ipc, class: OpClass::Alu }
+                return Step::Ran(None);
             }
-            None => execute(
-                word,
-                ipc,
-                &mut self.regs,
-                mem,
-                self.cycles,
-                &mut self.leaks,
-                &mut self.fault,
-            ),
+        };
+        // Seeded forwarding bug: if this instruction reads the register
+        // the previous one wrote, the EX stage sees the pre-write
+        // (stale) value instead of the forwarded one.
+        let substituted = self.stale.filter(|&(idx, _)| {
+            let (s1, s2) = instr_sources(&instr);
+            stale_seeded && [s1, s2].iter().flatten().any(|r| r.0 as usize == idx)
+        });
+        // What the previous-write record becomes, read before the write.
+        let stale = stale_seeded.then(|| {
+            instr_dest(&instr).map(|r| {
+                let d = r.0 as usize;
+                (d, substituted.filter(|&(idx, _)| idx == d).map_or(self.regs[d], |(_, old)| old))
+            })
+        });
+        let seeded = self.seeded;
+        let Some(Exec { next_pc, class, .. }) = execute(
+            instr,
+            ipc,
+            substituted,
+            &mut self.regs,
+            mem,
+            self.cycles + 1,
+            &mut self.leaks,
+            &mut self.fault,
+            |class| Self::extra_latency(seeded, class),
+        ) else {
+            return Step::Refused;
+        };
+        self.cycles += 1;
+        self.last_retired = None;
+        self.id_ex = None;
+        self.fetched = None;
+        if let Some(stale) = stale {
+            self.stale = stale;
         }
+        if self.fault.is_some() {
+            return Step::Ran(self.last_retired);
+        }
+        let extra = Self::extra_latency(seeded, &class);
+        let redirect = next_pc != ipc.wrapping_add(4);
+        if redirect {
+            // Squash the would-be fetched instruction.
+            self.fetch_pc = next_pc;
+            self.retired += 1;
+            self.last_retired = Some((word, ipc));
+            debug_assert_eq!(extra, 0, "control ops are single-cycle");
+        } else if extra > 0 {
+            self.busy = extra;
+            self.pending = Some((word, ipc));
+            // The pipeline stalls; fetch resumes when busy ends.
+        } else {
+            self.retired += 1;
+            self.last_retired = Some((word, ipc));
+            // Overlapped fetch of the next instruction.
+            let w = self.fetch(mem, self.fetch_pc);
+            self.id_ex = Some((w, self.fetch_pc));
+            self.fetch_pc = self.fetch_pc.wrapping_add(4);
+        }
+        Step::Ran(self.last_retired)
     }
 }
 
-impl Core for IbexCore {
-    fn clone_box(&self) -> Box<dyn Core> {
+impl<P: Word> Core<P> for IbexCore<P> {
+    fn clone_box(&self) -> Box<dyn Core<P>> {
         Box::new(self.clone())
     }
 
-    fn step(&mut self, mem: &mut dyn MemIf) {
-        if self.fault.is_some() {
-            self.cycles += 1;
-            self.last_retired = None;
-            return;
+    fn step(&mut self, mem: &mut dyn MemIf<P>) -> Step {
+        if let (None, 0, Some((word, ipc))) = (&self.fault, self.busy, self.id_ex) {
+            return self.execute_stage(word, ipc, mem);
         }
         self.cycles += 1;
         self.last_retired = None;
-        // Multi-cycle operation in progress.
+        if self.fault.is_some() {
+            return Step::Ran(self.last_retired);
+        }
         if self.busy > 0 {
+            // Multi-cycle operation in progress.
             self.busy -= 1;
             if self.busy == 0 {
                 self.last_retired = self.pending.take();
@@ -246,72 +379,20 @@ impl Core for IbexCore {
                 self.id_ex = Some((word, self.fetch_pc));
                 self.fetch_pc = self.fetch_pc.wrapping_add(4);
             }
-            return;
+            return Step::Ran(self.last_retired);
         }
-        match self.id_ex.take() {
-            None => {
-                // Bubble: fetch only.
-                let word = self.fetch(mem, self.fetch_pc);
-                self.id_ex = Some((word, self.fetch_pc));
-                self.fetch_pc = self.fetch_pc.wrapping_add(4);
-            }
-            Some((word, ipc)) => {
-                // Seeded forwarding bug: if this instruction reads the
-                // register the previous one wrote, the EX stage sees the
-                // pre-write (stale) value instead of the forwarded one.
-                let mut unstale: Option<(usize, W)> = None;
-                let mut wrote: Option<usize> = None;
-                if self.seeded == Some(SeededFault::StaleForwarding) {
-                    if let Ok(i) = decode(word) {
-                        wrote = instr_dest(&i).map(|r| r.0 as usize);
-                        if let Some((idx, old)) = self.stale {
-                            let (s1, s2) = instr_sources(&i);
-                            if [s1, s2].iter().flatten().any(|r| r.0 as usize == idx) {
-                                unstale = Some((idx, self.regs[idx]));
-                                self.regs[idx] = old;
-                            }
-                        }
-                    }
-                    self.stale = wrote.map(|d| (d, self.regs[d]));
-                }
-                let Exec { next_pc, class } = self.exec(word, ipc, mem);
-                if let Some((idx, fresh)) = unstale {
-                    // The write-back of the *current* instruction (if it
-                    // targeted the same register) wins; otherwise undo
-                    // the stale substitution in the register file.
-                    if wrote != Some(idx) {
-                        self.regs[idx] = fresh;
-                    }
-                }
-                if self.fault.is_some() {
-                    return;
-                }
-                let extra = self.extra_latency(&class);
-                let redirect = next_pc != ipc.wrapping_add(4);
-                if redirect {
-                    // Squash the would-be fetched instruction.
-                    self.fetch_pc = next_pc;
-                    self.id_ex = None;
-                    self.retired += 1;
-                    self.last_retired = Some((word, ipc));
-                    debug_assert_eq!(extra, 0, "control ops are single-cycle");
-                } else if extra > 0 {
-                    self.busy = extra;
-                    self.pending = Some((word, ipc));
-                    // The pipeline stalls; fetch resumes when busy ends.
-                } else {
-                    self.retired += 1;
-                    self.last_retired = Some((word, ipc));
-                    // Overlapped fetch of the next instruction.
-                    let w = self.fetch(mem, self.fetch_pc);
-                    self.id_ex = Some((w, self.fetch_pc));
-                    self.fetch_pc = self.fetch_pc.wrapping_add(4);
-                }
-            }
-        }
+        // Bubble: fetch only.
+        let word = self.fetch(mem, self.fetch_pc);
+        self.id_ex = Some((word, self.fetch_pc));
+        self.fetch_pc = self.fetch_pc.wrapping_add(4);
+        Step::Ran(self.last_retired)
     }
 
-    fn regs(&self) -> &[W; 32] {
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn regs(&self) -> &[P; 32] {
         &self.regs
     }
 
@@ -336,7 +417,7 @@ impl Core for IbexCore {
     }
 
     fn leaks(&self) -> &[LeakEvent] {
-        &self.leaks
+        self.leaks.lane(0)
     }
 
     fn fault(&self) -> Option<&Fault> {
@@ -348,7 +429,7 @@ impl Core for IbexCore {
         // survive a power cycle, like the ROM itself.
         let cache = self.cache.take();
         let (hits, misses) = (self.cache_hits, self.cache_misses);
-        *self = IbexCore::with_fault(pc, self.seeded);
+        *self = IbexCore::fresh(pc, self.seeded);
         self.cache = cache;
         self.cache_hits = hits;
         self.cache_misses = misses;

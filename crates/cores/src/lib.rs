@@ -39,6 +39,8 @@ pub use contract::{
     check_core, BatteryReport, Clause, ContractError, InstrClass, Latency, LatencyDep,
     LeakageContract,
 };
-pub use datapath::{Core, Fault, LeakEvent, LeakKind, MemIf, SeededFault};
+pub use datapath::{
+    unzip_core, zip_cores, Core, Fault, LeakEvent, LeakKind, MemIf, SeededFault, Step,
+};
 pub use ibex::IbexCore;
 pub use pico::PicoCore;

@@ -15,16 +15,18 @@
 //! Table 4 relies on (apps take more cycles on the PicoRV32, but each
 //! SoC cycle is cheaper to simulate).
 
+use std::any::Any;
 use std::sync::Arc;
 
-use parfait_riscv::decode::DecodeError;
+use parfait_riscv::decode::{decode, DecodeError};
 use parfait_riscv::isa::Instr;
 use parfait_riscv::predecode::DecodeCache;
-use parfait_rtl::W;
+use parfait_rtl::{Pair, Word, W};
 
 use crate::contract::{Clause, InstrClass, Latency, LatencyDep, LeakageContract};
 use crate::datapath::{
-    execute, execute_decoded, Core, Exec, Fault, LeakEvent, LeakKind, MemIf, OpClass, SeededFault,
+    execute, lane_regs, same_cache, zip_regs, Core, Exec, Fault, LeakEvent, LeakKind, LeakLog,
+    MemIf, OpClass, SeededFault, Step,
 };
 
 /// PicoRV32's exported leakage contract (DESIGN.md §15): the
@@ -95,7 +97,7 @@ pub fn contract() -> &'static LeakageContract {
     &CONTRACT
 }
 
-#[derive(Clone)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Stage {
     /// First fetch cycle.
     Fetch1,
@@ -107,16 +109,17 @@ enum Stage {
     Execute(u32, u32, u32),
 }
 
-/// The multi-cycle core.
+/// The multi-cycle core, over the word type of the world(s) it
+/// simulates (see [`Word`]); `PicoCore` is the single-world core.
 #[derive(Clone)]
-pub struct PicoCore {
-    regs: [W; 32],
+pub struct PicoCore<P: Word = W> {
+    regs: [P; 32],
     pc: u32,
     stage: Stage,
     cycles: u64,
     retired: u64,
     last_retired: Option<(u32, u32)>,
-    leaks: Vec<LeakEvent>,
+    leaks: LeakLog,
     fault: Option<Fault>,
     /// Seeded micro-architectural bug (mutation testing only).
     seeded: Option<SeededFault>,
@@ -142,14 +145,80 @@ impl PicoCore {
     /// `None` is exactly [`PicoCore::new`]. The seed survives `reset`,
     /// like a silicon bug survives a power cycle.
     pub fn with_fault(boot_pc: u32, seeded: Option<SeededFault>) -> PicoCore {
+        PicoCore::fresh(boot_pc, seeded)
+    }
+}
+
+impl PicoCore<Pair> {
+    /// Two worlds' cores as one product core, or `None` when any single
+    /// state differs. Decode-cache lookups the two made so far are
+    /// summed into the product's counters.
+    pub fn zip(real: &PicoCore, ideal: &PicoCore) -> Option<PicoCore<Pair>> {
+        let single = |c: &PicoCore| {
+            (
+                c.pc,
+                c.stage,
+                c.cycles,
+                c.retired,
+                c.last_retired,
+                c.fault.clone(),
+                c.seeded,
+                c.fetched,
+            )
+        };
+        if single(real) != single(ideal) || !same_cache(&real.cache, &ideal.cache) {
+            return None;
+        }
+        Some(PicoCore {
+            regs: zip_regs(&real.regs, &ideal.regs),
+            leaks: LeakLog::zip(&real.leaks, &ideal.leaks),
+            cache: real.cache.clone(),
+            cache_hits: real.cache_hits + ideal.cache_hits,
+            cache_misses: real.cache_misses + ideal.cache_misses,
+            pc: real.pc,
+            stage: real.stage,
+            cycles: real.cycles,
+            retired: real.retired,
+            last_retired: real.last_retired,
+            fault: real.fault.clone(),
+            seeded: real.seeded,
+            fetched: real.fetched,
+        })
+    }
+
+    /// The (real, ideal) cores of this product core. The product's
+    /// decode-cache counters go to the real core.
+    pub fn unzip(&self) -> (PicoCore, PicoCore) {
+        let (real_leaks, ideal_leaks) = self.leaks.unzip();
+        let half = |lane: usize, leaks: LeakLog| PicoCore {
+            regs: lane_regs(&self.regs, lane),
+            leaks,
+            cache: self.cache.clone(),
+            cache_hits: if lane == 0 { self.cache_hits } else { 0 },
+            cache_misses: if lane == 0 { self.cache_misses } else { 0 },
+            pc: self.pc,
+            stage: self.stage,
+            cycles: self.cycles,
+            retired: self.retired,
+            last_retired: self.last_retired,
+            fault: self.fault.clone(),
+            seeded: self.seeded,
+            fetched: self.fetched,
+        };
+        (half(0, real_leaks), half(1, ideal_leaks))
+    }
+}
+
+impl<P: Word> PicoCore<P> {
+    fn fresh(boot_pc: u32, seeded: Option<SeededFault>) -> Self {
         PicoCore {
-            regs: [W::default(); 32],
+            regs: [P::default(); 32],
             pc: boot_pc,
             stage: Stage::Fetch1,
             cycles: 0,
             retired: 0,
             last_retired: None,
-            leaks: Vec::new(),
+            leaks: LeakLog::default(),
             fault: None,
             seeded,
             cache: None,
@@ -166,7 +235,7 @@ impl PicoCore {
     /// (the entry pairs the word with its decode, so the latch is the
     /// decode of exactly the word returned here).
     #[inline]
-    fn fetch(&mut self, mem: &mut dyn MemIf, pc: u32) -> u32 {
+    fn fetch(&mut self, mem: &mut dyn MemIf<P>, pc: u32) -> u32 {
         if let Some(c) = &self.cache {
             if let Some(&(word, decoded)) = c.entry(pc) {
                 self.cache_hits += 1;
@@ -179,58 +248,63 @@ impl PicoCore {
         mem.fetch(pc)
     }
 
-    /// Execute `word` at `ipc`, skipping the decoder when fetch latched
-    /// the pre-decoded form of this word.
-    #[inline]
-    fn exec(&mut self, word: u32, ipc: u32, mem: &mut dyn MemIf) -> Exec {
-        match self.fetched.take() {
-            Some(Ok(i)) => execute_decoded(
-                i,
-                ipc,
-                &mut self.regs,
-                mem,
-                self.cycles,
-                &mut self.leaks,
-                &mut self.fault,
-            ),
-            Some(Err(_)) => {
+    /// The Decode stage's first execute cycle, the one cycle whose
+    /// decisions read data: decide the instruction's control (refusing
+    /// the whole cycle, before changing anything, if the lanes
+    /// disagree), execute it, then burn the remaining latency in
+    /// Execute. Memory side effects happen exactly once. The decode
+    /// comes from fetch's latch when the cache served the word.
+    fn execute_stage(&mut self, word: u32, ipc: u32, mem: &mut dyn MemIf<P>) -> Step {
+        let instr = match self.fetched.unwrap_or_else(|| decode(word)) {
+            Ok(i) => i,
+            Err(_) => {
+                self.cycles += 1;
+                self.last_retired = None;
+                self.fetched = None;
                 self.fault = Some(Fault::Illegal { pc: ipc, word });
-                Exec { next_pc: ipc, class: OpClass::Alu }
+                return Step::Ran(None);
             }
-            None => execute(
-                word,
-                ipc,
-                &mut self.regs,
-                mem,
-                self.cycles,
-                &mut self.leaks,
-                &mut self.fault,
-            ),
+        };
+        let seeded = self.seeded;
+        let Some(Exec { next_pc, class, tainted }) = execute(
+            instr,
+            ipc,
+            None,
+            &mut self.regs,
+            mem,
+            self.cycles + 1,
+            &mut self.leaks,
+            &mut self.fault,
+            |class| Self::latency(seeded, class),
+        ) else {
+            return Step::Refused;
+        };
+        self.cycles += 1;
+        self.last_retired = None;
+        self.fetched = None;
+        if self.fault.is_some() {
+            return Step::Ran(self.last_retired);
         }
+        self.latency_leaks(&class, tainted, ipc);
+        self.pc = next_pc;
+        // This is the first execute cycle.
+        match Self::latency(seeded, &class) - 1 {
+            0 => {
+                self.retired += 1;
+                self.last_retired = Some((word, ipc));
+                self.stage = Stage::Fetch1;
+            }
+            remaining => self.stage = Stage::Execute(word, ipc, remaining),
+        }
+        Step::Ran(self.last_retired)
     }
 
     /// Execute-stage latency (total cycles spent in Execute) — derived
-    /// from the exported [`contract`], which also declares the
-    /// self-reported taint leak this unit raises. Seeded faults either
-    /// bypass the declared latency (`MulEarlyExit`) or silence the
-    /// declared leak (`ContractTaintSilent`); the contract battery
-    /// measures both discrepancies.
-    fn latency(&mut self, class: &OpClass, pc: u32) -> u32 {
-        let instr_class = InstrClass::of(class);
-        let clause = contract().clause(instr_class);
-        let operand_tainted = match class {
-            OpClass::Shift { amount_tainted, .. } => *amount_tainted,
-            OpClass::Div { operand_tainted, .. } => *operand_tainted,
-            _ => false,
-        };
-        let silenced =
-            self.seeded == Some(SeededFault::ContractTaintSilent) && instr_class == InstrClass::Div;
-        if operand_tainted && !silenced {
-            if let Some(kind) = clause.leak_on_tainted {
-                self.leaks.push(LeakEvent { cycle: self.cycles, pc, kind, class: instr_class });
-            }
-        }
-        if let (Some(SeededFault::MulEarlyExit), OpClass::Mul { a, b, .. }) = (self.seeded, class) {
+    /// from the exported [`contract`]. A seeded `MulEarlyExit` bypasses
+    /// the declared latency; the contract battery measures the
+    /// discrepancy.
+    fn latency(seeded: Option<SeededFault>, class: &OpClass) -> u32 {
+        if let (Some(SeededFault::MulEarlyExit), OpClass::Mul { a, b }) = (seeded, class) {
             // The early-exit iterative multiplier the paper's modified
             // core removed (§7.1): cycles track the smaller operand's
             // bit-length, and the (buggy) latency path performs no
@@ -241,18 +315,36 @@ impl PicoCore {
         }
         contract().cycles(class)
     }
+
+    /// Raise the contract's declared leak in each lane whose
+    /// variable-latency operand is `tainted`. A seeded
+    /// `ContractTaintSilent` drops the divider's check.
+    fn latency_leaks(&mut self, class: &OpClass, tainted: u8, pc: u32) {
+        let instr_class = InstrClass::of(class);
+        let silenced =
+            self.seeded == Some(SeededFault::ContractTaintSilent) && instr_class == InstrClass::Div;
+        if tainted != 0 && !silenced {
+            if let Some(kind) = contract().clause(instr_class).leak_on_tainted {
+                let event = LeakEvent { cycle: self.cycles, pc, kind, class: instr_class };
+                self.leaks.record(tainted, event);
+            }
+        }
+    }
 }
 
-impl Core for PicoCore {
-    fn clone_box(&self) -> Box<dyn Core> {
+impl<P: Word> Core<P> for PicoCore<P> {
+    fn clone_box(&self) -> Box<dyn Core<P>> {
         Box::new(self.clone())
     }
 
-    fn step(&mut self, mem: &mut dyn MemIf) {
+    fn step(&mut self, mem: &mut dyn MemIf<P>) -> Step {
+        if let (None, Stage::Decode(word, ipc)) = (&self.fault, self.stage) {
+            return self.execute_stage(word, ipc, mem);
+        }
         self.cycles += 1;
         self.last_retired = None;
         if self.fault.is_some() {
-            return;
+            return Step::Ran(self.last_retired);
         }
         match self.stage {
             Stage::Fetch1 => {
@@ -262,27 +354,7 @@ impl Core for PicoCore {
                 let word = self.fetch(mem, self.pc);
                 self.stage = Stage::Decode(word, self.pc);
             }
-            Stage::Decode(word, ipc) => {
-                // Execute the datapath on the *first* execute cycle and
-                // then burn the remaining latency; memory side effects
-                // happen exactly once.
-                let Exec { next_pc, class } = self.exec(word, ipc, mem);
-                if self.fault.is_some() {
-                    return;
-                }
-                let lat = self.latency(&class, ipc);
-                self.pc = next_pc;
-                self.stage = Stage::Execute(word, ipc, lat);
-                // Fall through to count this as the first execute cycle.
-                if let Stage::Execute(w, p, ref mut rem) = self.stage {
-                    *rem -= 1;
-                    if *rem == 0 {
-                        self.retired += 1;
-                        self.last_retired = Some((w, p));
-                        self.stage = Stage::Fetch1;
-                    }
-                }
-            }
+            Stage::Decode(..) => unreachable!("the execute stage handles Decode"),
             Stage::Execute(word, ipc, ref mut remaining) => {
                 *remaining -= 1;
                 if *remaining == 0 {
@@ -292,9 +364,14 @@ impl Core for PicoCore {
                 }
             }
         }
+        Step::Ran(self.last_retired)
     }
 
-    fn regs(&self) -> &[W; 32] {
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn regs(&self) -> &[P; 32] {
         &self.regs
     }
 
@@ -322,7 +399,7 @@ impl Core for PicoCore {
     }
 
     fn leaks(&self) -> &[LeakEvent] {
-        &self.leaks
+        self.leaks.lane(0)
     }
 
     fn fault(&self) -> Option<&Fault> {
@@ -334,7 +411,7 @@ impl Core for PicoCore {
         // survive a power cycle, like the ROM itself.
         let cache = self.cache.take();
         let (hits, misses) = (self.cache_hits, self.cache_misses);
-        *self = PicoCore::with_fault(pc, self.seeded);
+        *self = PicoCore::fresh(pc, self.seeded);
         self.cache = cache;
         self.cache_hits = hits;
         self.cache_misses = misses;

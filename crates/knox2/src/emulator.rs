@@ -19,7 +19,7 @@
 //! the circuit RAM at the address saved from `a2`.
 
 use parfait_riscv::isa::Reg;
-use parfait_rtl::{Circuit, WireIn, WireOut};
+use parfait_rtl::{Circuit, WireIn, WireOut, Word};
 use parfait_soc::Soc;
 
 use crate::fps::ByteSpec;
@@ -30,17 +30,31 @@ struct Pending {
     resp: Vec<u8>,
 }
 
+/// The watch/query/inject protocol's own state, apart from the circuit
+/// it watches: the FPS checker runs it over the emulator's SoC, or over
+/// the ideal lane of the product world.
+struct Watch<'s> {
+    spec: &'s dyn ByteSpec,
+    handle_addr: u32,
+    command_size: usize,
+    /// The journal flag as last read.
+    prev_flag: u32,
+    /// [`Soc::journal_writes`] as of the last flag read: the flag is
+    /// read again only after another write reached it.
+    seen_writes: u64,
+    pending: Option<Pending>,
+    /// Seeded template bug (mutation testing, DESIGN.md §12): inject the
+    /// spec response rotated by one byte, desynchronizing the ideal
+    /// world's wires from the real circuit's.
+    desync: bool,
+}
+
 /// The emulator: a dummy-state SoC plus the injection state machine.
 pub struct CircuitEmulator<'s> {
     /// The emulator's own circuit instance (dummy persistent state).
     pub soc: Soc,
-    spec: &'s dyn ByteSpec,
     /// The ideal-world spec state (advances on every query).
     pub spec_state: Vec<u8>,
-    handle_addr: u32,
-    command_size: usize,
-    prev_flag: u32,
-    pending: Option<Pending>,
     /// Number of spec queries made (== handle invocations observed).
     pub queries: u64,
     /// The spec's response for each query, in order. The FPS checker
@@ -49,10 +63,7 @@ pub struct CircuitEmulator<'s> {
     /// response-encoding bugs in the system software that both circuit
     /// instances would otherwise share).
     pub spec_responses: Vec<Vec<u8>>,
-    /// Seeded template bug (mutation testing, DESIGN.md §12): inject the
-    /// spec response rotated by one byte, desynchronizing the ideal
-    /// world's wires from the real circuit's.
-    desync: bool,
+    watch: Watch<'s>,
 }
 
 impl<'s> CircuitEmulator<'s> {
@@ -69,56 +80,87 @@ impl<'s> CircuitEmulator<'s> {
     ) -> Self {
         let handle_addr =
             dummy_soc.firmware().address_of("handle").expect("firmware must define `handle`");
-        let prev_flag = dummy_soc.fram_word(0);
-        CircuitEmulator {
-            soc: dummy_soc,
+        let watch = Watch {
             spec,
-            spec_state: spec_initial,
             handle_addr,
             command_size,
-            prev_flag,
+            prev_flag: dummy_soc.fram_word_of(0, 0),
+            seen_writes: dummy_soc.journal_writes(),
             pending: None,
+            desync: false,
+        };
+        CircuitEmulator {
+            soc: dummy_soc,
+            spec_state: spec_initial,
             queries: 0,
             spec_responses: Vec::new(),
-            desync: false,
+            watch,
         }
+    }
+
+    /// Drain the spec's whole-command memo counters (see
+    /// [`ByteSpec::take_memo_stats`]); the checker flushes them into
+    /// the metrics registry at the end of a run.
+    pub fn take_spec_memo_stats(&self) -> (u64, u64) {
+        self.watch.spec.take_memo_stats()
     }
 
     /// Seed the desync bug: every injected response is rotated left by
     /// one byte. The harness uses this to prove the FPS check is not
     /// vacuous — a broken emulator template must make it fail.
-    /// Drain the spec's whole-command memo counters (see
-    /// [`ByteSpec::take_memo_stats`]); the checker flushes them into
-    /// the metrics registry at the end of a run.
-    pub fn take_spec_memo_stats(&self) -> (u64, u64) {
-        self.spec.take_memo_stats()
-    }
-
     pub fn seed_desync(&mut self) {
-        self.desync = true;
+        self.watch.desync = true;
     }
 
     /// Advance the emulator's circuit one cycle, performing the
     /// watch/query/inject protocol.
     pub fn tick(&mut self) {
         self.soc.tick();
+        let CircuitEmulator { soc, spec_state, queries, spec_responses, watch } = self;
+        watch.run(soc, 0, spec_state, queries, spec_responses);
+    }
+
+    /// The watch/query/inject protocol after a cycle of `soc`, over its
+    /// world `lane` — the ideal lane when `soc` is the FPS product world.
+    pub(crate) fn watch<P: Word>(&mut self, soc: &mut Soc<P>, lane: usize) {
+        let CircuitEmulator { spec_state, queries, spec_responses, watch, .. } = self;
+        watch.run(soc, lane, spec_state, queries, spec_responses);
+    }
+}
+
+impl Watch<'_> {
+    /// React to the cycle `soc` just ran: the two events are read off
+    /// what the SoC recorded in it, the retired pc and the count of
+    /// journal-flag writes.
+    #[inline]
+    fn run<P: Word>(
+        &mut self,
+        soc: &mut Soc<P>,
+        lane: usize,
+        spec_state: &mut Vec<u8>,
+        queries: &mut u64,
+        spec_responses: &mut Vec<Vec<u8>>,
+    ) {
         // (1) handle entry: the first instruction of handle retired.
-        if let Some((_, pc)) = self.soc.core.last_retired() {
-            if pc == self.handle_addr {
-                let cmd_addr = self.soc.core.regs()[Reg::A1.0 as usize].v;
-                let resp_addr = self.soc.core.regs()[Reg::A2.0 as usize].v;
-                let cmd = self.soc.ram_bytes(cmd_addr, self.command_size);
-                // Query the specification (ideal-world state advances).
-                let (new_state, resp) = self.spec.step(&self.spec_state, &cmd);
-                self.spec_state = new_state;
-                self.queries += 1;
-                self.spec_responses.push(resp.clone());
-                self.pending = Some(Pending { resp_addr, resp });
-            }
+        if soc.retired_pc() == Some(self.handle_addr) {
+            let regs = soc.core.regs();
+            let cmd_addr = regs[Reg::A1.0 as usize].lane(lane).v;
+            let resp_addr = regs[Reg::A2.0 as usize].lane(lane).v;
+            let cmd = soc.ram_bytes_of(lane, cmd_addr, self.command_size);
+            // Query the specification (ideal-world state advances).
+            let (new_state, resp) = self.spec.step(spec_state, &cmd);
+            *spec_state = new_state;
+            *queries += 1;
+            spec_responses.push(resp.clone());
+            self.pending = Some(Pending { resp_addr, resp });
         }
-        // (2) commit point: the journal flag flipped. (Read as a word:
-        // this poll happens every cycle and must not allocate.)
-        let flag = self.soc.fram_word(0);
+        // (2) commit point: the journal flag flipped. It can only have
+        // flipped if a write reached it this cycle.
+        if soc.journal_writes() == self.seen_writes {
+            return;
+        }
+        self.seen_writes = soc.journal_writes();
+        let flag = soc.fram_word_of(lane, 0);
         if flag != self.prev_flag {
             self.prev_flag = flag;
             if let Some(mut p) = self.pending.take() {
@@ -126,7 +168,7 @@ impl<'s> CircuitEmulator<'s> {
                     p.resp.rotate_left(1);
                 }
                 // Inject the spec response over the dummy-computed one.
-                self.soc.ram_store(p.resp_addr, &p.resp, false);
+                soc.ram_store_of(lane, p.resp_addr, &p.resp, false);
             }
         }
     }

@@ -16,11 +16,17 @@
 //! state) and requires the taint tracker to be silent (no secret data
 //! reaching branch conditions, memory addresses, jump targets, or
 //! variable-latency functional units).
+//!
+//! The two worlds run the same firmware on the same inputs and differ
+//! only in data, so the checker steps them as one product world — one
+//! control over paired data — while their control agrees, and unzips
+//! them into two SoCs stepped apart from the first cycle it would not
+//! (DESIGN.md §8).
 
 use std::time::{Duration, Instant};
 
 use parfait_riscv::model::AsmStateMachine;
-use parfait_rtl::{Circuit, RingTrace, WireIn};
+use parfait_rtl::{Circuit, Pair, RingTrace, WireIn, WireOut};
 use parfait_soc::Soc;
 use parfait_telemetry::Telemetry;
 
@@ -293,9 +299,22 @@ impl std::error::Error for FpsFailure {
 /// The lock-stepped pair of circuits. Every cycle's comparison needs
 /// both worlds' state after the previous cycle, so one check is one
 /// sequential chain.
+///
+/// While the worlds' control agrees they run zipped, as one product
+/// SoC (`product`), and `real` and `emu.soc` hold no memories. At the
+/// first cycle it would not, the product unzips into the two SoCs as
+/// they were at that cycle's start, and the rest of the run steps them
+/// apart.
 struct Dual<'a, 's> {
     real: &'a mut Soc,
     emu: &'a mut CircuitEmulator<'s>,
+    /// Both worlds as one product SoC, while zipped.
+    product: Option<Soc<Pair>>,
+    /// Whether the worlds may be zipped: false once they split, and
+    /// throughout an oracle run.
+    zip: bool,
+    /// Whether any cycle of this run stepped the worlds apart.
+    apart: bool,
     cycle: u64,
     divergence: Option<Divergence>,
     commands: usize,
@@ -333,12 +352,15 @@ fn vcd_window() -> usize {
 }
 
 impl<'a, 's> Dual<'a, 's> {
-    /// A fresh pair over the given worlds, counting from zero.
+    /// A fresh pair over the given worlds, counting from zero, zipped
+    /// into one product world if `zip` and they agree on all single
+    /// state.
     fn new(
         real: &'a mut Soc,
         emu: &'a mut CircuitEmulator<'s>,
         obs: &FpsObserver,
         capture_vcd: bool,
+        zip: bool,
     ) -> Self {
         let tel = obs.telemetry.clone();
         let next_heartbeat = if obs.heartbeat_cycles == 0 || !tel.enabled() {
@@ -348,9 +370,12 @@ impl<'a, 's> Dual<'a, 's> {
         };
         let cps_gauge = parfait_telemetry::metrics::Metrics::global()
             .gauge_with("fps_cycles_per_second", &[("cell", &obs.cell.to_string())]);
-        Dual {
+        let mut dual = Dual {
             real,
             emu,
+            product: None,
+            zip,
+            apart: false,
             cycle: 0,
             divergence: None,
             commands: 0,
@@ -365,40 +390,111 @@ impl<'a, 's> Dual<'a, 's> {
                 let w = vcd_window();
                 (RingTrace::new(w), RingTrace::new(w))
             }),
+        };
+        dual.rezip();
+        dual
+    }
+
+    /// Zip the two worlds into the product, if allowed and they agree
+    /// on all single state.
+    fn rezip(&mut self) {
+        if self.zip && self.product.is_none() {
+            self.product = Soc::zip(self.real, &mut self.emu.soc);
+        }
+    }
+
+    /// Give each world its SoC back, as it is now.
+    fn unzip(&mut self) {
+        if let Some(p) = self.product.take() {
+            p.unzip(self.real, &mut self.emu.soc);
+        }
+    }
+
+    /// Split the product at a control disagreement — at the instruction
+    /// in execute, before this cycle — for the rest of the run.
+    fn split(&mut self) {
+        if let Some(p) = &self.product {
+            let pc = p.core.instr_in_decode().map_or(p.core.pc(), |(_, pc)| pc);
+            self.tel.progress(
+                "fps.split",
+                &[
+                    ("cycle", self.cycle as f64),
+                    ("op_index", self.op_index as f64),
+                    ("pc", pc as f64),
+                ],
+            );
+        }
+        self.unzip();
+        self.zip = false;
+    }
+
+    /// The (real, ideal) program counters.
+    fn pcs(&self) -> (u32, u32) {
+        match &self.product {
+            Some(p) => (p.core.pc(), p.core.pc()),
+            None => (self.real.core.pc(), self.emu.soc.core.pc()),
+        }
+    }
+
+    /// The (real, ideal) faults. Faults never depend on data, so the
+    /// product's one fault is both worlds'.
+    fn faults(&self) -> (Option<String>, Option<String>) {
+        match &self.product {
+            Some(p) => {
+                let fault = p.fault();
+                (fault.clone(), fault)
+            }
+            None => (self.real.fault(), self.emu.soc.fault()),
         }
     }
 }
 
 impl Circuit for Dual<'_, '_> {
     fn set_input(&mut self, input: WireIn) {
-        self.real.set_input(input);
-        self.emu.set_input(input);
+        match &mut self.product {
+            Some(p) => p.drive(input),
+            None => {
+                self.real.set_input(input);
+                self.emu.set_input(input);
+            }
+        }
     }
 
-    fn get_output(&self) -> parfait_rtl::WireOut {
-        self.real.get_output()
+    fn get_output(&self) -> WireOut {
+        match &self.product {
+            Some(p) => p.wires(0),
+            None => self.real.get_output(),
+        }
     }
 
     fn tick(&mut self) {
         // Compare the observable wires *before* the edge, so a timing
         // divergence is caught at the first differing cycle.
-        let r = self.real.get_output().observable();
-        let i = self.emu.get_output().observable();
+        let (r, i) = match &self.product {
+            Some(p) => (p.wires(0).observable(), p.wires(1).observable()),
+            None => (self.real.get_output().observable(), self.emu.get_output().observable()),
+        };
         if let Some((real_trace, ideal_trace)) = &mut self.vcd {
             real_trace.push(r);
             ideal_trace.push(i);
         }
         if r != i && self.divergence.is_none() {
-            self.divergence = Some(Divergence {
-                cycle: self.cycle,
-                real: r,
-                ideal: i,
-                real_pc: self.real.core.pc(),
-                ideal_pc: self.emu.soc.core.pc(),
-            });
+            let (real_pc, ideal_pc) = self.pcs();
+            self.divergence =
+                Some(Divergence { cycle: self.cycle, real: r, ideal: i, real_pc, ideal_pc });
         }
-        self.real.tick();
-        self.emu.tick();
+        if let Some(p) = &mut self.product {
+            if p.try_tick() {
+                self.emu.watch(p, 1);
+            } else {
+                self.split();
+            }
+        }
+        if self.product.is_none() {
+            self.apart = true;
+            self.real.tick();
+            self.emu.tick();
+        }
         self.cycle += 1;
         if self.cycle >= self.next_heartbeat {
             self.next_heartbeat = self.cycle.saturating_add(self.heartbeat_cycles.max(1));
@@ -406,6 +502,7 @@ impl Circuit for Dual<'_, '_> {
             // The gauge and the heartbeat carry the same number, so the
             // metrics snapshot and the progress view never disagree.
             self.cps_gauge.set(rate);
+            let (real_pc, ideal_pc) = self.pcs();
             self.tel.progress(
                 "fps.heartbeat",
                 &[
@@ -414,8 +511,8 @@ impl Circuit for Dual<'_, '_> {
                     ("commands", self.commands as f64),
                     ("op_index", self.op_index as f64),
                     ("cell", self.cell as f64),
-                    ("real_pc", self.real.core.pc() as f64),
-                    ("ideal_pc", self.emu.soc.core.pc() as f64),
+                    ("real_pc", real_pc as f64),
+                    ("ideal_pc", ideal_pc as f64),
                 ],
             );
         }
@@ -464,14 +561,43 @@ pub fn check_fps_traced(
     script: &[HostOp],
     obs: &FpsObserver,
 ) -> Result<FpsReport, FpsFailure> {
+    run_check(real, emu, cfg, project, script, obs, true)
+}
+
+/// [`check_fps_traced`] with the two worlds stepped apart from the
+/// first cycle: the dual loop alone, which the product world falls
+/// back to. It is the product path's test oracle; both must give the
+/// same result, report and end states.
+pub fn check_fps_dual_traced(
+    real: &mut Soc,
+    emu: &mut CircuitEmulator<'_>,
+    cfg: &FpsConfig,
+    project: &dyn Fn(&Soc) -> Vec<u8>,
+    script: &[HostOp],
+    obs: &FpsObserver,
+) -> Result<FpsReport, FpsFailure> {
+    run_check(real, emu, cfg, project, script, obs, false)
+}
+
+fn run_check(
+    real: &mut Soc,
+    emu: &mut CircuitEmulator<'_>,
+    cfg: &FpsConfig,
+    project: &dyn Fn(&Soc) -> Vec<u8>,
+    script: &[HostOp],
+    obs: &FpsObserver,
+    zip: bool,
+) -> Result<FpsReport, FpsFailure> {
     let start = Instant::now();
     let tel = obs.telemetry.clone();
     let run_span = tel.span("fps.run");
     let vcd_dir = std::env::var_os("PARFAIT_VCD_DIR");
-    let mut dual = Dual::new(real, emu, obs, vcd_dir.is_some());
+    let mut dual = Dual::new(real, emu, obs, vcd_dir.is_some(), zip);
     dual.start = start;
     let mut wire_responses: Vec<Vec<u8>> = Vec::new();
-    let outcome = run_ops(&mut dual, cfg, project, script, &mut wire_responses)
+    let outcome = run_ops(&mut dual, cfg, project, script, &mut wire_responses);
+    dual.unzip();
+    let outcome = outcome
         .and_then(|()| end_of_script_checks(dual.real, &dual.emu.spec_responses, &wire_responses));
     // The statistics are computed the same way on success and failure,
     // so an aborted run still reports how far it got.
@@ -493,6 +619,7 @@ pub fn check_fps_traced(
     metrics.counter("fps_instructions_retired_total").add(dual.real.instructions_retired());
     let timed_out = matches!(outcome, Err(FpsError::Timeout { .. }));
     metrics.counter("fps_timeouts_total").add(timed_out as u64);
+    metrics.counter("fps_world_splits_total").add((zip && dual.apart) as u64);
     metrics.counter("fps_failures_total").add(outcome.is_err() as u64);
     for (world, soc) in [("real", &*dual.real), ("ideal", &dual.emu.soc)] {
         for (fifo, high_water) in
@@ -582,8 +709,8 @@ fn report_failure(tel: &Telemetry, error: &FpsError, vcd: Option<(RingTrace, Rin
 ///
 /// Every host decision depends only on the real world's output wires
 /// (the [`Dual`]'s `get_output`), so both worlds see one schedule.
-fn drive_op(
-    c: &mut dyn Circuit,
+fn drive_op<C: Circuit + ?Sized>(
+    c: &mut C,
     op: &HostOp,
     cfg: &FpsConfig,
     pending_bytes: &mut usize,
@@ -644,18 +771,22 @@ fn run_ops(
                 ideal_pc: d.ideal_pc,
             });
         }
-        if let Some(f) = dual.real.fault() {
+        let (real_fault, ideal_fault) = dual.faults();
+        if let Some(f) = real_fault {
             return Err(FpsError::Fault { world: "real", detail: f });
         }
-        if let Some(f) = dual.emu.soc.fault() {
+        if let Some(f) = ideal_fault {
             return Err(FpsError::Fault { world: "ideal", detail: f });
         }
         if io_result.is_err() {
             return Err(FpsError::Timeout { op_index });
         }
-        // Refinement relation at the quiescent point after a command.
+        // Refinement relation at the quiescent point after a command,
+        // projected from the real world's own SoC.
         if pending_bytes == 0 && matches!(op, HostOp::Command(_)) {
+            dual.unzip();
             let real_state = project(dual.real);
+            dual.rezip();
             if real_state != dual.emu.spec_state {
                 return Err(FpsError::RefinementViolation {
                     op_index,

@@ -40,8 +40,8 @@ pub mod sync;
 pub use driver::WireDriver;
 pub use emulator::CircuitEmulator;
 pub use fps::{
-    check_fps, check_fps_traced, ByteSpec, FpsConfig, FpsError, FpsFailure, FpsObserver, FpsReport,
-    HostOp,
+    check_fps, check_fps_dual_traced, check_fps_traced, ByteSpec, FpsConfig, FpsError, FpsFailure,
+    FpsObserver, FpsReport, HostOp,
 };
 pub use script::{adversarial_script, smoke_script};
 pub use sync::{sync_handle_execution, SyncError, SyncPolicy, SyncStats, SyncWhen};

@@ -48,5 +48,5 @@ pub use certificate::{
     compose, ComposeError, ComposedCertificate, StageCertificate, StageKind, SCHEMA,
 };
 pub use graph::{run_cells, Cell, StageSet};
-pub use pipeline::{CellReport, Pipeline, StageOutcome};
+pub use pipeline::{CellReport, FpsWorlds, Pipeline, StageOutcome};
 pub use serve::ServeCore;

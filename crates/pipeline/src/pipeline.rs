@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use parfait::levels::Level;
 use parfait_hsms::platform::{make_soc_with, Cpu};
 use parfait_hsms::syssw;
-use parfait_knox2::{check_fps_traced, CircuitEmulator, FpsConfig, FpsObserver, FpsReport};
+use parfait_knox2::{check_fps_traced, CircuitEmulator, FpsConfig, FpsObserver, FpsReport, HostOp};
 use parfait_littlec::codegen::OptLevel;
 use parfait_littlec::validate::{asm_machine_patched, validate_handle_levels, LevelRuns};
 use parfait_riscv::model::AsmStateMachine;
@@ -39,6 +39,20 @@ use crate::build;
 use crate::cache::{CertCache, Claim};
 use crate::certificate::{ComposedCertificate, StageCertificate, StageKind, SCHEMA};
 use crate::graph::{run_cells, Cell, StageSet};
+
+/// One cell's FPS worlds, as [`Pipeline::with_fps_worlds`] builds them.
+pub struct FpsWorlds<'a> {
+    /// The real SoC, holding the secret state.
+    pub real: Soc,
+    /// The emulator around the dummy-state SoC.
+    pub emu: CircuitEmulator<'a>,
+    /// Command and response sizes, and the handshake timeout.
+    pub cfg: FpsConfig,
+    /// The refinement projection (the active FRAM state slot).
+    pub project: &'a dyn Fn(&Soc) -> Vec<u8>,
+    /// The cell's host script.
+    pub script: &'a [HostOp],
+}
 
 /// The result of running (or short-circuiting) one stage.
 #[derive(Clone, Debug)]
@@ -648,7 +662,7 @@ impl Pipeline {
     }
 
     /// Run the hardware check itself, bypassing the cache — the single
-    /// place real/ideal SoCs are built and driven (used by
+    /// place real/ideal SoCs are driven (used by
     /// [`Pipeline::fps_stage_bounded`] and, uncached, by the FPS
     /// scaling benchmark). Also returns the lowest stack address the
     /// real SoC stored to across the whole script (its high-water
@@ -661,6 +675,26 @@ impl Pipeline {
         obs: &FpsObserver,
         timeout: u64,
     ) -> Result<(FpsReport, Option<u32>), String> {
+        self.with_fps_worlds(app, cpu, opt, timeout, |w| {
+            let report =
+                check_fps_traced(&mut w.real, &mut w.emu, &w.cfg, w.project, w.script, obs)
+                    .map_err(|f| f.to_string())?;
+            Ok((report, w.real.stack_high_water()))
+        })?
+    }
+
+    /// Build one cell's FPS worlds — the single place they are built —
+    /// and hand them to `check`: [`Pipeline::run_fps`] runs the
+    /// checker on them; the differential tests run it and its dual
+    /// oracle on two builds and compare the worlds they leave.
+    pub fn with_fps_worlds<R>(
+        &self,
+        app: &AppPipeline,
+        cpu: Cpu,
+        opt: OptLevel,
+        timeout: u64,
+        check: impl FnOnce(&mut FpsWorlds<'_>) -> R,
+    ) -> Result<R, String> {
         let sizes = app.sizes;
         let tamper = app.tamper.as_ref();
         // Tampering strikes the *built artifacts and hardware*; the spec
@@ -691,9 +725,7 @@ impl Pipeline {
         let state_size = sizes.state;
         let project = move |soc: &Soc| syssw::active_state(&soc.fram_bytes(0, 256), state_size);
         let script = app.fps_script();
-        let report = check_fps_traced(&mut real, &mut emu, &cfg, &project, &script, obs)
-            .map_err(|f| f.to_string())?;
-        Ok((report, real.stack_high_water()))
+        Ok(check(&mut FpsWorlds { real, emu, cfg, project: &project, script: &script }))
     }
 
     /// Verify one full (app × cpu × opt) cell: every stage plus the

@@ -2,19 +2,21 @@
 
 use std::collections::VecDeque;
 
-use crate::value::W;
+use crate::value::{Pair, Word, W};
 
-/// A bounded FIFO of tainted bytes (stored as words).
+/// A bounded FIFO of tainted bytes (stored as words; one [`Word`] per
+/// entry, so the product world's FIFO has one occupancy and paired
+/// data).
 #[derive(Clone)]
-pub struct Fifo {
-    q: VecDeque<W>,
+pub struct Fifo<P: Word = W> {
+    q: VecDeque<P>,
     cap: usize,
     hwm: usize,
 }
 
-impl Fifo {
+impl<P: Word> Fifo<P> {
     /// An empty FIFO with capacity `cap`.
-    pub fn new(cap: usize) -> Fifo {
+    pub fn new(cap: usize) -> Self {
         Fifo { q: VecDeque::with_capacity(cap), cap, hwm: 0 }
     }
 
@@ -39,7 +41,7 @@ impl Fifo {
     }
 
     /// Push; returns false when full.
-    pub fn push(&mut self, w: W) -> bool {
+    pub fn push(&mut self, w: P) -> bool {
         if self.can_push() {
             self.q.push_back(w);
             self.hwm = self.hwm.max(self.q.len());
@@ -55,13 +57,40 @@ impl Fifo {
     }
 
     /// Pop the oldest entry.
-    pub fn pop(&mut self) -> Option<W> {
+    pub fn pop(&mut self) -> Option<P> {
         self.q.pop_front()
     }
 
     /// Peek at the oldest entry without removing it.
-    pub fn peek(&self) -> Option<W> {
+    pub fn peek(&self) -> Option<P> {
         self.q.front().copied()
+    }
+
+    /// The entries, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = P> + '_ {
+        self.q.iter().copied()
+    }
+}
+
+impl Fifo<Pair> {
+    /// Two worlds' FIFOs as one product FIFO, or `None` when their
+    /// occupancy, capacity or high-water mark differ.
+    pub fn zip(real: &Fifo, ideal: &Fifo) -> Option<Fifo<Pair>> {
+        if (real.q.len(), real.cap, real.hwm) != (ideal.q.len(), ideal.cap, ideal.hwm) {
+            return None;
+        }
+        let q = real.q.iter().zip(&ideal.q).map(|(&real, &ideal)| Pair { real, ideal }).collect();
+        Some(Fifo { q, cap: real.cap, hwm: real.hwm })
+    }
+
+    /// The (real, ideal) FIFOs this product FIFO holds.
+    pub fn unzip(&self) -> (Fifo, Fifo) {
+        let half = |lane| Fifo {
+            q: self.q.iter().map(|p| p.lane(lane)).collect(),
+            cap: self.cap,
+            hwm: self.hwm,
+        };
+        (half(0), half(1))
     }
 }
 

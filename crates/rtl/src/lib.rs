@@ -25,4 +25,4 @@ pub mod vcd;
 pub use circuit::{Circuit, RingTrace, Trace, TraceEvent, WireIn, WireOut};
 pub use fifo::Fifo;
 pub use mem::TaintMem;
-pub use value::W;
+pub use value::{Pair, Word, W};

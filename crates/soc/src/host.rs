@@ -2,7 +2,9 @@
 //!
 //! These drive the SoC's wire interface the way a well-behaved host
 //! would; the Knox2 driver (the paper's §5.2 driver) is built from
-//! exactly these primitives: `set_input`, `get_output`, `tick`.
+//! exactly these primitives: `set_input`, `get_output`, `tick`. They
+//! take any circuit, `dyn Circuit` included; the FPS checker passes its
+//! concrete pair of worlds, so its per-cycle calls are direct.
 
 use parfait_rtl::{Circuit, WireIn};
 
@@ -24,7 +26,11 @@ impl std::fmt::Display for HostTimeout {
 impl std::error::Error for HostTimeout {}
 
 /// Offer one byte on the RX wires until the device accepts it.
-pub fn send_byte(c: &mut dyn Circuit, byte: u8, max_cycles: u64) -> Result<(), HostTimeout> {
+pub fn send_byte<C: Circuit + ?Sized>(
+    c: &mut C,
+    byte: u8,
+    max_cycles: u64,
+) -> Result<(), HostTimeout> {
     for _ in 0..max_cycles {
         let accepting = c.get_output().rx_ready;
         c.set_input(WireIn { rx_valid: true, rx_data: byte, tx_ready: false });
@@ -38,7 +44,7 @@ pub fn send_byte(c: &mut dyn Circuit, byte: u8, max_cycles: u64) -> Result<(), H
 }
 
 /// Wait for `tx_valid` and consume one byte from the TX wires.
-pub fn recv_byte(c: &mut dyn Circuit, max_cycles: u64) -> Result<u8, HostTimeout> {
+pub fn recv_byte<C: Circuit + ?Sized>(c: &mut C, max_cycles: u64) -> Result<u8, HostTimeout> {
     for _ in 0..max_cycles {
         let out = c.get_output();
         if out.tx_valid {
@@ -54,7 +60,11 @@ pub fn recv_byte(c: &mut dyn Circuit, max_cycles: u64) -> Result<u8, HostTimeout
 }
 
 /// Send a buffer byte-by-byte.
-pub fn send_bytes(c: &mut dyn Circuit, bytes: &[u8], max_cycles: u64) -> Result<(), HostTimeout> {
+pub fn send_bytes<C: Circuit + ?Sized>(
+    c: &mut C,
+    bytes: &[u8],
+    max_cycles: u64,
+) -> Result<(), HostTimeout> {
     for &b in bytes {
         send_byte(c, b, max_cycles)?;
     }
@@ -62,7 +72,11 @@ pub fn send_bytes(c: &mut dyn Circuit, bytes: &[u8], max_cycles: u64) -> Result<
 }
 
 /// Receive exactly `n` bytes.
-pub fn recv_bytes(c: &mut dyn Circuit, n: usize, max_cycles: u64) -> Result<Vec<u8>, HostTimeout> {
+pub fn recv_bytes<C: Circuit + ?Sized>(
+    c: &mut C,
+    n: usize,
+    max_cycles: u64,
+) -> Result<Vec<u8>, HostTimeout> {
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(recv_byte(c, max_cycles)?);
@@ -71,7 +85,7 @@ pub fn recv_bytes(c: &mut dyn Circuit, n: usize, max_cycles: u64) -> Result<Vec<
 }
 
 /// Run the clock for `n` idle cycles (no host activity).
-pub fn idle(c: &mut dyn Circuit, n: u64) {
+pub fn idle<C: Circuit + ?Sized>(c: &mut C, n: u64) {
     c.set_input(WireIn::default());
     for _ in 0..n {
         c.tick();

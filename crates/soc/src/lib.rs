@@ -31,10 +31,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parfait_cores::{Core, Fault, MemIf};
+use parfait_cores::{unzip_core, zip_cores, Core, Fault, MemIf, Step};
 use parfait_riscv::asm::Program;
 use parfait_riscv::predecode::DecodeCache;
-use parfait_rtl::{Circuit, Fifo, TaintMem, WireIn, WireOut, W};
+use parfait_rtl::{Circuit, Fifo, Pair, TaintMem, WireIn, WireOut, Word, W};
 
 pub mod host;
 
@@ -85,7 +85,7 @@ pub enum SeededBug {
 }
 
 /// A linked firmware image: ROM text, initial RAM data, symbols.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Firmware {
     /// The text image placed at [`ROM_BASE`].
     pub rom: Vec<u8>,
@@ -112,26 +112,30 @@ impl Firmware {
     }
 }
 
-/// The complete HSM SoC.
+/// The complete HSM SoC, over the word type of the world(s) it
+/// simulates: `Soc` is one world; `Soc<Pair>` is the FPS checker's
+/// product of the real and ideal worlds, one control over paired data
+/// (DESIGN.md §8).
 ///
 /// The SoC is `Clone`: a snapshot is cheap because the read-only parts
 /// (ROM image, firmware) are behind `Arc` and everything else is plain
 /// data. The crash-safety sweep replays every power-failure cut point
 /// from one mid-command snapshot.
 #[derive(Clone)]
-pub struct Soc {
+pub struct Soc<P: Word = W> {
     /// The CPU core.
-    pub core: Box<dyn Core>,
-    /// Firmware ROM (read-only, shared between snapshots).
+    pub core: Box<dyn Core<P>>,
+    /// Firmware ROM (read-only, public, shared between snapshots and
+    /// between the worlds of a product).
     pub rom: Arc<TaintMem>,
     /// Working RAM.
-    pub ram: TaintMem,
+    pub ram: TaintMem<P>,
     /// Persistent memory; its contents are tainted (secret).
-    pub fram: TaintMem,
+    pub fram: TaintMem<P>,
     /// Host → device FIFO.
-    pub rx_fifo: Fifo,
+    pub rx_fifo: Fifo<P>,
     /// Device → host FIFO.
-    pub tx_fifo: Fifo,
+    pub tx_fifo: Fifo<P>,
     /// A bus access outside any mapped region.
     pub bus_fault: Option<u32>,
     /// Lowest address stored to inside the stack region
@@ -145,24 +149,30 @@ pub struct Soc {
     input: WireIn,
     cycles: u64,
     instructions_retired: u64,
+    /// The pc of the instruction retired in the last `tick`, if any.
+    retired_pc: Option<u32>,
+    /// Writes that reached the FRAM's journal flag word (offset 0).
+    journal_writes: u64,
     /// Output wires as of the end of the last `tick` (cached so the
     /// host-protocol and checker hot paths read a field instead of
     /// re-deriving the wires from FIFO state several times per cycle).
+    /// In a product SoC these are lane 0's (the real world's) wires.
     output: WireOut,
 }
 
-struct Bus<'a> {
+struct Bus<'a, P: Word> {
     rom: &'a TaintMem,
-    ram: &'a mut TaintMem,
-    fram: &'a mut TaintMem,
-    rx_fifo: &'a mut Fifo,
-    tx_fifo: &'a mut Fifo,
+    ram: &'a mut TaintMem<P>,
+    fram: &'a mut TaintMem<P>,
+    rx_fifo: &'a mut Fifo<P>,
+    tx_fifo: &'a mut Fifo<P>,
     bus_fault: &'a mut Option<u32>,
     stack_min_store: &'a mut u32,
+    journal_writes: &'a mut u64,
     seeded: Option<SeededBug>,
 }
 
-impl MemIf for Bus<'_> {
+impl<P: Word> MemIf<P> for Bus<'_, P> {
     fn fetch(&mut self, addr: u32) -> u32 {
         if (ROM_BASE..ROM_BASE + ROM_SIZE).contains(&addr) {
             self.rom.read_word(addr - ROM_BASE).v
@@ -172,24 +182,27 @@ impl MemIf for Bus<'_> {
         }
     }
 
-    fn read(&mut self, addr: u32) -> W {
+    fn read(&mut self, addr: u32) -> P {
+        let public = |v: u32| P::splat(W::pub32(v));
         match addr {
-            a if (ROM_BASE..ROM_BASE + ROM_SIZE).contains(&a) => self.rom.read_word(a - ROM_BASE),
+            a if (ROM_BASE..ROM_BASE + ROM_SIZE).contains(&a) => {
+                P::splat(self.rom.read_word(a - ROM_BASE))
+            }
             a if (RAM_BASE..RAM_BASE + RAM_SIZE).contains(&a) => self.ram.read_word(a - RAM_BASE),
             a if (FRAM_BASE..FRAM_BASE + FRAM_SIZE).contains(&a) => {
                 self.fram.read_word(a - FRAM_BASE)
             }
-            IO_RX_STATUS => W::pub32(self.rx_fifo.can_pop() as u32),
-            IO_RX_DATA => self.rx_fifo.pop().unwrap_or(W::pub32(0)),
-            IO_TX_STATUS => W::pub32(self.tx_fifo.can_push() as u32),
+            IO_RX_STATUS => public(self.rx_fifo.can_pop() as u32),
+            IO_RX_DATA => self.rx_fifo.pop().unwrap_or(public(0)),
+            IO_TX_STATUS => public(self.tx_fifo.can_push() as u32),
             a => {
                 *self.bus_fault = Some(a);
-                W::pub32(0)
+                public(0)
             }
         }
     }
 
-    fn write(&mut self, addr: u32, val: W, mask: u8) {
+    fn write(&mut self, addr: u32, val: P, mask: u8) {
         match addr {
             a if (RAM_BASE..RAM_BASE + RAM_SIZE).contains(&a) => {
                 if a >= STACK_FLOOR && a < *self.stack_min_store {
@@ -198,16 +211,20 @@ impl MemIf for Bus<'_> {
                 self.ram.write_word(a - RAM_BASE, val, mask)
             }
             a if (FRAM_BASE..FRAM_BASE + FRAM_SIZE).contains(&a) => {
-                if a - FRAM_BASE < 4 && self.seeded == Some(SeededBug::DropJournalWrite) {
-                    return; // the journal flag word never reaches the FRAM
+                if a - FRAM_BASE < 4 {
+                    if self.seeded == Some(SeededBug::DropJournalWrite) {
+                        return; // the journal flag word never reaches the FRAM
+                    }
+                    *self.journal_writes += 1;
                 }
                 self.fram.write_word(a - FRAM_BASE, val, mask)
             }
             IO_TX_DATA => {
                 // Byte-wide register; lane 0 carries the data.
-                self.tx_fifo.push(W { v: val.v & 0xFF, t: val.t });
+                let byte = val.map_lanes(|w| W { v: w.v & 0xFF, t: w.t });
+                self.tx_fifo.push(byte);
                 if self.seeded == Some(SeededBug::TxDoubleCommit) {
-                    self.tx_fifo.push(W { v: val.v & 0xFF, t: val.t });
+                    self.tx_fifo.push(byte);
                 }
             }
             a if (ROM_BASE..ROM_BASE + ROM_SIZE).contains(&a) => {
@@ -264,12 +281,119 @@ impl Soc {
             input: WireIn::default(),
             cycles: 0,
             instructions_retired: 0,
+            retired_pc: None,
+            journal_writes: 0,
             output: WireOut::default(),
         };
         soc.refresh_output();
         soc
     }
 
+    /// Dump `len` bytes of FRAM starting at `offset` (values only).
+    pub fn fram_bytes(&self, offset: usize, len: usize) -> Vec<u8> {
+        self.fram.dump_bytes(offset, len)
+    }
+
+    /// Power-cycle: reset the core and reinitialize RAM from the
+    /// firmware image; FRAM (persistent state) is retained.
+    pub fn power_cycle(&mut self) {
+        self.core.reset(ROM_BASE);
+        let mut ram = TaintMem::new(RAM_SIZE as usize);
+        ram.load_bytes(0, &self.firmware.ram_init, false);
+        self.ram = ram;
+        self.rx_fifo = Fifo::new(16);
+        self.tx_fifo = Fifo::new(16);
+        self.input = WireIn::default();
+        self.bus_fault = None;
+        self.refresh_output();
+    }
+}
+
+impl Soc<Pair> {
+    /// The real and ideal worlds' SoCs as one product SoC (real in lane
+    /// 0), or `None` — with both left untouched — when they differ in
+    /// anything single: firmware, seeded bug, core model or control
+    /// state, FIFO occupancy, counters, wires or bus state. The product
+    /// takes both worlds' memories (their arrays move, they are not
+    /// copied); [`Soc::unzip`] gives them back.
+    pub fn zip(real: &mut Soc, ideal: &mut Soc) -> Option<Soc<Pair>> {
+        let single = |s: &Soc| {
+            let shape = |m: &TaintMem| (m.len_bytes(), m.writable, m.lane(0).len());
+            (
+                (s.bus_fault, s.stack_min_store, s.seeded, s.input),
+                (s.cycles, s.instructions_retired, s.retired_pc, s.journal_writes),
+                (s.output.rx_ready, s.output.tx_valid),
+                (shape(&s.ram), shape(&s.fram)),
+            )
+        };
+        if single(real) != single(ideal)
+            || !(Arc::ptr_eq(&real.firmware, &ideal.firmware) || real.firmware == ideal.firmware)
+            || !(Arc::ptr_eq(&real.rom, &ideal.rom) || real.rom.lane(0) == ideal.rom.lane(0))
+        {
+            return None;
+        }
+        let core = zip_cores(&*real.core, &*ideal.core)?;
+        let rx_fifo = Fifo::zip(&real.rx_fifo, &ideal.rx_fifo)?;
+        let tx_fifo = Fifo::zip(&real.tx_fifo, &ideal.tx_fifo)?;
+        let take = |m: &mut TaintMem| std::mem::replace(m, TaintMem::new(0));
+        let ram = TaintMem::zip(take(&mut real.ram), take(&mut ideal.ram));
+        let fram = TaintMem::zip(take(&mut real.fram), take(&mut ideal.fram));
+        Some(Soc {
+            core,
+            rom: Arc::clone(&real.rom),
+            ram,
+            fram,
+            rx_fifo,
+            tx_fifo,
+            bus_fault: real.bus_fault,
+            stack_min_store: real.stack_min_store,
+            seeded: real.seeded,
+            firmware: Arc::clone(&real.firmware),
+            input: real.input,
+            cycles: real.cycles,
+            instructions_retired: real.instructions_retired,
+            retired_pc: real.retired_pc,
+            journal_writes: real.journal_writes,
+            output: real.output,
+        })
+    }
+
+    /// Give each world its SoC back, as it is now: the memories
+    /// [`Soc::zip`] took, and every other part split from this product.
+    pub fn unzip(self, real: &mut Soc, ideal: &mut Soc) {
+        let wires = [self.wires(0), self.wires(1)];
+        let (real_core, ideal_core) = unzip_core(&*self.core);
+        let (real_rx, ideal_rx) = self.rx_fifo.unzip();
+        let (real_tx, ideal_tx) = self.tx_fifo.unzip();
+        let (real_ram, ideal_ram) = self.ram.unzip();
+        let (real_fram, ideal_fram) = self.fram.unzip();
+        for (soc, core, ram, fram, rx_fifo, tx_fifo, lane) in [
+            (&mut *real, real_core, real_ram, real_fram, real_rx, real_tx, 0),
+            (&mut *ideal, ideal_core, ideal_ram, ideal_fram, ideal_rx, ideal_tx, 1),
+        ] {
+            *soc = Soc {
+                core,
+                rom: Arc::clone(&self.rom),
+                ram,
+                fram,
+                rx_fifo,
+                tx_fifo,
+                bus_fault: self.bus_fault,
+                stack_min_store: self.stack_min_store,
+                seeded: self.seeded,
+                firmware: Arc::clone(&self.firmware),
+                input: self.input,
+                cycles: self.cycles,
+                instructions_retired: self.instructions_retired,
+                retired_pc: self.retired_pc,
+                journal_writes: self.journal_writes,
+                output: wires[lane],
+            };
+        }
+    }
+}
+
+impl<P: Word> Soc<P> {
     /// Seed a deliberate hardware bug (see [`SeededBug`]). Mutation
     /// testing only; the seed survives power cycles.
     pub fn seed_bug(&mut self, bug: SeededBug) {
@@ -278,19 +402,70 @@ impl Soc {
 
     /// Recompute the cached output wires from the FIFO state.
     fn refresh_output(&mut self) {
-        let tx = self.tx_fifo.peek();
-        self.output = WireOut {
+        let tx = self.tx_fifo.peek().map(|w| w.lane(0));
+        self.set_output(WireOut {
             rx_ready: self.rx_fifo.can_push(),
             tx_valid: tx.is_some(),
             tx_data: tx.map(|w| w.v as u8).unwrap_or(0),
             tx_taint: tx.map(|w| w.t).unwrap_or(false),
-        };
+        });
     }
 
-    /// Read the FRAM word at byte `offset` (values only, no allocation —
-    /// the emulator polls the journal flag with this every cycle).
-    pub fn fram_word(&self, offset: u32) -> u32 {
-        self.fram.read_word(offset).v
+    /// Cache the output wires, writing only when they change: the host
+    /// reads them back every cycle as one word, which a fresh write of
+    /// their four bytes would stall.
+    #[inline]
+    fn set_output(&mut self, wires: WireOut) {
+        if self.output != wires {
+            self.output = wires;
+        }
+    }
+
+    /// The output wires of world `lane` (0 for a single world). The
+    /// handshake wires are shared; only the data byte is per world.
+    #[inline]
+    pub fn wires(&self, lane: usize) -> WireOut {
+        if lane == 0 || !self.output.tx_valid {
+            return self.output;
+        }
+        let w = self.tx_fifo.peek().map_or(W::default(), |p| p.lane(lane));
+        WireOut { tx_data: w.v as u8, tx_taint: w.t, ..self.output }
+    }
+
+    /// Drive the input wires for the upcoming cycle (both worlds of a
+    /// product see the same wires).
+    pub fn drive(&mut self, input: WireIn) {
+        self.input = input;
+    }
+
+    /// Read world `lane`'s FRAM word at byte `offset` (values only).
+    pub fn fram_word_of(&self, lane: usize, offset: u32) -> u32 {
+        self.fram.read_word(offset).lane(lane).v
+    }
+
+    /// Read `len` bytes of world `lane`'s RAM at an absolute address.
+    pub fn ram_bytes_of(&self, lane: usize, addr: u32, len: usize) -> Vec<u8> {
+        assert!(addr >= RAM_BASE);
+        self.ram.dump_lane(lane, (addr - RAM_BASE) as usize, len)
+    }
+
+    /// Write bytes into world `lane`'s RAM at an absolute address with
+    /// given taint.
+    pub fn ram_store_of(&mut self, lane: usize, addr: u32, bytes: &[u8], taint: bool) {
+        assert!(addr >= RAM_BASE);
+        self.ram.load_lane(lane, (addr - RAM_BASE) as usize, bytes, taint);
+    }
+
+    /// The pc of the instruction the core retired in the last cycle.
+    pub fn retired_pc(&self) -> Option<u32> {
+        self.retired_pc
+    }
+
+    /// How many writes have reached the FRAM's journal flag word (offset
+    /// 0) since construction: the flag can only have changed if this
+    /// moved.
+    pub fn journal_writes(&self) -> u64 {
+        self.journal_writes
     }
 
     /// How many instructions the core has retired since construction
@@ -311,29 +486,12 @@ impl Soc {
         self.core.take_decode_stats()
     }
 
-    /// Dump `len` bytes of FRAM starting at `offset` (values only).
-    pub fn fram_bytes(&self, offset: usize, len: usize) -> Vec<u8> {
-        self.fram.dump_bytes(offset, len)
-    }
-
     /// The observed stack high-water mark: the lowest address the core
     /// stored to inside the stack region (at or above [`STACK_FLOOR`]),
     /// or `None` if the stack was never written. Monotone over the
     /// SoC's whole life, including across power cycles.
     pub fn stack_high_water(&self) -> Option<u32> {
         (self.stack_min_store != u32::MAX).then_some(self.stack_min_store)
-    }
-
-    /// Read `len` bytes of RAM at an absolute address.
-    pub fn ram_bytes(&self, addr: u32, len: usize) -> Vec<u8> {
-        assert!(addr >= RAM_BASE);
-        self.ram.dump_bytes((addr - RAM_BASE) as usize, len)
-    }
-
-    /// Write bytes into RAM at an absolute address with given taint.
-    pub fn ram_store(&mut self, addr: u32, bytes: &[u8], taint: bool) {
-        assert!(addr >= RAM_BASE);
-        self.ram.load_bytes((addr - RAM_BASE) as usize, bytes, taint);
     }
 
     /// Any fatal condition: a core fault or a bus fault.
@@ -352,36 +510,22 @@ impl Soc {
         self.bus_fault.map(|a| format!("bus fault at address {a:#010x}"))
     }
 
-    /// Power-cycle: reset the core and reinitialize RAM from the
-    /// firmware image; FRAM (persistent state) is retained.
-    pub fn power_cycle(&mut self) {
-        self.core.reset(ROM_BASE);
-        let mut ram = TaintMem::new(RAM_SIZE as usize);
-        ram.load_bytes(0, &self.firmware.ram_init, false);
-        self.ram = ram;
-        self.rx_fifo = Fifo::new(16);
-        self.tx_fifo = Fifo::new(16);
-        self.input = WireIn::default();
-        self.bus_fault = None;
-        self.refresh_output();
-    }
-}
-
-impl Circuit for Soc {
-    fn set_input(&mut self, input: WireIn) {
-        self.input = input;
-    }
-
-    fn get_output(&self) -> WireOut {
-        self.output
-    }
-
-    fn tick(&mut self) {
+    /// One clock cycle of the SoC: host handshakes, then one core step.
+    /// A product SoC's worlds may disagree on the cycle's control (a
+    /// branch, an address or a latency): then nothing changes and this
+    /// returns false, and the worlds must be unzipped and stepped apart
+    /// from the start of this cycle. A single world always steps.
+    #[inline]
+    pub fn try_tick(&mut self) -> bool {
         self.cycles += 1;
         // Host-side handshakes commit at the clock edge.
         let host_idle = !self.input.rx_valid && !self.input.tx_ready;
+        // What the handshakes change, kept while a product core may still
+        // refuse the cycle.
+        let before = (P::LANES > 1 && !host_idle)
+            .then(|| (self.input, self.rx_fifo.clone(), self.tx_fifo.clone()));
         if self.input.rx_valid && self.rx_fifo.can_push() {
-            self.rx_fifo.push(W::pub32(self.input.rx_data as u32));
+            self.rx_fifo.push(P::splat(W::pub32(self.input.rx_data as u32)));
             // A transferred byte is consumed; the host must re-assert
             // rx_valid for the next byte.
             self.input.rx_valid = false;
@@ -399,10 +543,18 @@ impl Circuit for Soc {
             tx_fifo: &mut self.tx_fifo,
             bus_fault: &mut self.bus_fault,
             stack_min_store: &mut self.stack_min_store,
+            journal_writes: &mut self.journal_writes,
             seeded: self.seeded,
         };
-        self.core.step(&mut bus);
-        if self.core.last_retired().is_some() {
+        let Step::Ran(retired) = self.core.step(&mut bus) else {
+            self.cycles -= 1;
+            if let Some((input, rx_fifo, tx_fifo)) = before {
+                (self.input, self.rx_fifo, self.tx_fifo) = (input, rx_fifo, tx_fifo);
+            }
+            return false;
+        };
+        self.retired_pc = retired.map(|(_, pc)| pc);
+        if self.retired_pc.is_some() {
             self.instructions_retired += 1;
         }
         // Fast idle path: with no host activity and both FIFOs empty
@@ -410,10 +562,31 @@ impl Circuit for Soc {
         // pattern (ready to receive, nothing to send) — skip the
         // reconstruction.
         if host_idle && self.rx_fifo.is_empty() && self.tx_fifo.is_empty() {
-            self.output = WireOut { rx_ready: true, tx_valid: false, tx_data: 0, tx_taint: false };
+            self.set_output(WireOut {
+                rx_ready: true,
+                tx_valid: false,
+                tx_data: 0,
+                tx_taint: false,
+            });
         } else {
             self.refresh_output();
         }
+        true
+    }
+}
+
+impl Circuit for Soc {
+    fn set_input(&mut self, input: WireIn) {
+        self.drive(input);
+    }
+
+    fn get_output(&self) -> WireOut {
+        self.output
+    }
+
+    fn tick(&mut self) {
+        let stepped = self.try_tick();
+        debug_assert!(stepped, "a single-world core never refuses a cycle");
     }
 
     fn cycles(&self) -> u64 {
@@ -512,6 +685,37 @@ mod tests {
         assert!(out.tx_valid);
         assert_eq!(out.tx_data, 0xAB);
         assert!(out.tx_taint);
+    }
+
+    #[test]
+    fn rom_past_the_image_reads_zero_faults_on_fetch_and_ignores_writes() {
+        // The image is a few words; 0x100 is inside the ROM but past it.
+        let fw = firmware(
+            "
+            start:
+                li t0, 0x100
+                lw t1, 0(t0)        # past the image: zero
+                li t2, -1
+                sw t2, 0(zero)      # into the image: ignored
+                sw t2, 0(t0)        # past the image: ignored
+                lw t3, 0(zero)      # the image's first word, unchanged
+                lw t4, 0(t0)        # still zero
+                jr t0               # fetch past the image
+            ",
+        );
+        let first_word = u32::from_le_bytes(fw.rom[..4].try_into().unwrap());
+        let image_words = fw.rom.len().div_ceil(4);
+        let mut soc = Soc::new(Box::new(IbexCore::new(ROM_BASE)), fw, &[]);
+        assert_eq!(soc.rom.lane(0).len(), image_words, "the ROM stores its image only");
+        assert_eq!(soc.rom.len_bytes(), ROM_SIZE as usize);
+        for _ in 0..40 {
+            soc.tick();
+        }
+        let r = soc.core.regs();
+        assert_eq!(r[6], W::pub32(0), "a load past the image reads untainted zero");
+        assert_eq!(r[28].v, first_word, "a store into ROM is ignored");
+        assert_eq!(r[29], W::pub32(0), "a store past the image is ignored");
+        assert_eq!(soc.fault().unwrap(), "illegal instruction 0x00000000 at pc=0x00000100");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Benchmarks. Emits BENCH_fps.json (FPS throughput over the Table 4
-# matrix: one case at a time vs. the cases fanned out across threads),
+# matrix, one case at a time),
 # BENCH_pipeline.json (proof pipeline: cold vs. warm verification via
 # the content-addressed certificate cache), and BENCH_lint.json (static
 # constant-time lint wall time, the contrast to a cold FPS run), and
@@ -27,7 +27,7 @@ THREADS="${THREADS:-$(nproc 2>/dev/null || echo 4)}"
 # Each bin also writes its RunManifest (build id, env knobs, thread
 # count, metrics snapshot) next to the BENCH_*.json it produced, so a
 # result is never separated from the conditions that generated it.
-./target/release/bench_fps $QUICK --threads "$THREADS" \
+./target/release/bench_fps $QUICK \
     --json BENCH_fps.json --metrics BENCH_fps.manifest.json
 ./target/release/bench_pipeline $QUICK --threads "$THREADS" \
     --json BENCH_pipeline.json --metrics BENCH_pipeline.manifest.json

@@ -184,6 +184,27 @@ pub fn hasher_fw() -> Firmware {
     .clone()
 }
 
+/// The hasher with the §7.2 timing bug: `handle` hashes extra work when
+/// the secret's first byte is nonzero, so the dummy state takes a
+/// shorter path than the real one.
+pub fn secret_branch_hasher_source() -> String {
+    let buggy = hasher_app_source().replace(
+        "u8 digest[32];",
+        "if (state[0] != 0) { u8 waste[32]; blake2s_hash(waste, state, 32); }\n        u8 digest[32];",
+    );
+    assert_ne!(buggy, hasher_app_source(), "injection must apply");
+    buggy
+}
+
+/// The hasher with a state-corrupting `handle`: every Hash command bumps
+/// the secret's first byte.
+pub fn state_corrupting_hasher_source() -> String {
+    let buggy =
+        hasher_app_source().replace("resp[0] = 2;", "state[0] = (u8)(state[0] + 1); resp[0] = 2;");
+    assert_ne!(buggy, hasher_app_source(), "injection must apply");
+    buggy
+}
+
 /// The hasher's assembly-level spec machine (`asm_machine` over the
 /// clean app source at `-O2`), built once per test binary.
 pub fn hasher_asm_spec() -> AsmStateMachine {
@@ -284,8 +305,14 @@ impl TokenFps {
     }
 
     fn worlds(&self) -> (Soc, CircuitEmulator<'_>) {
-        let real = make_soc(Cpu::Ibex, self.fw.clone(), &self.secret_state);
-        let dummy_soc = make_soc(Cpu::Ibex, self.fw.clone(), &self.dummy_state);
+        self.worlds_on(Cpu::Ibex)
+    }
+
+    /// Fresh worlds on `cpu`: the real SoC and the emulator around the
+    /// dummy-state SoC.
+    pub fn worlds_on(&self, cpu: Cpu) -> (Soc, CircuitEmulator<'_>) {
+        let real = make_soc(cpu, self.fw.clone(), &self.secret_state);
+        let dummy_soc = make_soc(cpu, self.fw.clone(), &self.dummy_state);
         let emu = CircuitEmulator::new(dummy_soc, &self.spec, self.secret_state.clone(), CMD);
         (real, emu)
     }

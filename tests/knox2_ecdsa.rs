@@ -16,6 +16,7 @@ use parfait_knox2::{check_fps, CircuitEmulator, FpsConfig, HostOp};
 use parfait_littlec::codegen::OptLevel;
 use parfait_littlec::validate::asm_machine;
 use parfait_soc::Soc;
+use parfait_telemetry::metrics::Metrics;
 
 fn project(soc: &Soc) -> Vec<u8> {
     syssw::active_state(&soc.fram_bytes(0, 256), STATE_SIZE)
@@ -55,8 +56,17 @@ fn ecdsa_fps_passes_on_ibex() {
         // An invalid command between operations.
         HostOp::Command(vec![0xEE; COMMAND_SIZE]),
     ];
+    // This binary's one test, so the process-wide counter sees this run
+    // alone.
+    let splits = || Metrics::global().snapshot().counter_total("fps_world_splits_total");
+    let splits_before = splits();
     let report =
         check_fps(&mut real, &mut emu, &cfg, &project, &script).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(
+        splits() - splits_before,
+        0,
+        "constant-time signing never leaves the product world (DESIGN.md §8)"
+    );
     assert!(
         report.cycles > 100_000_000,
         "a Sign takes hundreds of millions of cycles, got {}",

@@ -3,7 +3,6 @@
 
 use parfait::lockstep::Codec;
 use parfait::StateMachine;
-use parfait_hsms::firmware::hasher_app_source;
 use parfait_hsms::hasher::{
     HasherCodec, HasherCommand, HasherSpec, COMMAND_SIZE, RESPONSE_SIZE, STATE_SIZE,
 };
@@ -120,11 +119,7 @@ fn fps_catches_timing_leak_from_secret_branch() {
     // Inject the §7.2 bug: branch on a secret byte in handle, skipping
     // work when it is zero. The emulator's dummy state takes a different
     // path than the real secret state: the wire traces diverge in time.
-    let buggy = hasher_app_source().replace(
-        "u8 digest[32];",
-        "if (state[0] != 0) { u8 waste[32]; blake2s_hash(waste, state, 32); }\n        u8 digest[32];",
-    );
-    assert_ne!(buggy, hasher_app_source(), "injection must apply");
+    let buggy = common::secret_branch_hasher_source();
     let fw = build_firmware(&buggy, sizes(), OptLevel::O2).unwrap();
     let program = parfait_littlec::frontend(&buggy).unwrap();
     let spec =
@@ -152,9 +147,7 @@ fn fps_catches_state_corruption() {
     // (no journaling), so the refinement relation of fig. 9 breaks...
     // actually the observable state still matches; instead inject a
     // handle bug that corrupts the state on Hash commands.
-    let buggy =
-        hasher_app_source().replace("resp[0] = 2;", "state[0] = (u8)(state[0] + 1); resp[0] = 2;");
-    assert_ne!(buggy, hasher_app_source());
+    let buggy = common::state_corrupting_hasher_source();
     let fw = build_firmware(&buggy, sizes(), OptLevel::O2).unwrap();
     // Spec = the CORRECT app's assembly model.
     let spec = hasher_asm_spec();
